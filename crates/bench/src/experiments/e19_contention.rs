@@ -1,7 +1,7 @@
 //! E19 — contention attribution: hot-key forensics and its cost.
 //!
-//! The attribution layer (space-saving hot-key/hot-shard sketches, the
-//! blocking-blame ledger, the vc_dec wait-point map) exists to answer
+//! The attribution layer (space-saving hot-key/hot-shard sketches and
+//! the blocking-blame ledger) exists to answer
 //! "*which keys* and *whose waits*" — questions the aggregate counters
 //! cannot. This experiment validates both halves of its contract:
 //!

@@ -17,7 +17,6 @@ pub mod e14_durability;
 pub mod e15_scalability;
 pub mod e16_obs;
 pub mod e17_overload;
-pub mod e18_vc_decentralized;
 pub mod e19_contention;
 
 /// An experiment: id, title, and runner.
@@ -117,11 +116,6 @@ pub fn registry() -> Vec<Experiment> {
             id: "e17",
             title: "Overload — admission control, goodput and tail latency across the knee",
             run: e17_overload::run,
-        },
-        Experiment {
-            id: "e18",
-            title: "Decentralized VC — per-thread tn blocks, epoch folds, scan-based vtnc",
-            run: e18_vc_decentralized::run,
         },
         Experiment {
             id: "e19",

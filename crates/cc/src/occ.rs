@@ -29,11 +29,7 @@ use std::sync::atomic::Ordering;
 pub struct Optimistic {
     /// Global validation critical section: validation + write phase are
     /// atomic with respect to each other (classic serial validation).
-    /// Carries the transaction number of the last validated commit, so
-    /// the next holder can hand the decentralized sequencer a conflict
-    /// floor that embeds the full validation order (see
-    /// [`VersionControl::register_after`](mvcc_core::VersionControl)).
-    validation: Mutex<u64>,
+    validation: Mutex<()>,
 }
 
 /// Per-transaction OCC state: read and write sets.
@@ -101,7 +97,7 @@ impl ConcurrencyControl for Optimistic {
         let m = &ctx.metrics;
         // Speculative trace leaf spanning the validation critical section.
         let mut span = mvcc_core::obs::trace::leaf("validate");
-        let mut crit = self.validation.lock();
+        let crit = self.validation.lock();
 
         // Backward validation: every read must still be current.
         for &(obj, seen) in &txn.read_set {
@@ -124,11 +120,9 @@ impl ConcurrencyControl for Optimistic {
             }
         }
 
-        // Serial order fixed here: register inside the critical section,
-        // strictly above the previously validated transaction — the lock
-        // handoff makes validation order = tn order even when numbers
-        // come from per-thread blocks.
-        let tn = ctx.vc.register_after(*crit);
+        // Serial order fixed here: registering inside the critical section
+        // makes validation order = tn order.
+        let tn = ctx.vc.register();
         m.vc_register_calls.fetch_add(1, Ordering::Relaxed);
         if let Some(mut span) = span.take() {
             span.attr("tn", tn);
@@ -164,9 +158,6 @@ impl ConcurrencyControl for Optimistic {
             ctx.store.notify(*obj);
         }
 
-        // Hand our number to the next validator before releasing the
-        // critical section.
-        *crit = tn;
         drop(crit);
         // Deferred past the lock drop: a notification emit must never
         // extend the validation critical section.

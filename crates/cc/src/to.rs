@@ -114,11 +114,8 @@ impl ConcurrencyControl for TimestampOrdering {
     }
 
     fn begin(&self, ctx: &CcContext) -> Result<ToTxn, DbError> {
-        // Serial order known a priori: register now. Floor 0 is enough —
-        // MVTO's own r-ts/w-ts checks abort any operation that would
-        // contradict tn order, so block-drawn numbers need no extra
-        // ordering constraint here (every draw is already above `vtnc`).
-        let tn = ctx.vc.register_after(0);
+        // Serial order known a priori: register now.
+        let tn = ctx.vc.register();
         ctx.metrics
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);

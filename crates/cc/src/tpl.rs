@@ -49,13 +49,6 @@ pub struct TplTxn {
     /// Deadline budget, when begun with one: every lock wait is bounded
     /// by the remaining budget, never just the configured timeout.
     deadline: Option<Deadline>,
-    /// Conflict floor: the largest transaction number this transaction
-    /// depends on (writers of versions it read, and writers/readers of
-    /// chains it overwrites). The decentralized sequencer orders the
-    /// registration strictly above it so tn order embeds every wr-, ww-,
-    /// and rw-edge observed so far; the rw-edges *into* this transaction
-    /// are covered by the read-timestamp stamps taken at commit.
-    floor: u64,
     /// Contention-attribution samples buffered until the transaction's
     /// locks are gone. Recording a sketch or ledger entry between two
     /// lock acquisitions perturbs the lock-handoff dynamics the layer is
@@ -286,7 +279,6 @@ impl ConcurrencyControl for TwoPhaseLocking {
             written: Vec::new(),
             writes: Vec::new(),
             deadline: None,
-            floor: 0,
             pending_attr: Vec::new(),
         })
     }
@@ -306,19 +298,14 @@ impl ConcurrencyControl for TwoPhaseLocking {
         obj: ObjectId,
     ) -> Result<(u64, Value), DbError> {
         self.lock(ctx, txn, obj, LockMode::Shared)?;
-        let (n, value) = ctx.store.with(obj, |c| {
+        Ok(ctx.store.with(obj, |c| {
             // Own pending write shadows the committed latest.
             if let Some(p) = c.pending_by(TxnId(txn.token)) {
                 return (u64::MAX, p.value.clone());
             }
             let v = c.at(u64::MAX).expect("chain never empty");
             (v.number, v.value.clone())
-        });
-        if n != u64::MAX {
-            // wr-edge: we must order after the writer of what we read.
-            txn.floor = txn.floor.max(n);
-        }
-        Ok((n, value))
+        }))
     }
 
     fn read_for_update(
@@ -330,17 +317,13 @@ impl ConcurrencyControl for TwoPhaseLocking {
         // Take the exclusive lock immediately: no shared→exclusive
         // upgrade later, hence no upgrade deadlocks on read-modify-write.
         self.lock(ctx, txn, obj, LockMode::Exclusive)?;
-        let (n, value) = ctx.store.with(obj, |c| {
+        Ok(ctx.store.with(obj, |c| {
             if let Some(p) = c.pending_by(TxnId(txn.token)) {
                 return (u64::MAX, p.value.clone());
             }
             let v = c.at(u64::MAX).expect("chain never empty");
             (v.number, v.value.clone())
-        });
-        if n != u64::MAX {
-            txn.floor = txn.floor.max(n);
-        }
-        Ok((n, value))
+        }))
     }
 
     fn write(
@@ -351,14 +334,9 @@ impl ConcurrencyControl for TwoPhaseLocking {
         value: Value,
     ) -> Result<(), DbError> {
         self.lock(ctx, txn, obj, LockMode::Exclusive)?;
-        let floor = ctx.store.with(obj, |c| {
-            // ww- and rw-edges: order after the chain's last writer and
-            // its last stamped reader before overwriting it.
-            let floor = c.order_floor();
-            c.install_pending(PendingVersion::phi(TxnId(txn.token), value.clone()));
-            floor
+        ctx.store.with(obj, |c| {
+            c.install_pending(PendingVersion::phi(TxnId(txn.token), value.clone()))
         });
-        txn.floor = txn.floor.max(floor);
         if !txn.written.contains(&obj) {
             txn.written.push(obj);
         }
@@ -374,10 +352,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
             attr.blame().set_phase(txn.token, TxnPhase::Commit);
         }
         // end(T): the lock point — every lock is held. Serial order fixed.
-        // The floor carries every conflict edge observed through the
-        // transaction's reads and writes; under the decentralized
-        // sequencer the drawn number is guaranteed to land above it.
-        let tn = ctx.vc.register_after(txn.floor);
+        let tn = ctx.vc.register();
         ctx.metrics
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);
@@ -414,20 +389,6 @@ impl ConcurrencyControl for TwoPhaseLocking {
                 return Err(DbError::Internal(format!("2PL promote: {e}")));
             }
             ctx.store.notify(obj);
-        }
-
-        // Stamp the read timestamp of every chain we read but did not
-        // overwrite, while the locks still protect it: a later writer of
-        // those chains folds `tn` into its own floor and therefore orders
-        // after us (the rw-antidependency the decentralized sequencer
-        // cannot see on its own). Skipped under the centralized engine,
-        // whose single counter already totally orders registrations.
-        if ctx.vc.needs_floor_stamps() {
-            for &obj in &txn.locked {
-                if !txn.written.contains(&obj) {
-                    ctx.store.with(obj, |c| c.update_read_ts(tn));
-                }
-            }
         }
 
         // clear locks

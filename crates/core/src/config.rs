@@ -72,25 +72,6 @@ pub struct DbConfig {
     /// Overload control: admission gate, per-tenant quotas, degradation
     /// ladder. Disabled by default — see [`crate::pressure`].
     pub pressure: PressureConfig,
-    /// Use the legacy centralized version-control sequencer (one mutex
-    /// around `tnc` + `VCQueue`) instead of the decentralized one
-    /// (per-thread tn blocks, scan-based `vtnc` watermark). Kept for A/B
-    /// experiments (E18) and differential tests; `false` by default.
-    pub centralized_vc: bool,
-    /// Transaction numbers per per-thread allocation block in the
-    /// decentralized sequencer. Small keeps watermark gaps short when a
-    /// thread retires mid-block; large amortizes the shared
-    /// block-counter `fetch_add`.
-    pub vc_block_tns: usize,
-    /// Decentralized sequencer epoch length: the watermark fold (the
-    /// scan that advances `vtnc`) runs once per this many completions
-    /// per thread. `1` (the default) folds on every completion —
-    /// identical visibility latency to the centralized queue.
-    pub vc_epoch_ops: u64,
-    /// How many consecutive watermark scans may stop at the same
-    /// unassigned (gap) transaction number before the scan reclaims it.
-    /// Counted in scans, not time, so simulated runs stay deterministic.
-    pub vc_gap_grace: u64,
 }
 
 impl Default for DbConfig {
@@ -111,10 +92,6 @@ impl Default for DbConfig {
             clock: real_clock(),
             rng: None,
             pressure: PressureConfig::default(),
-            centralized_vc: false,
-            vc_block_tns: 16,
-            vc_epoch_ops: 1,
-            vc_gap_grace: 32,
         }
     }
 }
@@ -211,34 +188,6 @@ impl DbConfig {
     /// Set the overload-control (admission + backpressure) knobs.
     pub fn with_pressure(mut self, pressure: PressureConfig) -> Self {
         self.pressure = pressure;
-        self
-    }
-
-    /// Select the version-control sequencer: `true` restores the legacy
-    /// centralized mutex + queue, `false` (the default) uses the
-    /// decentralized per-thread-block sequencer.
-    pub fn with_centralized_vc(mut self, centralized: bool) -> Self {
-        self.centralized_vc = centralized;
-        self
-    }
-
-    /// Set the decentralized sequencer's per-thread block size.
-    pub fn with_vc_block_tns(mut self, tns: usize) -> Self {
-        self.vc_block_tns = tns;
-        self
-    }
-
-    /// Set the decentralized sequencer's epoch length (completions per
-    /// thread between watermark folds).
-    pub fn with_vc_epoch_ops(mut self, ops: u64) -> Self {
-        self.vc_epoch_ops = ops;
-        self
-    }
-
-    /// Set the gap-reclaim grace (watermark scans before an unassigned
-    /// blocker is expired).
-    pub fn with_vc_gap_grace(mut self, scans: u64) -> Self {
-        self.vc_gap_grace = scans;
         self
     }
 

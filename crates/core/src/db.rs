@@ -119,7 +119,9 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// the checkpoint watermark is replayed in transaction-number order.
     /// The version counters resume at the highest recovered number
     /// (`tnc = last_tn + 1 > vtnc = last_tn`), so post-recovery
-    /// transactions can never collide with recovered versions.
+    /// transactions can never collide with recovered versions. A number
+    /// below `last_tn` with no surviving record was never durable and
+    /// counts as discarded (DESIGN.md §9).
     ///
     /// If `sink` is provided, the engine comes back *durable*: a fresh
     /// log is started on it and the replayed records are re-appended, so
@@ -146,7 +148,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
             torn_bytes: scan_stats.torn_bytes,
         };
         let tracer = config.trace.then(|| Arc::new(Tracer::new()));
-        let vc = Arc::new(VersionControl::resumed_from_config(last_tn, &config));
+        let vc = Arc::new(VersionControl::resumed(last_tn));
         let mut ctx = CcContext::with_parts(config, Arc::new(store), vc);
         if let Some(sink) = sink {
             let (sink, arm) = Self::maybe_faulty(&ctx, sink);
@@ -200,7 +202,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     pub fn restore(cc: C, config: DbConfig, r: &mut impl std::io::Read) -> std::io::Result<Self> {
         let (store, watermark) = MvStore::restore(r)?;
         let tracer = config.trace.then(|| Arc::new(Tracer::new()));
-        let vc = Arc::new(VersionControl::resumed_from_config(watermark, &config));
+        let vc = Arc::new(VersionControl::resumed(watermark));
         let ctx = CcContext::with_parts(config, Arc::new(store), vc);
         let ro_registry = RoScanRegistry::with_slots(ctx.config.ro_slots);
         Ok(MvDatabase {
@@ -576,9 +578,8 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// [`GaugeSample::extra`].
     pub fn sample_gauges(&self) -> GaugeSample {
         let st = self.core.ctx.store.stats();
-        let vc = &self.core.ctx.vc;
         let mut sample = GaugeSample {
-            vc: vc.view(),
+            vc: self.core.ctx.vc.view(),
             live_versions: st.committed_versions as u64,
             pending_versions: st.pending_versions as u64,
             locked_objects: 0,
@@ -589,8 +590,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
                 .wal
                 .as_ref()
                 .map_or(0, |wal| wal.backlog_bytes()),
-            centralized_vc: vc.is_centralized(),
-            vc_dec: vc.wait_points().map(|m| m.gauges()),
             extra: Vec::new(),
         };
         for (name, value) in self.cc.gauges() {
@@ -639,16 +638,12 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         )
     }
 
-    /// Render the contention-attribution profile — hot keys/shards, the
-    /// folded blocking-blame profile, and (under the decentralized VC)
-    /// the per-thread wait-point map — as one JSON object. The
+    /// Render the contention-attribution profile — hot keys/shards and
+    /// the folded blocking-blame profile — as one JSON object. The
     /// `attribution` section is `null` unless
     /// [`ObsConfig::attribution`](crate::obs::ObsConfig) is enabled.
     pub fn profile_json(&self) -> String {
-        crate::obs::profile_json(
-            self.core.ctx.obs.attr_snapshot().as_ref(),
-            self.core.ctx.vc.wait_points().as_ref(),
-        )
+        crate::obs::profile_json(self.core.ctx.obs.attr_snapshot().as_ref())
     }
 
     /// Start an explicit end-to-end trace. Pass the returned context via
@@ -717,12 +712,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         let mut snap = self.core.ctx.metrics.snapshot();
         let (_, wait_ns) = self.core.ctx.vc.contention();
         snap.vc_lock_wait_ns = snap.vc_lock_wait_ns.saturating_add(wait_ns);
-        let vs = self.core.ctx.vc.vc_stats();
-        snap.vc_epoch_folds = snap.vc_epoch_folds.saturating_add(vs.epoch_folds);
-        snap.vc_blocks_allocated = snap.vc_blocks_allocated.saturating_add(vs.blocks_allocated);
-        snap.vc_watermark_scan_ns = snap
-            .vc_watermark_scan_ns
-            .saturating_add(vs.watermark_scan_ns);
         snap.gc_slot_contention = snap
             .gc_slot_contention
             .saturating_add(self.core.ro_registry.contention());

@@ -55,7 +55,6 @@ pub mod retry;
 pub mod trace;
 pub mod txn;
 pub mod vc;
-mod vc_dec;
 pub mod vcqueue;
 
 pub use cc_api::{CcContext, ConcurrencyControl};
@@ -80,7 +79,7 @@ pub use pressure::{
 pub use retry::RetryPolicy;
 pub use trace::Tracer;
 pub use txn::{RoTxn, RwTxn};
-pub use vc::{VcStats, VersionControl};
+pub use vc::VersionControl;
 
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {

@@ -163,14 +163,12 @@ metrics! { ;
     aborts_deadline,
     /// Aborts caused by memory-pressure rejection.
     aborts_mem_pressure,
-    /// Watermark folds run by the decentralized VC sequencer (0 under
-    /// the centralized one).
+    /// Always 0: the single version-control sequencer drains its queue in
+    /// place and runs no watermark folds. Kept so readers of the
+    /// counter set (exporters, the repo benchmark) stay stable.
     vc_epoch_folds,
-    /// Transaction-number blocks carved by the decentralized VC
-    /// sequencer (0 under the centralized one).
-    vc_blocks_allocated,
-    /// Nanoseconds spent inside decentralized-VC watermark scans (0
-    /// under the centralized one).
+    /// Always 0, like [`vc_epoch_folds`](Self::vc_epoch_folds): there is
+    /// no watermark scan to time.
     vc_watermark_scan_ns,
 }
 

@@ -1,8 +1,8 @@
 //! The blocking-blame ledger: who made whom wait, and in what phase.
 //!
 //! Every blocking point in the engine — the `LockManager` slow path,
-//! timestamp-ordering pending-write waits, `wait_visible` visibility
-//! stalls, and decentralized-VC watermark fold stalls — reports each
+//! timestamp-ordering pending-write waits and `wait_visible` visibility
+//! stalls — reports each
 //! completed wait here with the *blocker's identity* captured at wait
 //! start. The ledger folds those edges into a bounded pprof-style
 //! profile: `wait-point → blocker-phase → target`, each row carrying a
@@ -34,12 +34,10 @@ pub enum WaitPoint {
     PendingWait = 1,
     /// `wait_visible`: blocked on the vtnc watermark.
     VisibilityWait = 2,
-    /// Decentralized-VC fold: the watermark walk stopped at a pinned tn.
-    FoldStall = 3,
 }
 
 /// Number of wait points (array sizing).
-pub const WAIT_POINTS: usize = 4;
+pub const WAIT_POINTS: usize = 3;
 
 impl WaitPoint {
     /// Stable name used by exporters.
@@ -48,7 +46,6 @@ impl WaitPoint {
             WaitPoint::LockWait => "lock_wait",
             WaitPoint::PendingWait => "pending_wait",
             WaitPoint::VisibilityWait => "visibility_wait",
-            WaitPoint::FoldStall => "fold_stall",
         }
     }
 
@@ -56,8 +53,7 @@ impl WaitPoint {
         match i {
             0 => WaitPoint::LockWait,
             1 => WaitPoint::PendingWait,
-            2 => WaitPoint::VisibilityWait,
-            _ => WaitPoint::FoldStall,
+            _ => WaitPoint::VisibilityWait,
         }
     }
 }
@@ -564,7 +560,7 @@ mod tests {
     fn reset_clears_everything() {
         let l = BlameLedger::new(8, 8);
         l.set_phase(1, TxnPhase::Validate);
-        l.record(WaitPoint::FoldStall, 3, 1, 100);
+        l.record(WaitPoint::VisibilityWait, 3, 1, 100);
         l.reset();
         let s = l.snapshot();
         assert!(s.rows.is_empty());

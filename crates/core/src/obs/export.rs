@@ -16,7 +16,7 @@
 
 use super::blame::WaitPoint;
 use super::event::{EventKind, KIND_COUNT};
-use super::gauges::{GaugeSample, VcWaitPointMap};
+use super::gauges::GaugeSample;
 use super::phases::PhaseSnapshot;
 use super::trace::TraceSnapshot;
 use super::AttrSnapshot;
@@ -26,7 +26,7 @@ use mvcc_storage::{Histogram, SketchEntry};
 /// Version of the JSON shapes emitted by [`json_snapshot`] and
 /// [`profile_json`]. Bumped whenever a key is added, removed, or
 /// renamed, so downstream scrapers can detect shape changes.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Per-kind event counters plus buffer accounting, for exporters.
 #[derive(Debug, Clone, Default)]
@@ -183,7 +183,6 @@ fn wait_point_name(i: usize) -> &'static str {
         WaitPoint::LockWait,
         WaitPoint::PendingWait,
         WaitPoint::VisibilityWait,
-        WaitPoint::FoldStall,
     ][i]
         .name()
 }
@@ -492,15 +491,14 @@ fn push_wait_point_array(out: &mut String, values: &[u64; super::blame::WAIT_POI
     out.push('}');
 }
 
-/// Render the contention-attribution profile (and the decentralized-VC
-/// wait-point map, when the engine is decentralized) as one JSON
-/// object. `attr` is `None` when attribution is disabled:
-/// `{"schema_version":N,"attribution":{...}|null,"vc_wait_points":{...}|null}`.
+/// Render the contention-attribution profile as one JSON object. `attr`
+/// is `None` when attribution is disabled:
+/// `{"schema_version":N,"attribution":{...}|null}`.
 ///
 /// The blame profile carries each folded row both structured and in
 /// pprof "folded" form (`wait;blocker_phase;target wait_ns`), so
 /// flame-graph tooling can consume `rows[].folded` directly.
-pub fn profile_json(attr: Option<&AttrSnapshot>, wait: Option<&VcWaitPointMap>) -> String {
+pub fn profile_json(attr: Option<&AttrSnapshot>) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str(&format!(
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"attribution\": "
@@ -539,41 +537,6 @@ pub fn profile_json(attr: Option<&AttrSnapshot>, wait: Option<&VcWaitPointMap>) 
             out.push_str("],\n      \"top_blockers\": ");
             push_sketch_entries(&mut out, &a.blame.top_blockers, "      ");
             out.push_str("\n    }\n  }");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n  \"vc_wait_points\": ");
-    match wait {
-        Some(w) => {
-            out.push_str(&format!(
-                "{{\n    \"vtnc\": {},\n    \"blocker_tn\": {},\n    \"blocks_live\": {},\n    \
-                 \"epoch_folds\": {},\n    \"watermark_scan_ns\": {},\n    \
-                 \"inflight_total\": {},\n    \"max_thread_lag\": {},\n    \"threads\": [",
-                w.vtnc,
-                w.blocker_tn.map_or("null".into(), |t| t.to_string()),
-                w.blocks_live,
-                w.epoch_folds,
-                w.watermark_scan_ns,
-                w.inflight_total(),
-                w.max_thread_lag(),
-            ));
-            for (i, t) in w.threads.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n      {{\"last_assigned\": {}, \"inflight\": {}, \"retired\": {}, \
-                     \"watermark_lag\": {}}}",
-                    t.last_assigned,
-                    t.inflight,
-                    t.retired,
-                    t.watermark_lag(w.vtnc)
-                ));
-            }
-            if !w.threads.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]\n  }");
         }
         None => out.push_str("null"),
     }
@@ -806,33 +769,17 @@ mod tests {
 
     #[test]
     fn profile_json_shape() {
-        use crate::obs::gauges::{VcThreadPoint, VcWaitPointMap};
-        // Disabled: both sections null, schema version present.
-        let text = profile_json(None, None);
+        // Disabled: the section is null, schema version present.
+        let text = profile_json(None);
         assert!(text.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(text.contains("\"attribution\": null"));
-        assert!(text.contains("\"vc_wait_points\": null"));
 
         let attr = sample_attr();
-        let map = VcWaitPointMap {
-            vtnc: 10,
-            blocker_tn: Some(12),
-            blocks_live: 1,
-            epoch_folds: 4,
-            watermark_scan_ns: 555,
-            threads: vec![VcThreadPoint {
-                last_assigned: 14,
-                inflight: 2,
-                retired: false,
-            }],
-        };
-        let text = profile_json(Some(&attr), Some(&map));
+        let text = profile_json(Some(&attr));
         assert!(text.contains("\"hot_keys\""));
         assert!(text.contains("\"key\": 42"));
         assert!(text.contains("\"folded\": \"lock_wait;blocker_commit;target_42 1000\""));
         assert!(text.contains("\"attributed_ns\": {\"lock_wait\": 1000"));
-        assert!(text.contains("\"blocker_tn\": 12"));
-        assert!(text.contains("\"watermark_lag\": 4"));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
     }

@@ -36,98 +36,6 @@ impl VcView {
     }
 }
 
-/// One per-thread slot of the decentralized VC, as seen by the
-/// wait-point map: where its assignments sit relative to the watermark
-/// and whether it is still pinning transactions in flight.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VcThreadPoint {
-    /// Highest transaction number this thread has been assigned.
-    pub last_assigned: u64,
-    /// Registered-but-unfinished transactions owned by this thread.
-    pub inflight: u64,
-    /// Whether the thread's slot has been retired (thread exited).
-    pub retired: bool,
-}
-
-impl VcThreadPoint {
-    /// How far this thread's assignments run ahead of `vtnc`.
-    pub fn watermark_lag(&self, vtnc: u64) -> u64 {
-        self.last_assigned.saturating_sub(vtnc)
-    }
-}
-
-/// The decentralized-VC wait-point map: everything the watermark walk
-/// can be stuck on, per thread, plus fold/scan totals. This is the
-/// vc_dec replacement for the legacy queue-centric gauges — under
-/// `vc_dec` there is no VCQueue, only per-thread blocks, so "queue
-/// depth" and "head age" are meaningless there.
-#[derive(Debug, Clone, Default)]
-pub struct VcWaitPointMap {
-    /// Visibility watermark at sample time.
-    pub vtnc: u64,
-    /// The transaction number the last watermark walk stopped at, if it
-    /// is still ahead of `vtnc` (the current wait point).
-    pub blocker_tn: Option<u64>,
-    /// Live (allocated, unreclaimed) tn blocks.
-    pub blocks_live: u64,
-    /// Epoch folds performed so far.
-    pub epoch_folds: u64,
-    /// Total nanoseconds spent in watermark scans.
-    pub watermark_scan_ns: u64,
-    /// Per-thread points, in slot order (deterministic).
-    pub threads: Vec<VcThreadPoint>,
-}
-
-impl VcWaitPointMap {
-    /// Total in-flight registrations across threads.
-    pub fn inflight_total(&self) -> u64 {
-        self.threads.iter().map(|t| t.inflight).sum()
-    }
-
-    /// The worst per-thread watermark lag.
-    pub fn max_thread_lag(&self) -> u64 {
-        self.threads
-            .iter()
-            .map(|t| t.watermark_lag(self.vtnc))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Summarize into the gauge fields embedded in [`GaugeSample`].
-    pub fn gauges(&self) -> VcDecGauges {
-        VcDecGauges {
-            threads: self.threads.len() as u64,
-            retired_threads: self.threads.iter().filter(|t| t.retired).count() as u64,
-            inflight: self.inflight_total(),
-            max_thread_lag: self.max_thread_lag(),
-            blocks_live: self.blocks_live,
-            blocker_tn: self.blocker_tn.unwrap_or(0),
-            epoch_folds: self.epoch_folds,
-        }
-    }
-}
-
-/// Summary gauges of the decentralized VC (derived from
-/// [`VcWaitPointMap::gauges`]), emitted instead of the queue gauges
-/// when the engine is decentralized.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VcDecGauges {
-    /// Registered per-thread slots (live + retired).
-    pub threads: u64,
-    /// Slots whose owning thread has exited.
-    pub retired_threads: u64,
-    /// Total in-flight registrations across threads.
-    pub inflight: u64,
-    /// Worst per-thread watermark lag (`last_assigned − vtnc`).
-    pub max_thread_lag: u64,
-    /// Live tn blocks.
-    pub blocks_live: u64,
-    /// Current watermark blocker tn (0 = none).
-    pub blocker_tn: u64,
-    /// Epoch folds performed.
-    pub epoch_folds: u64,
-}
-
 /// One sample of every engine gauge.
 #[derive(Debug, Clone, Default)]
 pub struct GaugeSample {
@@ -143,42 +51,21 @@ pub struct GaugeSample {
     pub occupied_lock_shards: u64,
     /// Bytes appended to the WAL but not yet fsynced (0 without a WAL).
     pub wal_backlog_bytes: u64,
-    /// Whether the engine runs the centralized VC. The queue gauges
-    /// (`vcqueue_depth`, `vcqueue_head_age_us`) are emitted only when
-    /// true — under `vc_dec` they would read the legacy queue and
-    /// report zero/stale values.
-    pub centralized_vc: bool,
-    /// Decentralized-VC summary gauges, present when the engine is
-    /// decentralized (emitted as `vcdec_*` fields).
-    pub vc_dec: Option<VcDecGauges>,
     /// Protocol- or site-specific extras (e.g. adaptive mode, dist gtn
     /// skew), appended verbatim to exporter output.
     pub extra: Vec<(&'static str, u64)>,
 }
 
 impl GaugeSample {
-    /// Flatten to `(name, value)` pairs for the exporters. Queue gauges
-    /// appear only for the centralized engine; `vcdec_*` gauges only
-    /// for the decentralized one.
+    /// Flatten to `(name, value)` pairs for the exporters.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
         let mut out = vec![
             ("tnc", self.vc.tnc),
             ("vtnc", self.vc.vtnc),
             ("vtnc_lag", self.vc.vtnc_lag()),
+            ("vcqueue_depth", self.vc.queue_depth),
+            ("vcqueue_head_age_us", self.vc.head_age_us.unwrap_or(0)),
         ];
-        if self.centralized_vc {
-            out.push(("vcqueue_depth", self.vc.queue_depth));
-            out.push(("vcqueue_head_age_us", self.vc.head_age_us.unwrap_or(0)));
-        }
-        if let Some(d) = &self.vc_dec {
-            out.push(("vcdec_threads", d.threads));
-            out.push(("vcdec_retired_threads", d.retired_threads));
-            out.push(("vcdec_inflight", d.inflight));
-            out.push(("vcdec_max_thread_lag", d.max_thread_lag));
-            out.push(("vcdec_blocks_live", d.blocks_live));
-            out.push(("vcdec_blocker_tn", d.blocker_tn));
-            out.push(("vcdec_epoch_folds", d.epoch_folds));
-        }
         out.extend([
             ("live_versions", self.live_versions),
             ("pending_versions", self.pending_versions),
@@ -275,48 +162,18 @@ mod tests {
     }
 
     #[test]
-    fn queue_gauges_gate_on_engine_kind() {
-        let central = GaugeSample {
-            centralized_vc: true,
+    fn queue_gauges_are_always_emitted() {
+        let s = GaugeSample {
+            vc: VcView {
+                queue_depth: 3,
+                head_age_us: Some(40),
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let names: Vec<_> = central.fields().into_iter().map(|(n, _)| n).collect();
-        assert!(names.contains(&"vcqueue_depth"));
-        assert!(!names.iter().any(|n| n.starts_with("vcdec_")));
-
-        let map = VcWaitPointMap {
-            vtnc: 10,
-            blocker_tn: Some(12),
-            blocks_live: 2,
-            epoch_folds: 5,
-            watermark_scan_ns: 100,
-            threads: vec![
-                VcThreadPoint {
-                    last_assigned: 14,
-                    inflight: 3,
-                    retired: false,
-                },
-                VcThreadPoint {
-                    last_assigned: 11,
-                    inflight: 0,
-                    retired: true,
-                },
-            ],
-        };
-        assert_eq!(map.inflight_total(), 3);
-        assert_eq!(map.max_thread_lag(), 4);
-        let dec = GaugeSample {
-            vc_dec: Some(map.gauges()),
-            ..Default::default()
-        };
-        let fields = dec.fields();
-        let names: Vec<_> = fields.iter().map(|&(n, _)| n).collect();
-        assert!(!names.contains(&"vcqueue_depth"), "queue gauge suppressed");
-        assert!(fields.contains(&("vcdec_threads", 2)));
-        assert!(fields.contains(&("vcdec_retired_threads", 1)));
-        assert!(fields.contains(&("vcdec_inflight", 3)));
-        assert!(fields.contains(&("vcdec_max_thread_lag", 4)));
-        assert!(fields.contains(&("vcdec_blocker_tn", 12)));
+        let fields = s.fields();
+        assert!(fields.contains(&("vcqueue_depth", 3)));
+        assert!(fields.contains(&("vcqueue_head_age_us", 40)));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use export::{
     chrome_trace_json, json_snapshot, otlp_trace_json, parse_exposition, profile_json,
     prometheus_text, EventCounts, SCHEMA_VERSION,
 };
-pub use gauges::{GaugeCollector, GaugeSample, VcDecGauges, VcThreadPoint, VcView, VcWaitPointMap};
+pub use gauges::{GaugeCollector, GaugeSample, VcView};
 pub use phases::{PhaseHistograms, PhaseSnapshot};
 pub use recorder::{DumpContext, FlightRecorder, FlightTrigger};
 pub use topk::ContentionTopK;
@@ -198,7 +198,7 @@ impl Attribution {
             cfg.attr_rows
         };
         Attribution {
-            topk: ContentionTopK::new(keys, keys.min(32).max(8)),
+            topk: ContentionTopK::new(keys, keys.clamp(8, 32)),
             blame: BlameLedger::new(rows, keys),
         }
     }

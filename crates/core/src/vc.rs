@@ -29,49 +29,18 @@
 //! preserves the Visibility Property exactly ("the visibility is delayed
 //! only for active and unaborted transactions", Section 4.3).
 //!
-//! # Two engines, one surface
-//!
-//! [`VersionControl`] is a facade over two interchangeable sequencers
-//! (selected by [`crate::DbConfig::centralized_vc`], decentralized by
-//! default):
-//!
-//! * the **centralized** engine ([`CentralVc`], the original design):
-//!   one mutex guards `tnc` and a [`VcQueue`]; every register/complete
-//!   funnels through it. Kept for A/B experiments (E18) and as the
-//!   differential-testing oracle.
-//! * the **decentralized** engine ([`crate::vc_dec`], DESIGN.md §15):
-//!   per-thread transaction-number *blocks* carved from one `fetch_add`,
-//!   lock-free state transitions on padded per-entry atomics, and a
-//!   scan-based `vtnc` watermark folded on the completing thread once per
-//!   epoch. Because numbers are no longer handed out in real-time order,
-//!   protocols publish their conflict floors through
-//!   [`VersionControl::register_after`] so number order still embeds
-//!   conflict order (the serializability requirement the paper gets for
-//!   free from the global lock).
+//! One mutex guards `tnc` and the [`VcQueue`]; `vtnc` is mirrored in an
+//! atomic so `VCstart` never takes it. A protocol reaches this module
+//! only through `register`, `start_complete`, `complete` and `discard`
+//! (DESIGN.md §15).
 
 use crate::clock::SharedClock;
-use crate::obs::{DumpContext, EventKind, FlightTrigger, Obs, VcView, VcWaitPointMap, WaitPoint};
-use crate::vc_dec::DecentralVc;
+use crate::obs::{DumpContext, EventKind, FlightTrigger, Obs, VcView, WaitPoint};
 use crate::vcqueue::VcQueue;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Decentralized-sequencer counters, surfaced as engine metrics
-/// (`vc_epoch_folds`, `vc_blocks_allocated`, `vc_watermark_scan_ns`).
-/// All zero when the centralized engine is selected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VcStats {
-    /// Watermark folds executed (each fold is ≥ 1 scan of the slot
-    /// registry + entry states).
-    pub epoch_folds: u64,
-    /// Transaction-number blocks carved from the shared block counter.
-    pub blocks_allocated: u64,
-    /// Total nanoseconds spent inside watermark scans (attached-clock
-    /// time, so deterministic under the simulator).
-    pub watermark_scan_ns: u64,
-}
 
 /// Block until `*vtnc ≥ tn`, parking on `cv` under `mu`, with the timeout
 /// decided **solely** by comparing the clock against the deadline — never
@@ -88,8 +57,8 @@ pub struct VcStats {
 /// Zero timeout is a fail-fast poll that never parks (the path simulated
 /// runs use exclusively, see DESIGN.md §13).
 ///
-/// Shared by both local engines and `mvcc-dist`'s site sequencer; public
-/// for that reuse, not part of the supported API surface.
+/// Shared with `mvcc-dist`'s site sequencer; public for that reuse, not
+/// part of the supported API surface.
 #[doc(hidden)]
 pub fn wait_visible_with(
     vtnc: &AtomicU64,
@@ -142,11 +111,23 @@ struct VcInner {
     register_ttl: Option<Duration>,
 }
 
-/// The centralized sequencer: one mutex around `tnc` + [`VcQueue`]. The
-/// original thread-safe rendering of paper Figure 1, kept constructible
-/// behind [`VersionControl::centralized`] as the A/B baseline and the
-/// differential-testing oracle for the decentralized engine.
-pub(crate) struct CentralVc {
+/// Thread-safe implementation of paper Figure 1: one mutex around `tnc`
+/// and the [`VcQueue`], plus a lock-free `vtnc` mirror for `VCstart`.
+///
+/// ```
+/// use mvcc_core::VersionControl;
+///
+/// let vc = VersionControl::new();
+/// let t1 = vc.register();            // VCregister: serial position fixed
+/// let t2 = vc.register();
+/// assert_eq!(vc.start(), 0);         // VCstart: nothing visible yet
+///
+/// vc.complete(t2);                   // out-of-order completion...
+/// assert_eq!(vc.start(), 0);         // ...stays invisible behind t1
+/// vc.complete(t1);
+/// assert_eq!(vc.start(), 2);         // both become visible at once
+/// ```
+pub struct VersionControl {
     inner: Mutex<VcInner>,
     /// Mirror of the current `vtnc`, readable without the lock.
     vtnc: AtomicU64,
@@ -172,9 +153,23 @@ pub(crate) struct CentralVc {
     clock: OnceLock<SharedClock>,
 }
 
-impl CentralVc {
-    fn resumed(vtnc: u64) -> Self {
-        CentralVc {
+impl Default for VersionControl {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl VersionControl {
+    /// Fresh counters: `vtnc = 0`, `tnc = 1`.
+    pub fn new() -> Self {
+        Self::resumed(0)
+    }
+
+    /// Counters resumed from a checkpoint consistent at `vtnc`: every
+    /// number `≤ vtnc` is treated as completed, and the next assignment
+    /// is `vtnc + 1`.
+    pub fn resumed(vtnc: u64) -> Self {
+        VersionControl {
             inner: Mutex::new(VcInner {
                 tnc: vtnc + 1,
                 queue: VcQueue::new(),
@@ -190,7 +185,18 @@ impl CentralVc {
         }
     }
 
-    fn attach_obs(&self, obs: Arc<Obs>) -> Arc<Obs> {
+    /// Fresh counters with `cfg`'s registration TTL — the constructor
+    /// [`CcContext::new`](crate::CcContext::new) uses.
+    pub fn from_config(cfg: &crate::DbConfig) -> Self {
+        let vc = Self::new();
+        vc.set_register_ttl(cfg.register_ttl);
+        vc
+    }
+
+    /// Attach the observability hub. First attachment wins (restore paths
+    /// may rebuild a context around an existing instance); the effective
+    /// hub is returned so the caller can share exactly it.
+    pub fn attach_obs(&self, obs: Arc<Obs>) -> Arc<Obs> {
         self.obs.get_or_init(|| obs).clone()
     }
 
@@ -204,7 +210,9 @@ impl CentralVc {
         }
     }
 
-    fn attach_clock(&self, clock: SharedClock) {
+    /// Attach the time source. First attachment wins, mirroring
+    /// [`attach_obs`](Self::attach_obs).
+    pub fn attach_clock(&self, clock: SharedClock) {
         let _ = self.clock.set(clock);
     }
 
@@ -232,32 +240,49 @@ impl CentralVc {
         g
     }
 
-    fn contention(&self) -> (u64, u64) {
+    /// `(contended acquisitions, nanoseconds blocked)` on the sequencer
+    /// lock since construction or the last [`reset_contention`]
+    /// (surfaced as `vc_lock_wait_ns` in `mvcc-core`'s metrics).
+    ///
+    /// [`reset_contention`]: Self::reset_contention
+    pub fn contention(&self) -> (u64, u64) {
         (
             self.lock_waits.load(Ordering::Relaxed),
             self.lock_wait_ns.load(Ordering::Relaxed),
         )
     }
 
-    fn reset_contention(&self) {
+    /// Zero the contention counters (between experiment phases).
+    pub fn reset_contention(&self) {
         self.lock_waits.store(0, Ordering::Relaxed);
         self.lock_wait_ns.store(0, Ordering::Relaxed);
     }
 
-    fn set_register_ttl(&self, ttl: Option<Duration>) {
+    /// Set (or clear) the registration TTL used for future
+    /// [`register`](Self::register) calls. `None` disables the reaper.
+    pub fn set_register_ttl(&self, ttl: Option<Duration>) {
         self.inner().register_ttl = ttl;
     }
 
-    fn register_ttl(&self) -> Option<Duration> {
+    /// The current registration TTL.
+    pub fn register_ttl(&self) -> Option<Duration> {
         self.inner().register_ttl
     }
 
+    /// `VCstart()`: the start number for a read-only transaction — the
+    /// current `vtnc`. Lock-free; this is the *entire* synchronization a
+    /// read-only transaction performs.
     #[inline]
-    fn start(&self) -> u64 {
+    pub fn start(&self) -> u64 {
         self.vtnc.load(Ordering::Acquire)
     }
 
-    fn register(&self) -> u64 {
+    /// `VCregister(T, "active")`: assign the next transaction number and
+    /// enqueue. Called by the concurrency-control protocol at the moment
+    /// `T`'s serial order is determined (begin under TO, lock point under
+    /// 2PL, validation under OCC). Successive calls observe strictly
+    /// increasing numbers in the real-time order of the calls.
+    pub fn register(&self) -> u64 {
         let obs = self.obs_on();
         // The register→complete residency histogram is a sampled phase
         // like the other hot-path histograms: an unsampled registration
@@ -290,11 +315,24 @@ impl CentralVc {
         tn
     }
 
-    fn start_complete(&self, tn: u64) -> bool {
+    /// Claim `tn` for commit: transition its entry from `Active` to
+    /// `Committing`, shielding it from the stall reaper. A protocol MUST
+    /// claim successfully **before** applying any database updates
+    /// (promoting pendings to committed versions); on `false` it must
+    /// abort instead — the entry was already force-discarded by
+    /// [`reap`](Self::reap) (or discarded/completed through another
+    /// path), so its writes must never become visible.
+    ///
+    /// This claim is what makes the reaper safe: the reaper only discards
+    /// `Active` entries, so reaped ⇒ never claimed ⇒ no updates applied.
+    pub fn start_complete(&self, tn: u64) -> bool {
         self.inner().queue.start_committing(tn)
     }
 
-    fn discard(&self, tn: u64) -> bool {
+    /// `VCdiscard(T)`: remove an aborted transaction. Also drains
+    /// visibility (see module docs). Returns `false` if `tn` was not
+    /// registered (or already completed).
+    pub fn discard(&self, tn: u64) -> bool {
         let obs = self.obs_on();
         let (removed, advanced, vtnc_before) = {
             let mut inner = self.inner();
@@ -319,7 +357,28 @@ impl CentralVc {
         removed
     }
 
-    fn reap(&self) -> Vec<u64> {
+    /// The stall reaper: force-`VCdiscard` every `Active` entry whose
+    /// registration deadline has passed. Returns the reaped transaction
+    /// numbers (oldest first) and drains visibility, so a single stalled
+    /// client can pin `vtnc` for at most one TTL.
+    ///
+    /// # Safety argument
+    ///
+    /// Reaping `tn` is an abort forced by version control. It is safe —
+    /// `tn`'s updates can never become visible — because every protocol
+    /// must claim the entry via [`start_complete`](Self::start_complete)
+    /// (which fails after a reap) *before* applying database updates.
+    /// Conversely the reaper never touches `Committing` or `Complete`
+    /// entries, so it can never discard a transaction whose updates may
+    /// already be in the store. The losing side of the race always finds
+    /// out: either the commit claims first (reaper skips it) or the reaper
+    /// discards first (claim returns `false` and the commit aborts).
+    ///
+    /// Note this only removes the *version-control* entry. The caller
+    /// (e.g. [`crate::MvDatabase::reap_stalled`]) is responsible for
+    /// accounting; the stalled transaction's pending versions and locks,
+    /// if any, are reclaimed separately by read/lock wait timeouts.
+    pub fn reap(&self) -> Vec<u64> {
         let now = self.now();
         let (reaped, advanced) = {
             let mut inner = self.inner();
@@ -342,7 +401,14 @@ impl CentralVc {
         reaped
     }
 
-    fn complete(&self, tn: u64) -> u64 {
+    /// `VCcomplete(T)`: mark `tn` complete and advance `vtnc` over every
+    /// contiguously-finished prefix. Returns the new `vtnc`.
+    ///
+    /// Must be called **after** the transaction's database updates are
+    /// applied (paper Figure 3/4: "perform database updates; …;
+    /// VCcomplete(T)") — advancing visibility first would let a read-only
+    /// transaction with the new start number miss the updates.
+    pub fn complete(&self, tn: u64) -> u64 {
         let obs = self.obs_on();
         let (advanced, vtnc_before, registered_at) = {
             let mut inner = self.inner();
@@ -408,24 +474,32 @@ impl CentralVc {
         self.visible_cv.notify_all();
     }
 
-    fn vtnc(&self) -> u64 {
+    /// Current `vtnc` (same as [`start`](Self::start)).
+    pub fn vtnc(&self) -> u64 {
         self.vtnc.load(Ordering::Acquire)
     }
 
-    fn tnc(&self) -> u64 {
+    /// Current `tnc` (next number to assign).
+    pub fn tnc(&self) -> u64 {
         self.inner().tnc
     }
 
-    fn lag(&self) -> u64 {
+    /// The visibility lag: how many assigned transaction numbers are not
+    /// yet visible (`(tnc − 1) − vtnc`). Zero means a read-only
+    /// transaction starting now sees every assigned transaction.
+    pub fn lag(&self) -> u64 {
         let inner = self.inner();
         (inner.tnc - 1).saturating_sub(self.vtnc.load(Ordering::Acquire))
     }
 
-    fn queue_len(&self) -> usize {
+    /// Number of registered, not-yet-finished transactions.
+    pub fn queue_len(&self) -> usize {
         self.inner().queue.len()
     }
 
-    fn view(&self) -> VcView {
+    /// One-shot snapshot of the whole version-control state, for gauges
+    /// and flight-recorder dumps.
+    pub fn view(&self) -> VcView {
         let inner = self.inner();
         VcView {
             tnc: inner.tnc - 1, // last assigned number
@@ -439,7 +513,12 @@ impl CentralVc {
         }
     }
 
-    fn wait_visible(&self, tn: u64, timeout: Duration) -> Option<u64> {
+    /// Section 6 rectification: block until `vtnc ≥ tn` (so a read-only
+    /// transaction started afterwards is guaranteed to see `tn`'s
+    /// updates). Returns the satisfying `vtnc`, or `None` on timeout.
+    /// The timeout is measured on the attached clock (see
+    /// [`wait_visible_with`]), so simulated waits replay byte-stable.
+    pub fn wait_visible(&self, tn: u64, timeout: Duration) -> Option<u64> {
         // Blame instrumentation: only when attribution is on AND the wait
         // will actually block — the satisfied fast path stays untouched.
         let attr = if self.vtnc.load(Ordering::Acquire) < tn {
@@ -467,7 +546,10 @@ impl CentralVc {
         res
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Check both counter properties; used by tests after every step.
+    ///
+    /// Returns an error description if an invariant is violated.
+    pub fn validate(&self) -> Result<(), String> {
         let res = {
             let inner = self.inner();
             let vtnc = self.vtnc.load(Ordering::Acquire);
@@ -500,421 +582,45 @@ impl CentralVc {
     }
 }
 
-enum Imp {
-    Central(CentralVc),
-    Dec(DecentralVc),
-}
-
-/// Thread-safe implementation of paper Figure 1 — a facade over the
-/// centralized and decentralized sequencers (see module docs).
-///
-/// ```
-/// use mvcc_core::VersionControl;
-///
-/// let vc = VersionControl::new();
-/// let t1 = vc.register();            // VCregister: serial position fixed
-/// let t2 = vc.register();
-/// assert_eq!(vc.start(), 0);         // VCstart: nothing visible yet
-///
-/// vc.complete(t2);                   // out-of-order completion...
-/// assert_eq!(vc.start(), 0);         // ...stays invisible behind t1
-/// vc.complete(t1);
-/// assert_eq!(vc.start(), 2);         // both become visible at once
-/// ```
-pub struct VersionControl {
-    imp: Imp,
-}
-
-impl Default for VersionControl {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VersionControl {
-    /// Fresh counters: `vtnc = 0`, `tnc = 1`. Decentralized engine with
-    /// the default tuning ([`crate::DbConfig`]'s `vc_block_tns = 16`,
-    /// `vc_epoch_ops = 1`, `vc_gap_grace = 32`).
-    pub fn new() -> Self {
-        Self::resumed(0)
-    }
-
-    /// Counters resumed from a checkpoint consistent at `vtnc`: every
-    /// number `≤ vtnc` is treated as completed, and the next assignment
-    /// is `vtnc + 1`.
-    pub fn resumed(vtnc: u64) -> Self {
-        VersionControl {
-            imp: Imp::Dec(DecentralVc::resumed(vtnc, 16, 1, 32)),
-        }
-    }
-
-    /// The legacy centralized sequencer (fresh counters). A/B baseline
-    /// and differential-testing oracle.
-    pub fn centralized() -> Self {
-        Self::centralized_resumed(0)
-    }
-
-    /// The legacy centralized sequencer resumed at `vtnc`.
-    pub fn centralized_resumed(vtnc: u64) -> Self {
-        VersionControl {
-            imp: Imp::Central(CentralVc::resumed(vtnc)),
-        }
-    }
-
-    /// Build the sequencer selected by `cfg` (fresh counters).
-    pub fn from_config(cfg: &crate::DbConfig) -> Self {
-        Self::resumed_from_config(0, cfg)
-    }
-
-    /// Build the sequencer selected by `cfg`, resumed at `vtnc`.
-    pub fn resumed_from_config(vtnc: u64, cfg: &crate::DbConfig) -> Self {
-        if cfg.centralized_vc {
-            Self::centralized_resumed(vtnc)
-        } else {
-            VersionControl {
-                imp: Imp::Dec(DecentralVc::resumed(
-                    vtnc,
-                    cfg.vc_block_tns,
-                    cfg.vc_epoch_ops,
-                    cfg.vc_gap_grace,
-                )),
-            }
-        }
-    }
-
-    /// `true` when the legacy centralized engine is behind the facade.
-    pub fn is_centralized(&self) -> bool {
-        matches!(self.imp, Imp::Central(_))
-    }
-
-    /// `true` when protocols must publish conflict floors (reader
-    /// timestamps on read-locked objects, see
-    /// [`register_after`](Self::register_after)) for number order to
-    /// embed conflict order. The centralized engine assigns numbers in
-    /// real-time order under one lock, so floors are implicit there.
-    #[inline]
-    pub fn needs_floor_stamps(&self) -> bool {
-        matches!(self.imp, Imp::Dec(_))
-    }
-
-    /// Attach the observability hub. First attachment wins (restore paths
-    /// may rebuild a context around an existing instance); the effective
-    /// hub is returned so the caller can share exactly it.
-    pub fn attach_obs(&self, obs: Arc<Obs>) -> Arc<Obs> {
-        match &self.imp {
-            Imp::Central(c) => c.attach_obs(obs),
-            Imp::Dec(d) => d.attach_obs(obs),
-        }
-    }
-
-    /// Attach the time source. First attachment wins, mirroring
-    /// [`attach_obs`](Self::attach_obs).
-    pub fn attach_clock(&self, clock: SharedClock) {
-        match &self.imp {
-            Imp::Central(c) => c.attach_clock(clock),
-            Imp::Dec(d) => d.attach_clock(clock),
-        }
-    }
-
-    /// `(contended acquisitions, nanoseconds blocked)` on the sequencer
-    /// lock since construction or the last [`reset_contention`]
-    /// (surfaced as `vc_lock_wait_ns` in `mvcc-core`'s metrics). Always
-    /// `(0, 0)` for the decentralized engine — its hot paths take no
-    /// lock, which is the point.
-    ///
-    /// [`reset_contention`]: Self::reset_contention
-    pub fn contention(&self) -> (u64, u64) {
-        match &self.imp {
-            Imp::Central(c) => c.contention(),
-            Imp::Dec(_) => (0, 0),
-        }
-    }
-
-    /// Zero the contention counters — and, for the decentralized engine,
-    /// the [`vc_stats`](Self::vc_stats) counters (between experiment
-    /// phases).
-    pub fn reset_contention(&self) {
-        match &self.imp {
-            Imp::Central(c) => c.reset_contention(),
-            Imp::Dec(d) => d.reset_stats(),
-        }
-    }
-
-    /// Decentralized-engine counters (zeros under the centralized one).
-    pub fn vc_stats(&self) -> VcStats {
-        match &self.imp {
-            Imp::Central(_) => VcStats::default(),
-            Imp::Dec(d) => d.stats(),
-        }
-    }
-
-    /// Set (or clear) the registration TTL used for future
-    /// [`register`](Self::register) calls. `None` disables the reaper.
-    pub fn set_register_ttl(&self, ttl: Option<Duration>) {
-        match &self.imp {
-            Imp::Central(c) => c.set_register_ttl(ttl),
-            Imp::Dec(d) => d.set_register_ttl(ttl),
-        }
-    }
-
-    /// The current registration TTL.
-    pub fn register_ttl(&self) -> Option<Duration> {
-        match &self.imp {
-            Imp::Central(c) => c.register_ttl(),
-            Imp::Dec(d) => d.register_ttl(),
-        }
-    }
-
-    /// `VCstart()`: the start number for a read-only transaction — the
-    /// current `vtnc`. Lock-free; this is the *entire* synchronization a
-    /// read-only transaction performs.
-    #[inline]
-    pub fn start(&self) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.start(),
-            Imp::Dec(d) => d.start(),
-        }
-    }
-
-    /// `VCregister(T, "active")`: assign the next transaction number and
-    /// enqueue. Called by the concurrency-control protocol at the moment
-    /// `T`'s serial order is determined (begin under TO, lock point under
-    /// 2PL, validation under OCC).
-    ///
-    /// Successive `register` calls observe strictly increasing numbers in
-    /// the real-time order of the calls, on both engines — the
-    /// decentralized one chains an internal issue floor through
-    /// [`register_after`](Self::register_after) to keep this contract for
-    /// callers (baselines, recovery) that rely on it.
-    pub fn register(&self) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.register(),
-            Imp::Dec(d) => d.register(),
-        }
-    }
-
-    /// `VCregister` with an explicit **conflict floor**: returns a
-    /// transaction number strictly greater than `floor` (and than the
-    /// current `vtnc`). The protocol passes the largest transaction
-    /// number it conflicts with — every version it read or overwrites,
-    /// every recorded reader of those versions
-    /// ([`mvcc_storage` `order_floor`]) — so that transaction-number
-    /// order embeds conflict order even though the decentralized engine
-    /// hands out numbers from per-thread blocks rather than a single
-    /// real-time sequence.
-    ///
-    /// On the centralized engine this is exactly [`register`]
-    /// (Self::register): the global lock already orders every assignment
-    /// after every in-flight floor.
-    ///
-    /// [`register`]: Self::register
-    pub fn register_after(&self, floor: u64) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => {
-                // One lock hands out numbers in call order, so any floor a
-                // caller could have observed is already below `tnc`.
-                debug_assert!(floor < c.tnc(), "floor {floor} >= tnc");
-                c.register()
-            }
-            Imp::Dec(d) => d.register_after(floor),
-        }
-    }
-
-    /// Claim `tn` for commit: transition its entry from `Active` to
-    /// `Committing`, shielding it from the stall reaper. A protocol MUST
-    /// claim successfully **before** applying any database updates
-    /// (promoting pendings to committed versions); on `false` it must
-    /// abort instead — the entry was already force-discarded by
-    /// [`reap`](Self::reap) (or discarded/completed through another
-    /// path), so its writes must never become visible.
-    ///
-    /// This claim is what makes the reaper safe: the reaper only discards
-    /// `Active` entries, so reaped ⇒ never claimed ⇒ no updates applied.
-    pub fn start_complete(&self, tn: u64) -> bool {
-        match &self.imp {
-            Imp::Central(c) => c.start_complete(tn),
-            Imp::Dec(d) => d.start_complete(tn),
-        }
-    }
-
-    /// `VCdiscard(T)`: remove an aborted transaction. Also drains
-    /// visibility (see module docs). Returns `false` if `tn` was not
-    /// registered (or already completed).
-    pub fn discard(&self, tn: u64) -> bool {
-        match &self.imp {
-            Imp::Central(c) => c.discard(tn),
-            Imp::Dec(d) => d.discard(tn),
-        }
-    }
-
-    /// The stall reaper: force-`VCdiscard` every `Active` entry whose
-    /// registration deadline has passed. Returns the reaped transaction
-    /// numbers (oldest first) and drains visibility, so a single stalled
-    /// client can pin `vtnc` for at most one TTL.
-    ///
-    /// # Safety argument
-    ///
-    /// Reaping `tn` is an abort forced by version control. It is safe —
-    /// `tn`'s updates can never become visible — because every protocol
-    /// must claim the entry via [`start_complete`](Self::start_complete)
-    /// (which fails after a reap) *before* applying database updates.
-    /// Conversely the reaper never touches `Committing` or `Complete`
-    /// entries, so it can never discard a transaction whose updates may
-    /// already be in the store. The losing side of the race always finds
-    /// out: either the commit claims first (reaper skips it) or the reaper
-    /// discards first (claim returns `false` and the commit aborts).
-    ///
-    /// Note this only removes the *version-control* entry. The caller
-    /// (e.g. [`crate::MvDatabase::reap_stalled`]) is responsible for
-    /// accounting; the stalled transaction's pending versions and locks,
-    /// if any, are reclaimed separately by read/lock wait timeouts.
-    pub fn reap(&self) -> Vec<u64> {
-        match &self.imp {
-            Imp::Central(c) => c.reap(),
-            Imp::Dec(d) => d.reap(),
-        }
-    }
-
-    /// `VCcomplete(T)`: mark `tn` complete and advance `vtnc` over every
-    /// contiguously-finished prefix. Returns the new `vtnc`.
-    ///
-    /// Must be called **after** the transaction's database updates are
-    /// applied (paper Figure 3/4: "perform database updates; …;
-    /// VCcomplete(T)") — advancing visibility first would let a read-only
-    /// transaction with the new start number miss the updates.
-    pub fn complete(&self, tn: u64) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.complete(tn),
-            Imp::Dec(d) => d.complete(tn),
-        }
-    }
-
-    /// Current `vtnc` (same as [`start`](Self::start)).
-    pub fn vtnc(&self) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.vtnc(),
-            Imp::Dec(d) => d.vtnc(),
-        }
-    }
-
-    /// Current `tnc` (next number to assign — for the decentralized
-    /// engine, one past the highest number assigned so far).
-    pub fn tnc(&self) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.tnc(),
-            Imp::Dec(d) => d.tnc(),
-        }
-    }
-
-    /// The visibility lag: how many assigned transaction numbers are not
-    /// yet visible (`(tnc − 1) − vtnc`). Zero means a read-only
-    /// transaction starting now sees every assigned transaction.
-    pub fn lag(&self) -> u64 {
-        match &self.imp {
-            Imp::Central(c) => c.lag(),
-            Imp::Dec(d) => d.lag(),
-        }
-    }
-
-    /// Number of registered, not-yet-finished transactions.
-    pub fn queue_len(&self) -> usize {
-        match &self.imp {
-            Imp::Central(c) => c.queue_len(),
-            Imp::Dec(d) => d.queue_len(),
-        }
-    }
-
-    /// One-shot snapshot of the whole version-control state, for gauges
-    /// and flight-recorder dumps.
-    pub fn view(&self) -> VcView {
-        match &self.imp {
-            Imp::Central(c) => c.view(),
-            Imp::Dec(d) => d.view(),
-        }
-    }
-
-    /// The decentralized-VC wait-point map: per-thread watermark lag,
-    /// in-flight counts, block occupancy, and the current walk blocker.
-    /// `None` under the centralized engine — its queue-centric gauges
-    /// ([`VcView`]) cover that case.
-    pub fn wait_points(&self) -> Option<VcWaitPointMap> {
-        match &self.imp {
-            Imp::Central(_) => None,
-            Imp::Dec(d) => Some(d.wait_points()),
-        }
-    }
-
-    /// Section 6 rectification: block until `vtnc ≥ tn` (so a read-only
-    /// transaction started afterwards is guaranteed to see `tn`'s
-    /// updates). Returns the satisfying `vtnc`, or `None` on timeout.
-    /// The timeout is measured on the attached clock (see
-    /// [`wait_visible_with`]), so simulated waits replay byte-stable.
-    pub fn wait_visible(&self, tn: u64, timeout: Duration) -> Option<u64> {
-        match &self.imp {
-            Imp::Central(c) => c.wait_visible(tn, timeout),
-            Imp::Dec(d) => d.wait_visible(tn, timeout),
-        }
-    }
-
-    /// Check both counter properties; used by tests after every step.
-    ///
-    /// Returns an error description if an invariant is violated.
-    pub fn validate(&self) -> Result<(), String> {
-        match &self.imp {
-            Imp::Central(c) => c.validate(),
-            Imp::Dec(d) => d.validate(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
 
-    /// Run a deterministic scenario against both engines.
-    fn on_both(f: impl Fn(VersionControl)) {
-        f(VersionControl::new());
-        f(VersionControl::centralized());
-    }
-
     #[test]
     fn fresh_counters() {
-        on_both(|vc| {
-            assert_eq!(vc.start(), 0);
-            assert_eq!(vc.vtnc(), 0);
-            assert_eq!(vc.tnc(), 1);
-            assert_eq!(vc.lag(), 0);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        assert_eq!(vc.start(), 0);
+        assert_eq!(vc.vtnc(), 0);
+        assert_eq!(vc.tnc(), 1);
+        assert_eq!(vc.lag(), 0);
+        vc.validate().unwrap();
     }
 
     #[test]
     fn register_assigns_monotone_numbers() {
-        on_both(|vc| {
-            assert_eq!(vc.register(), 1);
-            assert_eq!(vc.register(), 2);
-            assert_eq!(vc.register(), 3);
-            assert_eq!(vc.tnc(), 4);
-            assert_eq!(vc.vtnc(), 0); // nothing completed yet
-            assert_eq!(vc.lag(), 3);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        assert_eq!(vc.register(), 1);
+        assert_eq!(vc.register(), 2);
+        assert_eq!(vc.register(), 3);
+        assert_eq!(vc.tnc(), 4);
+        assert_eq!(vc.vtnc(), 0); // nothing completed yet
+        assert_eq!(vc.lag(), 3);
+        vc.validate().unwrap();
     }
 
     #[test]
     fn in_order_completion_advances_vtnc() {
-        on_both(|vc| {
-            let t1 = vc.register();
-            let t2 = vc.register();
-            assert_eq!(vc.complete(t1), 1);
-            assert_eq!(vc.start(), 1);
-            assert_eq!(vc.complete(t2), 2);
-            assert_eq!(vc.start(), 2);
-            assert_eq!(vc.lag(), 0);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        let t1 = vc.register();
+        let t2 = vc.register();
+        assert_eq!(vc.complete(t1), 1);
+        assert_eq!(vc.start(), 1);
+        assert_eq!(vc.complete(t2), 2);
+        assert_eq!(vc.start(), 2);
+        assert_eq!(vc.lag(), 0);
+        vc.validate().unwrap();
     }
 
     #[test]
@@ -922,50 +628,46 @@ mod tests {
         // The central scenario: T2 finishes first; its updates must stay
         // invisible until T1 completes, else a read-only transaction could
         // see T2 but later T1 commits "into its past".
-        on_both(|vc| {
-            let t1 = vc.register();
-            let t2 = vc.register();
-            assert_eq!(vc.complete(t2), 0); // vtnc unchanged
-            assert_eq!(vc.start(), 0);
-            assert_eq!(vc.complete(t1), 2); // both become visible at once
-            assert_eq!(vc.start(), 2);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        let t1 = vc.register();
+        let t2 = vc.register();
+        assert_eq!(vc.complete(t2), 0); // vtnc unchanged
+        assert_eq!(vc.start(), 0);
+        assert_eq!(vc.complete(t1), 2); // both become visible at once
+        assert_eq!(vc.start(), 2);
+        vc.validate().unwrap();
     }
 
     #[test]
     fn discard_releases_blocked_visibility() {
-        on_both(|vc| {
-            let t1 = vc.register();
-            let t2 = vc.register();
-            vc.complete(t2);
-            assert_eq!(vc.vtnc(), 0);
-            assert!(vc.discard(t1)); // T1 aborts → T2 becomes visible now
-            assert_eq!(vc.vtnc(), 2);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        let t1 = vc.register();
+        let t2 = vc.register();
+        vc.complete(t2);
+        assert_eq!(vc.vtnc(), 0);
+        assert!(vc.discard(t1)); // T1 aborts → T2 becomes visible now
+        assert_eq!(vc.vtnc(), 2);
+        vc.validate().unwrap();
     }
 
     #[test]
     fn discard_unregistered_is_false() {
-        on_both(|vc| {
-            assert!(!vc.discard(7));
-        });
+        let vc = VersionControl::new();
+        assert!(!vc.discard(7));
     }
 
     #[test]
     fn aborted_numbers_leave_gaps_in_vtnc() {
-        on_both(|vc| {
-            let t1 = vc.register();
-            let t2 = vc.register();
-            vc.discard(t1);
-            vc.complete(t2);
-            // vtnc = 2: number 1 was never completed, but it was discarded,
-            // so "all transactions with tn ≤ 2 have completed" holds
-            // vacuously for the aborted one (its versions are destroyed).
-            assert_eq!(vc.vtnc(), 2);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        let t1 = vc.register();
+        let t2 = vc.register();
+        vc.discard(t1);
+        vc.complete(t2);
+        // vtnc = 2: number 1 was never completed, but it was discarded,
+        // so "all transactions with tn ≤ 2 have completed" holds
+        // vacuously for the aborted one (its versions are destroyed).
+        assert_eq!(vc.vtnc(), 2);
+        vc.validate().unwrap();
     }
 
     #[test]
@@ -985,250 +687,175 @@ mod tests {
 
     #[test]
     fn wait_visible_times_out() {
-        on_both(|vc| {
-            vc.register(); // never completes
-            assert_eq!(vc.wait_visible(1, Duration::from_millis(20)), None);
-        });
+        let vc = VersionControl::new();
+        vc.register(); // never completes
+        assert_eq!(vc.wait_visible(1, Duration::from_millis(20)), None);
     }
 
     #[test]
     fn concurrent_register_complete_stress() {
-        for vc in [VersionControl::new(), VersionControl::centralized()] {
-            let vc = Arc::new(vc);
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let vc = Arc::clone(&vc);
-                handles.push(thread::spawn(move || {
-                    for i in 0..500 {
-                        let tn = vc.register();
-                        if i % 7 == 0 {
-                            vc.discard(tn);
-                        } else {
-                            vc.complete(tn);
-                        }
-                        vc.validate().unwrap();
+        let vc = Arc::new(VersionControl::new());
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let vc = Arc::clone(&vc);
+            handles.push(thread::spawn(move || {
+                for i in 0..500 {
+                    let tn = vc.register();
+                    if i % 7 == 0 {
+                        vc.discard(tn);
+                    } else {
+                        vc.complete(tn);
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            // Everything completed or discarded → full visibility.
-            assert_eq!(vc.queue_len(), 0);
-            assert_eq!(vc.lag(), 0);
-            assert_eq!(vc.vtnc(), vc.tnc() - 1);
+                    vc.validate().unwrap();
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Everything completed or discarded → full visibility.
+        assert_eq!(vc.queue_len(), 0);
+        assert_eq!(vc.lag(), 0);
+        assert_eq!(vc.vtnc(), vc.tnc() - 1);
     }
 
     #[test]
     fn reap_is_a_noop_without_ttl() {
-        on_both(|vc| {
-            vc.register();
-            std::thread::sleep(Duration::from_millis(2));
-            assert!(vc.reap().is_empty());
-            assert_eq!(vc.queue_len(), 1);
-        });
+        let vc = VersionControl::new();
+        vc.register();
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(vc.reap().is_empty());
+        assert_eq!(vc.queue_len(), 1);
     }
 
     #[test]
     fn reaper_unpins_vtnc_after_ttl() {
-        on_both(|vc| {
-            vc.set_register_ttl(Some(Duration::from_millis(5)));
-            let t1 = vc.register(); // will stall
-            let t2 = vc.register();
-            vc.complete(t2);
-            assert_eq!(vc.vtnc(), 0); // pinned by stalled t1
-            thread::sleep(Duration::from_millis(10));
-            assert_eq!(vc.reap(), vec![t1]);
-            assert_eq!(vc.vtnc(), 2); // t2 becomes visible
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        vc.set_register_ttl(Some(Duration::from_millis(5)));
+        let t1 = vc.register(); // will stall
+        let t2 = vc.register();
+        vc.complete(t2);
+        assert_eq!(vc.vtnc(), 0); // pinned by stalled t1
+        thread::sleep(Duration::from_millis(10));
+        assert_eq!(vc.reap(), vec![t1]);
+        assert_eq!(vc.vtnc(), 2); // t2 becomes visible
+        vc.validate().unwrap();
     }
 
     #[test]
     fn claimed_transactions_survive_the_reaper() {
-        on_both(|vc| {
-            vc.set_register_ttl(Some(Duration::from_millis(1)));
-            let t1 = vc.register();
-            assert!(vc.start_complete(t1)); // commit path claims in time
-            thread::sleep(Duration::from_millis(5));
-            assert!(vc.reap().is_empty());
-            assert_eq!(vc.complete(t1), 1);
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        vc.set_register_ttl(Some(Duration::from_millis(1)));
+        let t1 = vc.register();
+        assert!(vc.start_complete(t1)); // commit path claims in time
+        thread::sleep(Duration::from_millis(5));
+        assert!(vc.reap().is_empty());
+        assert_eq!(vc.complete(t1), 1);
+        vc.validate().unwrap();
     }
 
     #[test]
     fn claim_after_reap_fails() {
-        on_both(|vc| {
-            vc.set_register_ttl(Some(Duration::from_millis(1)));
-            let t1 = vc.register();
-            thread::sleep(Duration::from_millis(5));
-            assert_eq!(vc.reap(), vec![t1]);
-            // The stalled client wakes up and tries to commit: it must
-            // lose.
-            assert!(!vc.start_complete(t1));
-            vc.validate().unwrap();
-        });
+        let vc = VersionControl::new();
+        vc.set_register_ttl(Some(Duration::from_millis(1)));
+        let t1 = vc.register();
+        thread::sleep(Duration::from_millis(5));
+        assert_eq!(vc.reap(), vec![t1]);
+        // The stalled client wakes up and tries to commit: it must
+        // lose.
+        assert!(!vc.start_complete(t1));
+        vc.validate().unwrap();
     }
 
     #[test]
     fn obs_events_and_phase_histogram() {
         use crate::obs::{EventKind as K, Obs, ObsConfig};
-        for vc in [VersionControl::new(), VersionControl::centralized()] {
-            // shift 0: capture every event so the exact sequence is
-            // assertable
-            let obs = vc.attach_obs(Arc::new(Obs::new(
-                &ObsConfig::default().with_events(true).with_sample_shift(0),
-            )));
-            let t1 = vc.register();
-            let t2 = vc.register();
-            vc.complete(t2); // head still active → no advance
-            vc.discard(t1); // unblocks → vtnc advances to 2
-            let kinds: Vec<K> = obs.events().recent(64).iter().map(|e| e.kind).collect();
-            assert_eq!(
-                kinds,
-                vec![
-                    K::Register,
-                    K::Register,
-                    K::Complete,
-                    K::Discard,
-                    K::VtncAdvance
-                ]
-            );
-            assert_eq!(obs.phases().snapshot().register_to_complete.count(), 1);
-            let view = vc.view();
-            assert_eq!(view.tnc, 2);
-            assert_eq!(view.vtnc, 2);
-            assert_eq!(view.queue_depth, 0);
-            assert_eq!(view.vtnc_lag(), 0);
-        }
+        let vc = VersionControl::new();
+        // shift 0: capture every event so the exact sequence is
+        // assertable
+        let obs = vc.attach_obs(Arc::new(Obs::new(
+            &ObsConfig::default().with_events(true).with_sample_shift(0),
+        )));
+        let t1 = vc.register();
+        let t2 = vc.register();
+        vc.complete(t2); // head still active → no advance
+        vc.discard(t1); // unblocks → vtnc advances to 2
+        let kinds: Vec<K> = obs.events().recent(64).iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                K::Register,
+                K::Register,
+                K::Complete,
+                K::Discard,
+                K::VtncAdvance
+            ]
+        );
+        assert_eq!(obs.phases().snapshot().register_to_complete.count(), 1);
+        let view = vc.view();
+        assert_eq!(view.tnc, 2);
+        assert_eq!(view.vtnc, 2);
+        assert_eq!(view.queue_depth, 0);
+        assert_eq!(view.vtnc_lag(), 0);
     }
 
     #[test]
     fn unattached_or_disabled_obs_costs_nothing_observable() {
         use crate::obs::{Obs, ObsConfig};
-        on_both(|vc| {
-            let tn = vc.register();
-            vc.complete(tn); // no obs attached: must not panic or stamp
-            let obs = vc.attach_obs(Arc::new(Obs::new(&ObsConfig::default())));
-            let tn = vc.register();
-            vc.complete(tn);
-            assert_eq!(obs.events().emitted(), 0);
-            assert_eq!(obs.phases().snapshot().register_to_complete.count(), 0);
-        });
+        let vc = VersionControl::new();
+        let tn = vc.register();
+        vc.complete(tn); // no obs attached: must not panic or stamp
+        let obs = vc.attach_obs(Arc::new(Obs::new(&ObsConfig::default())));
+        let tn = vc.register();
+        vc.complete(tn);
+        assert_eq!(obs.events().emitted(), 0);
+        assert_eq!(obs.phases().snapshot().register_to_complete.count(), 0);
     }
 
     #[test]
     fn visibility_property_holds_under_interleaving() {
         // Randomized-ish interleaving with explicit bookkeeping: at every
         // step, all tns ≤ vtnc must be completed or discarded.
-        on_both(|vc| {
-            let mut live: Vec<u64> = Vec::new();
-            let mut finished: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-            for step in 0u64..200 {
-                if step % 3 == 0 || live.is_empty() {
-                    live.push(vc.register());
+        let vc = VersionControl::new();
+        let mut live: Vec<u64> = Vec::new();
+        let mut finished: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+        for step in 0u64..200 {
+            if step % 3 == 0 || live.is_empty() {
+                live.push(vc.register());
+            } else {
+                // complete or discard a pseudo-random live txn
+                let idx = (step as usize * 7) % live.len();
+                let tn = live.swap_remove(idx);
+                if step % 5 == 0 {
+                    vc.discard(tn);
                 } else {
-                    // complete or discard a pseudo-random live txn
-                    let idx = (step as usize * 7) % live.len();
-                    let tn = live.swap_remove(idx);
-                    if step % 5 == 0 {
-                        vc.discard(tn);
-                    } else {
-                        vc.complete(tn);
-                    }
-                    finished.insert(tn);
+                    vc.complete(tn);
                 }
-                let vtnc = vc.vtnc();
-                for &tn in &live {
-                    assert!(
-                        tn > vtnc,
-                        "live tn {tn} <= vtnc {vtnc} violates visibility property"
-                    );
-                }
-                vc.validate().unwrap();
+                finished.insert(tn);
             }
-        });
+            let vtnc = vc.vtnc();
+            for &tn in &live {
+                assert!(
+                    tn > vtnc,
+                    "live tn {tn} <= vtnc {vtnc} violates visibility property"
+                );
+            }
+            vc.validate().unwrap();
+        }
     }
 
     #[test]
-    fn config_selects_engine() {
-        let cfg = crate::DbConfig::default();
-        assert!(!VersionControl::from_config(&cfg).is_centralized());
-        let cfg = cfg.with_centralized_vc(true);
-        let vc = VersionControl::resumed_from_config(41, &cfg);
-        assert!(vc.is_centralized());
-        assert!(!vc.needs_floor_stamps());
+    fn resumed_and_configured_counters() {
+        let vc = VersionControl::resumed(41);
         assert_eq!(vc.vtnc(), 41);
         assert_eq!(vc.register(), 42);
-        assert_eq!(vc.vc_stats(), VcStats::default());
-    }
-
-    #[test]
-    fn register_after_orders_above_floor() {
-        on_both(|vc| {
-            let t1 = vc.register();
-            let t2 = vc.register_after(t1);
-            assert!(t2 > t1);
-            vc.complete(t1);
-            vc.complete(t2);
-            assert_eq!(vc.vtnc(), vc.tnc() - 1);
-            vc.validate().unwrap();
-        });
-    }
-
-    #[test]
-    fn differential_engines_agree_on_scripted_history() {
-        // Drive both engines through the same seeded single-threaded
-        // script of register/complete/discard and demand identical
-        // externally observable state after every step. On one thread the
-        // decentralized engine draws numbers sequentially from its block,
-        // so even the assigned tns must match the centralized counter.
-        use crate::clock::{SimRng, SplitMixRng};
-        for seed in [7u64, 99, 1234] {
-            let rng = SplitMixRng::new(seed);
-            let central = VersionControl::centralized();
-            // Tiny blocks + epoch_ops 1 exercise block turnover and
-            // immediate folds; the script stays oblivious.
-            let dec = {
-                let cfg = crate::DbConfig::default()
-                    .with_vc_block_tns(3)
-                    .with_vc_epoch_ops(1);
-                VersionControl::from_config(&cfg)
-            };
-            let mut live: Vec<u64> = Vec::new();
-            for _ in 0..400 {
-                let roll = rng.next_below(10);
-                if roll < 4 || live.is_empty() {
-                    let a = central.register();
-                    let b = dec.register();
-                    assert_eq!(a, b, "seed {seed}: tn assignment diverged");
-                    live.push(a);
-                } else {
-                    let idx = rng.next_below(live.len() as u64) as usize;
-                    let tn = live.swap_remove(idx);
-                    if roll < 6 {
-                        assert_eq!(central.discard(tn), dec.discard(tn));
-                    } else {
-                        central.complete(tn);
-                        dec.complete(tn);
-                    }
-                }
-                assert_eq!(central.vtnc(), dec.vtnc(), "seed {seed}: vtnc diverged");
-                assert_eq!(central.tnc(), dec.tnc(), "seed {seed}: tnc diverged");
-                assert_eq!(central.lag(), dec.lag(), "seed {seed}: lag diverged");
-                central.validate().unwrap();
-                dec.validate().unwrap();
-            }
-            for tn in live {
-                central.complete(tn);
-                dec.complete(tn);
-            }
-            assert_eq!(central.vtnc(), dec.vtnc());
-            assert_eq!(central.queue_len(), 0);
-            assert_eq!(dec.queue_len(), 0);
-        }
+        vc.validate().unwrap();
+        let ttl = Some(Duration::from_millis(7));
+        let cfg = crate::DbConfig {
+            register_ttl: ttl,
+            ..Default::default()
+        };
+        assert_eq!(VersionControl::from_config(&cfg).register_ttl(), ttl);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! `VCQueue` — the ordered list of registered, not-yet-visible read-write
 //! transactions (paper Figure 1).
 //!
-//! Entries are kept sorted by transaction number. The centralized
-//! sequencer registers in number order (registration happens under the
+//! Entries are kept sorted by transaction number. The sequencer
+//! registers in number order (registration happens under the
 //! version-control lock, which also assigns the numbers), so the common
-//! insert is a `push_back`; out-of-order tns — possible when callers
-//! allocate numbers away from the queue lock — fall back to a binary
-//! search (`partition_point`) insertion. `drain_completed` pops completed
-//! entries off the head and reports the last popped number — the new
-//! `vtnc`.
+//! insert is a `push_back`; an out-of-order tn from a standalone caller
+//! falls back to a binary search (`partition_point`) insertion.
+//! `drain_completed` pops completed entries off the head and reports the
+//! last popped number — the new `vtnc`.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -56,9 +55,8 @@ impl VcQueue {
     }
 
     /// Insert a newly registered transaction. Sorted order is maintained
-    /// regardless of insertion order: in-order tns (the centralized
-    /// sequencer's only case) append in O(1); out-of-order tns binary-
-    /// search their slot.
+    /// regardless of insertion order: in-order tns (the sequencer's only
+    /// case) append in O(1); out-of-order tns binary-search their slot.
     ///
     /// # Panics
     /// In debug builds, if `tn` is already queued — duplicate

@@ -180,10 +180,8 @@ proptest! {
 
     /// Insert-order independence: the queue's observable behavior is a
     /// function of the *set* of registered numbers, not the order they
-    /// arrived in. With out-of-order timestamp registration (and with
-    /// block-drawn numbers from the decentralized sequencer racing into
-    /// the legacy queue under `centralized_vc`), any permutation of the
-    /// same inserts must drain identically.
+    /// arrived in: any permutation of the same inserts must drain
+    /// identically.
     #[test]
     fn insert_order_does_not_matter(
         raw in proptest::collection::vec(1u64..40, 2..20),

@@ -87,11 +87,7 @@ where
     let sched = SplitMixRng::new(spec.seed);
     let mut cfg = DbConfig::default()
         .with_clock(clock.clone())
-        .with_rng(SplitMixRng::shared(spec.seed ^ ENGINE_STREAM))
-        // Exercise epoch batching under the simulator: folds are deferred
-        // until the second settle, which is still fully deterministic
-        // because the single-threaded scheduler fixes the op order.
-        .with_vc_epoch_ops(2);
+        .with_rng(SplitMixRng::shared(spec.seed ^ ENGINE_STREAM));
     cfg.trace = true;
     cfg.lock_wait_timeout = Duration::ZERO;
     cfg.read_wait_timeout = Duration::ZERO;

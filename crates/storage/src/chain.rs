@@ -178,16 +178,6 @@ impl VersionChain {
         committed_max.max(pending_max)
     }
 
-    /// The transaction-number floor a new writer of this object must
-    /// draw above: every committed or reserved version number and every
-    /// recorded reader of the latest version (`MAX(w-ts(x), r-ts(x))`).
-    /// Consumed by sequencers that allocate transaction numbers away
-    /// from a global lock (`VersionControl::register_after`), which must
-    /// keep number order consistent with conflict order.
-    pub fn order_floor(&self) -> VersionNo {
-        self.write_ts().max(self.latest().read_ts)
-    }
-
     // ---- writes ----------------------------------------------------------
 
     /// Install a pending version. The caller (protocol) is responsible for

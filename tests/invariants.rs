@@ -333,40 +333,6 @@ fn abort_reason_counters_partition_rw_aborted() {
     }
 }
 
-/// The decentralized-sequencer counters partition cleanly by engine:
-/// under `centralized_vc` all three stay at exactly zero (no hidden
-/// decentralized machinery runs), and under the default decentralized
-/// engine a real workload allocates blocks and folds the watermark, with
-/// scan time accounted whenever a fold ran.
-#[test]
-fn vc_engine_counters_partition_by_engine() {
-    // Centralized: the new counters must be untouched.
-    let m = churn(&presets::vc_2pl(
-        DbConfig::default().with_centralized_vc(true),
-    ));
-    assert_eq!(m.vc_epoch_folds, 0, "centralized engine must not fold");
-    assert_eq!(m.vc_blocks_allocated, 0, "centralized engine has no blocks");
-    assert_eq!(m.vc_watermark_scan_ns, 0, "centralized engine never scans");
-    assert!(m.rw_committed > 0);
-
-    // Decentralized: commits require blocks, visibility requires folds.
-    let db = presets::vc_2pl(DbConfig::default());
-    let m = churn(&db);
-    assert!(m.vc_blocks_allocated > 0, "commits must carve tn blocks");
-    assert!(m.vc_epoch_folds > 0, "visibility requires watermark folds");
-    assert!(
-        m.vc_watermark_scan_ns > 0,
-        "folds must account their scan time"
-    );
-    // The metric merge is live, not a one-shot: the stats come from the
-    // sequencer itself and survive a metrics reset only via reset_metrics.
-    db.reset_metrics();
-    let m = db.metrics();
-    assert_eq!(m.vc_epoch_folds, 0);
-    assert_eq!(m.vc_blocks_allocated, 0);
-    assert_eq!(m.vc_watermark_scan_ns, 0);
-}
-
 // ---- counter exactness under sampling tiers ---------------------------
 
 /// Drive a small contended increment workload and return

@@ -494,12 +494,11 @@ fn two_pc_commit_and_abort_render_as_span_trees() {
 
 // ---- contention attribution -------------------------------------------
 
-/// With attribution off and the centralized sequencer, `profile_json`
-/// is fully static — pinned by a golden file so the schema (and its
+/// With attribution off, `profile_json` is fully static — pinned by a golden file so the schema (and its
 /// `schema_version` stamp) cannot drift silently.
 #[test]
 fn profile_json_matches_golden_when_disabled() {
-    let db = presets::vc_2pl(DbConfig::default().with_centralized_vc(true));
+    let db = presets::vc_2pl(DbConfig::default());
     assert_eq!(
         db.profile_json(),
         include_str!("golden/profile_disabled.json"),
@@ -508,7 +507,7 @@ fn profile_json_matches_golden_when_disabled() {
     );
     let json = db.metrics_json();
     assert!(
-        json.contains("\"schema_version\": 2"),
+        json.contains("\"schema_version\": 3"),
         "metrics_json must lead with the schema version: {json}"
     );
 }
@@ -536,7 +535,7 @@ fn attribution_names_hot_key_and_blocker() {
 
     let profile = db.profile_json();
     assert_balanced_json(&profile);
-    assert!(profile.contains("\"schema_version\": 2"));
+    assert!(profile.contains("\"schema_version\": 3"));
     assert!(
         profile.contains("\"key\": 5"),
         "hot-key sketch must name the contended object: {profile}"
@@ -563,12 +562,10 @@ fn attribution_names_hot_key_and_blocker() {
     assert!(prom.contains("mvdb_blame_attributed_ns_total{wait=\"lock_wait\"}"));
 }
 
-/// Under the decentralized sequencer the wait-point map replaces the
-/// legacy queue gauges: `profile_json` carries per-thread watermark
-/// state, and the Prometheus export gates `vcqueue_*` off in favor of
-/// `vcdec_*`.
+/// With attribution on, the Prometheus export still carries the
+/// version-control queue gauges next to the attribution families.
 #[test]
-fn attribution_exposes_vc_dec_wait_points() {
+fn attribution_keeps_vcqueue_gauges() {
     let db = presets::vc_2pl(DbConfig::default().with_attribution());
     db.seed(ObjectId(0), Value::from_u64(0));
     for i in 0..4u64 {
@@ -577,24 +574,6 @@ fn attribution_exposes_vc_dec_wait_points() {
     }
     let profile = db.profile_json();
     assert_balanced_json(&profile);
-    assert!(profile.contains("\"vc_wait_points\": {"));
-    assert!(profile.contains("\"threads\": ["));
-    assert!(profile.contains("\"last_assigned\""));
-
     let prom = db.prometheus_text();
-    assert!(prom.contains("mvdb_gauge_vcdec_inflight"));
-    assert!(
-        !prom.contains("mvdb_gauge_vcqueue_depth"),
-        "legacy queue gauges are meaningless under vc_dec and must be gated off"
-    );
-
-    // The centralized engine keeps the legacy gauges and omits vcdec_*.
-    let central = presets::vc_2pl(DbConfig::default().with_centralized_vc(true));
-    central.seed(ObjectId(0), Value::from_u64(0));
-    central
-        .run_rw(10, |t| t.write(ObjectId(0), Value::from_u64(1)))
-        .unwrap();
-    let prom = central.prometheus_text();
     assert!(prom.contains("mvdb_gauge_vcqueue_depth"));
-    assert!(!prom.contains("mvdb_gauge_vcdec_inflight"));
 }
