@@ -29,6 +29,7 @@
 //! returning), so a commit's `release_all` never needs it.
 
 use mvcc_model::ObjectId;
+use mvcc_storage::shard::ObjectMap;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -148,7 +149,7 @@ impl LockState {
 }
 
 struct LockShard {
-    table: Mutex<HashMap<ObjectId, LockState>>,
+    table: Mutex<ObjectMap<LockState>>,
     cv: Condvar,
 }
 
@@ -209,7 +210,7 @@ impl LockManager {
         let n = mvcc_storage::shard::pow2_shards(n);
         let shards = (0..n)
             .map(|_| LockShard {
-                table: Mutex::new(HashMap::new()),
+                table: Mutex::new(ObjectMap::default()),
                 cv: Condvar::new(),
             })
             .collect::<Vec<_>>()

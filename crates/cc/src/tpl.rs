@@ -26,8 +26,8 @@ use mvcc_core::{
     FlightTrigger, TxnOptions, TxnPhase, WaitPoint,
 };
 use mvcc_model::{ObjectId, TxnId};
+use mvcc_storage::shard::ObjectSet;
 use mvcc_storage::{PendingVersion, Value};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Strict two-phase locking over the shared [`LockManager`].
@@ -41,7 +41,7 @@ pub struct TplTxn {
     /// Lock-requester token; doubles as the pending-version writer id.
     token: u64,
     /// Every object this transaction holds a lock on.
-    locked: HashSet<ObjectId>,
+    locked: ObjectSet,
     /// Objects with an installed pending (φ) version.
     written: Vec<ObjectId>,
     /// Write values (last per object), buffered for the commit log.
@@ -275,7 +275,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
         }
         Ok(TplTxn {
             token,
-            locked: HashSet::new(),
+            locked: ObjectSet::default(),
             written: Vec::new(),
             writes: Vec::new(),
             deadline: None,

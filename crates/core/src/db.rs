@@ -14,10 +14,10 @@ use crate::obs::{
 };
 use crate::pressure::{AdmissionController, Deadline, TxnOptions};
 use crate::retry::RetryPolicy;
-use crate::trace::Tracer;
+use crate::trace::{Tracer, TxnTrace};
 use crate::txn::{RoTxn, RwTxn, ANON_TRACE_BASE};
 use crate::vc::VersionControl;
-use mvcc_model::{History, ObjectId};
+use mvcc_model::{History, ObjectId, TxnId};
 use mvcc_storage::wal::{self, WalSink, WalWriter};
 use mvcc_storage::{GcStats, MvStore, RoScanRegistry, StoreStats, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,8 +34,21 @@ pub struct DbCore {
 }
 
 impl DbCore {
-    pub(crate) fn next_anon_trace_id(&self) -> u64 {
-        ANON_TRACE_BASE + self.anon_trace_seq.fetch_add(1, Ordering::Relaxed)
+    /// A transaction's oracle trace buffer: `None` unless the database
+    /// records a trace, so untraced transactions record nothing per op.
+    pub(crate) fn new_trace(&self) -> Option<TxnTrace> {
+        self.tracer.as_ref().map(|_| TxnTrace::new())
+    }
+
+    /// Flush a finished transaction's trace under `tn`, or under a fresh
+    /// anonymous id if it never received a number.
+    pub(crate) fn flush_trace(&self, trace: Option<&TxnTrace>, tn: Option<u64>, committed: bool) {
+        if let (Some(tracer), Some(trace)) = (&self.tracer, trace) {
+            let id = tn.unwrap_or_else(|| {
+                ANON_TRACE_BASE + self.anon_trace_seq.fetch_add(1, Ordering::Relaxed)
+            });
+            tracer.flush(TxnId(id), trace, committed);
+        }
     }
 }
 

@@ -13,13 +13,22 @@
 //! traces additionally satisfy `History::validate`'s ordering checks.
 
 use mvcc_model::{History, ObjectId, Op, TxnId};
+use mvcc_storage::shard::ObjectMap;
 use parking_lot::Mutex;
+
+/// [`TxnTrace::seen`] flag: the object's read is recorded.
+const READ: u8 = 1;
+/// [`TxnTrace::seen`] flag: the object's write is recorded.
+const WRITTEN: u8 = 2;
 
 /// Buffered operations of one in-flight transaction.
 #[derive(Debug, Default, Clone)]
 pub struct TxnTrace {
     reads: Vec<(ObjectId, u64)>,
     writes: Vec<ObjectId>,
+    /// Which operations are already recorded per object (`READ` |
+    /// `WRITTEN`), so de-duplication is one probe, not a scan.
+    seen: ObjectMap<u8>,
 }
 
 impl TxnTrace {
@@ -34,15 +43,18 @@ impl TxnTrace {
     /// model restriction "at most one `r_i[x]`, at most one `w_i[x]`, and
     /// `r_i[x] <_i w_i[x]`".
     pub fn read(&mut self, obj: ObjectId, version: u64) {
-        if self.writes.contains(&obj) || self.reads.iter().any(|&(o, _)| o == obj) {
-            return;
+        let seen = self.seen.entry(obj).or_insert(0);
+        if *seen == 0 {
+            *seen = READ;
+            self.reads.push((obj, version));
         }
-        self.reads.push((obj, version));
     }
 
     /// Record a write of `obj` (idempotent per object).
     pub fn write(&mut self, obj: ObjectId) {
-        if !self.writes.contains(&obj) {
+        let seen = self.seen.entry(obj).or_insert(0);
+        if *seen & WRITTEN == 0 {
+            *seen |= WRITTEN;
             self.writes.push(obj);
         }
     }
@@ -130,6 +142,41 @@ mod tests {
         t.write(ObjectId(2));
         t.write(ObjectId(2));
         assert_eq!(t.writes.len(), 1);
+    }
+
+    /// The three rules above, interleaved over many objects: per object,
+    /// the first read wins, a read after the own write is dropped, a
+    /// write after a read is kept once — and recording order survives.
+    #[test]
+    fn dedup_rules_hold_interleaved_over_many_objects() {
+        let mut t = TxnTrace::new();
+        let n = 1000u64;
+        for o in 0..n {
+            match o % 3 {
+                0 => t.read(ObjectId(o), o),     // read, then write
+                1 => t.write(ObjectId(o)),       // write, then read
+                _ => t.read(ObjectId(o), o + 1), // read twice
+            }
+        }
+        for o in (0..n).rev() {
+            match o % 3 {
+                0 => t.write(ObjectId(o)),
+                1 => t.read(ObjectId(o), 7),
+                _ => t.read(ObjectId(o), 7),
+            }
+            t.write(ObjectId(o / 3 * 3)); // repeated writes collapse
+        }
+        let want_reads: Vec<(ObjectId, u64)> = (0..n)
+            .filter_map(|o| match o % 3 {
+                0 => Some((ObjectId(o), o)),
+                1 => None,
+                _ => Some((ObjectId(o), o + 1)),
+            })
+            .collect();
+        assert_eq!(t.reads, want_reads);
+        let mut want_writes: Vec<ObjectId> = (0..n).filter(|o| o % 3 == 1).map(ObjectId).collect();
+        want_writes.extend((0..n).rev().filter(|o| o % 3 == 0).map(ObjectId));
+        assert_eq!(t.writes, want_writes);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! control protocol".
 //!
 //! [`RwTxn`] wraps the protocol's per-transaction state and forwards
-//! reads/writes through the [`ConcurrencyControl`] trait, recording a
-//! trace for the serializability oracle when tracing is enabled.
+//! reads/writes through the [`ConcurrencyControl`] trait.
+//!
+//! Both handles record a [`TxnTrace`] for the serializability oracle only
+//! under [`DbConfig::trace`](crate::DbConfig::trace): otherwise the trace
+//! does not exist, and an RO read is exactly Figure 2's — one snapshot
+//! read, counted into `ro_reads` once at finish.
 
 use crate::cc_api::{CcContext, ConcurrencyControl};
 use crate::db::DbCore;
@@ -18,7 +22,7 @@ use crate::obs::trace::{self, AttemptGuard};
 use crate::obs::{abort_reason_code, EventKind};
 use crate::pressure::{AdmissionPermit, Deadline, TxnOptions, TxnOutcome};
 use crate::trace::TxnTrace;
-use mvcc_model::{ObjectId, TxnId};
+use mvcc_model::ObjectId;
 use mvcc_storage::Value;
 use std::sync::atomic::Ordering;
 
@@ -33,7 +37,11 @@ pub struct RoTxn<'db> {
     sn: u64,
     /// GC-registry slot the begin-time registration landed in.
     gc_slot: usize,
-    trace: TxnTrace,
+    /// Reads served so far; added to `ro_reads` once, at finish/drop, so
+    /// the read path touches no shared counter.
+    reads: u64,
+    /// Oracle trace, present only when the database records one.
+    trace: Option<TxnTrace>,
     finished: bool,
 }
 
@@ -49,7 +57,8 @@ impl<'db> RoTxn<'db> {
             core,
             sn,
             gc_slot,
-            trace: TxnTrace::new(),
+            reads: 0,
+            trace: core.new_trace(),
             finished: false,
         }
     }
@@ -69,7 +78,6 @@ impl<'db> RoTxn<'db> {
     /// Like [`read`](Self::read), also returning the version number that
     /// was read (= the creator's transaction number).
     pub fn read_versioned(&mut self, obj: ObjectId) -> Result<(u64, Value), DbError> {
-        let m = &self.core.ctx.metrics;
         // Sampled phase timer: the per-kind counter advances on every
         // read, but only surviving samples read the clock and publish.
         let timer = self.core.ctx.obs.phase_timer(EventKind::RoRead);
@@ -81,11 +89,14 @@ impl<'db> RoTxn<'db> {
         }
         match read {
             Some((version, value)) => {
-                m.ro_reads.fetch_add(1, Ordering::Relaxed);
-                self.trace.read(obj, version);
+                self.reads += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.read(obj, version);
+                }
                 Ok((version, value))
             }
             None => {
+                let m = &self.core.ctx.metrics;
                 m.ro_pruned_reads.fetch_add(1, Ordering::Relaxed);
                 Err(DbError::VersionPruned { obj, sn: self.sn })
             }
@@ -109,15 +120,10 @@ impl<'db> RoTxn<'db> {
         }
         self.finished = true;
         self.core.ro_registry.deregister(self.gc_slot, self.sn);
-        self.core
-            .ctx
-            .metrics
-            .ro_finished
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(tracer) = &self.core.tracer {
-            let id = self.core.next_anon_trace_id();
-            tracer.flush(TxnId(id), &self.trace, true);
-        }
+        let m = &self.core.ctx.metrics;
+        m.ro_reads.fetch_add(self.reads, Ordering::Relaxed);
+        m.ro_finished.fetch_add(1, Ordering::Relaxed);
+        self.core.flush_trace(self.trace.as_ref(), None, true);
     }
 }
 
@@ -141,7 +147,8 @@ pub struct RwTxn<'db, C: ConcurrencyControl> {
     core: &'db DbCore,
     cc: &'db C,
     state: Option<C::Txn>,
-    trace: TxnTrace,
+    /// Oracle trace, present only when the database records one.
+    trace: Option<TxnTrace>,
     /// Protocol actor id captured at begin, so lifecycle events can be
     /// stamped even after `state` has been consumed by commit/abort.
     obs_id: u64,
@@ -192,7 +199,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
             core,
             cc,
             state: Some(state),
-            trace: TxnTrace::new(),
+            trace: core.new_trace(),
             obs_id,
             deadline,
             permit,
@@ -241,7 +248,9 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
         let state = self.state.as_mut().ok_or(DbError::TxnFinished)?;
         match self.cc.read(&self.core.ctx, state, obj) {
             Ok((version, value)) => {
-                self.trace.read(obj, version);
+                if let Some(trace) = &mut self.trace {
+                    trace.read(obj, version);
+                }
                 Ok(value)
             }
             Err(e) => {
@@ -265,7 +274,9 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
         let state = self.state.as_mut().ok_or(DbError::TxnFinished)?;
         match self.cc.read_for_update(&self.core.ctx, state, obj) {
             Ok((version, value)) => {
-                self.trace.read(obj, version);
+                if let Some(trace) = &mut self.trace {
+                    trace.read(obj, version);
+                }
                 Ok(value)
             }
             Err(e) => {
@@ -281,7 +292,9 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
         let state = self.state.as_mut().ok_or(DbError::TxnFinished)?;
         match self.cc.write(&self.core.ctx, state, obj, value) {
             Ok(()) => {
-                self.trace.write(obj);
+                if let Some(trace) = &mut self.trace {
+                    trace.write(obj);
+                }
                 Ok(())
             }
             Err(e) => {
@@ -312,9 +325,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
                     .metrics
                     .rw_committed
                     .fetch_add(1, Ordering::Relaxed);
-                if let Some(tracer) = &self.core.tracer {
-                    tracer.flush(TxnId(tn), &self.trace, true);
-                }
+                self.core.flush_trace(self.trace.as_ref(), Some(tn), true);
                 Ok(tn)
             }
             Err(e) => {
@@ -339,10 +350,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
     /// and the wait timeouts. The trace is flushed as uncommitted.
     pub fn stall(mut self) {
         if self.state.take().is_some() {
-            if let Some(tracer) = &self.core.tracer {
-                let id = self.core.next_anon_trace_id();
-                tracer.flush(TxnId(id), &self.trace, false);
-            }
+            self.core.flush_trace(self.trace.as_ref(), None, false);
         }
     }
 
@@ -414,10 +422,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
                 _ => TxnOutcome::Aborted,
             });
         }
-        if let Some(tracer) = &self.core.tracer {
-            let id = self.core.next_anon_trace_id();
-            tracer.flush(TxnId(id), &self.trace, false);
-        }
+        self.core.flush_trace(self.trace.as_ref(), None, false);
     }
 }
 

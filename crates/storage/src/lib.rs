@@ -4,7 +4,8 @@
 //! list of associated versions" (Section 3.2) and leaves the storage layer
 //! abstract. This crate is that substrate, built from scratch:
 //!
-//! * [`value`] — cheaply-cloneable values ([`bytes::Bytes`]-backed).
+//! * [`value`] — cheaply-cloneable values (small payloads inline, longer
+//!   ones [`bytes::Bytes`]-backed).
 //! * [`version`] — committed and *pending* versions. A pending version is
 //!   the paper's "version φ" under 2PL (Figure 4): installed during the
 //!   execution phase and stamped with the transaction number only at

@@ -1,6 +1,6 @@
-//! Shard-count and shard-index helpers shared by every sharded structure
-//! in the engine (the store's chain map, the 2PL lock table, the GC
-//! snapshot slots).
+//! Shard-count, shard-index and hashing helpers shared by every sharded
+//! structure in the engine (the store's chain map, the 2PL lock table, the
+//! GC snapshot slots).
 //!
 //! Shard counts are always rounded **up** to a power of two so the index
 //! computation is a multiply + shift + mask — no division on the hot
@@ -8,6 +8,14 @@
 //! common case for benchmark object ids and slot counters, spread evenly
 //! across shards. The index is taken from the *high* bits of the product,
 //! where the Fibonacci multiply concentrates its mixing.
+//!
+//! The same product is the hash of every `ObjectId`-keyed map
+//! ([`FibBuildHasher`], [`ObjectMap`], [`ObjectSet`]), so one multiply
+//! picks the shard *and* the bucket.
+
+use mvcc_model::ObjectId;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 /// Round a requested shard count up to the nearest power of two (min 1).
 ///
@@ -36,6 +44,57 @@ pub fn shard_index(key: u64, n_shards: usize) -> usize {
     let h = key.wrapping_mul(FIB);
     ((h >> 32) as usize) & (n_shards - 1)
 }
+
+/// [`BuildHasher`] for `ObjectId`-keyed maps: the hash of a key is the
+/// same Fibonacci product [`shard_index`] takes bits 32.. of, in place of
+/// std's SipHash. That gives up SipHash's resistance to keys crafted to
+/// collide, which an embedded engine with no network front-end does not
+/// need: object ids come from the application linking it.
+///
+/// The bits do not collide: hashbrown indexes buckets with the *low* bits
+/// of the hash and tags slots with the *top 7*, while the shard is bits
+/// `32..32+log2(shards)` — so a shard's map still sees well-spread bucket
+/// indices and tags for the keys routed to it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FibBuildHasher;
+
+impl BuildHasher for FibBuildHasher {
+    type Hasher = FibHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FibHasher {
+        FibHasher(0)
+    }
+}
+
+/// The [`Hasher`] of [`FibBuildHasher`]: one multiply per `u64` written.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FibHasher(u64);
+
+impl Hasher for FibHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(FIB);
+    }
+
+    /// Byte input, which `ObjectId`'s `Hash` never produces.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `ObjectId → V` map hashed by [`FibBuildHasher`].
+pub type ObjectMap<V> = HashMap<ObjectId, V, FibBuildHasher>;
+
+/// `ObjectId` set hashed by [`FibBuildHasher`].
+pub type ObjectSet = HashSet<ObjectId, FibBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -74,6 +133,20 @@ mod tests {
             assert!(h > 0, "shard {i} never hit");
             assert!(h < 200, "shard {i} got {h}/1600");
         }
+    }
+
+    #[test]
+    fn object_hash_is_the_shard_product() {
+        for key in [0u64, 1, 2, 63, 64, 199_999, u64::MAX] {
+            let h = FibBuildHasher.hash_one(ObjectId(key));
+            assert_eq!(h, key.wrapping_mul(FIB));
+            assert_eq!(((h >> 32) as usize) & 63, shard_index(key, 64));
+        }
+        let mut m: ObjectMap<u64> = ObjectMap::default();
+        for key in 0..1000u64 {
+            m.insert(ObjectId(key), key);
+        }
+        assert!((0..1000u64).all(|k| m[&ObjectId(k)] == k));
     }
 
     #[test]

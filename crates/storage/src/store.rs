@@ -10,12 +10,12 @@
 
 use crate::chain::VersionChain;
 use crate::gc::GcStats;
+use crate::shard::ObjectMap;
 use crate::stats::StoreStats;
 use crate::value::Value;
-use crate::VersionNo;
+use crate::{VersionNo, INITIAL_VERSION};
 use mvcc_model::ObjectId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ impl std::fmt::Display for WaitTimeout {
 impl std::error::Error for WaitTimeout {}
 
 struct Shard {
-    map: Mutex<HashMap<ObjectId, VersionChain>>,
+    map: Mutex<ObjectMap<VersionChain>>,
     cv: Condvar,
 }
 
@@ -162,7 +162,7 @@ impl MvStore {
         let n = crate::shard::pow2_shards(n);
         let shards = (0..n)
             .map(|_| Shard {
-                map: Mutex::new(HashMap::new()),
+                map: Mutex::new(ObjectMap::default()),
                 cv: Condvar::new(),
             })
             .collect::<Vec<_>>()
@@ -194,7 +194,7 @@ impl MvStore {
     /// object, one initial version) into the pressure counters.
     fn entry<'m>(
         &self,
-        map: &'m mut HashMap<ObjectId, VersionChain>,
+        map: &'m mut ObjectMap<VersionChain>,
         obj: ObjectId,
     ) -> &'m mut VersionChain {
         map.entry(obj).or_insert_with(|| {
@@ -219,7 +219,7 @@ impl MvStore {
         // deadlines are never handed to a real condvar.
         // Each poll may mutate the chain (TO reads bump r-ts, writes
         // install pendings), so every invocation is delta-tracked.
-        let mut poll = |map: &mut HashMap<ObjectId, VersionChain>| {
+        let mut poll = |map: &mut ObjectMap<VersionChain>| {
             let chain = self.entry(map, obj);
             let before = chain_counts(chain);
             let out = f(chain);
@@ -261,16 +261,21 @@ impl MvStore {
     /// Non-blocking snapshot read: `(version number, value)` of the
     /// largest committed version `≤ sn` (paper Figure 2). `None` means GC
     /// pruned the needed version.
+    ///
+    /// A read mutates nothing, so it bypasses [`with`](Self::with): one
+    /// shard lock, one map probe, one binary search. An object never
+    /// written holds only its initial version and is not materialized.
     pub fn read_at(&self, obj: ObjectId, sn: VersionNo) -> Option<(VersionNo, Value)> {
-        self.with(obj, |c| c.at(sn).map(|v| (v.number, v.value.clone())))
+        match self.shard(obj).map.lock().get(&obj) {
+            Some(c) => c.at(sn).map(|v| (v.number, v.value.clone())),
+            None => Some((INITIAL_VERSION, Value::empty())),
+        }
     }
 
     /// Non-blocking read of the latest committed version.
     pub fn read_latest(&self, obj: ObjectId) -> (VersionNo, Value) {
-        self.with(obj, |c| {
-            let v = c.latest();
-            (v.number, v.value.clone())
-        })
+        self.read_at(obj, VersionNo::MAX)
+            .expect("GC never prunes a chain's latest version")
     }
 
     /// Set the initial version's payload (bulk loading).
@@ -440,6 +445,13 @@ mod tests {
             WaitOutcome::Ready(())
         })
         .unwrap();
+        check(&s);
+        // reads of a never-touched object materialize nothing
+        let (objects, pressure) = (s.objects(), s.pressure_stats());
+        assert_eq!(s.read_at(obj(99), 7), Some((0, Value::empty())));
+        assert_eq!(s.read_latest(obj(99)), (0, Value::empty()));
+        assert_eq!(s.objects(), objects);
+        assert_eq!(s.pressure_stats(), pressure);
         check(&s);
         let debt_before = s.pressure_stats().gc_debt();
         assert!(debt_before > 0);

@@ -282,7 +282,7 @@ fn decode_payload(payload: &[u8]) -> Option<CommitRecord> {
         let obj = take_u64(payload, at)?;
         let vlen = take_u32(payload, at + 8)? as usize;
         let value = payload.get(at + 12..at + 12 + vlen)?;
-        writes.push((ObjectId(obj), Value::from_bytes(value.to_vec())));
+        writes.push((ObjectId(obj), Value::from_slice(value)));
         at += 12 + vlen;
     }
     if at != payload.len() {
