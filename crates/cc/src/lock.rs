@@ -78,9 +78,9 @@ pub struct Acquired {
     /// granted, but it is the token the wait should be blamed on.
     pub blocker: u64,
     /// Nanoseconds spent blocked (`0` when granted immediately).
-    /// Measured inside the manager from the clock read it already does
-    /// on entry, so callers that want wait attribution need no clock
-    /// reads of their own on the uncontended path.
+    /// Measured inside the manager from a clock read taken just before
+    /// the first park, so a request that never parks reads no clock, and
+    /// callers that want wait attribution need none of their own.
     pub waited_ns: u64,
 }
 
@@ -266,28 +266,22 @@ impl LockManager {
                 Err(_) => Err(LockError::Timeout),
             };
         }
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut waited = false;
+        // `(start, deadline)`, built at the first park: a grant that never
+        // blocks reads no clock.
+        let mut parked: Option<(Instant, Instant)> = None;
         let mut first_blocker = 0u64;
         loop {
             let blockers = match table.entry(obj).or_default().try_grant(token, mode) {
                 Ok(()) => {
                     // Edges exist only if we blocked with detection on.
-                    if waited && detect_deadlocks {
+                    if parked.is_some() && detect_deadlocks {
                         self.waits_for.lock().clear(token);
                     }
                     return Ok(Acquired {
-                        waited,
+                        waited: parked.is_some(),
                         contended,
                         blocker: first_blocker,
-                        // One extra clock read, and only on the waited
-                        // path — grants that never blocked skip it.
-                        waited_ns: if waited {
-                            start.elapsed().as_nanos() as u64
-                        } else {
-                            0
-                        },
+                        waited_ns: parked.map_or(0, |(start, _)| start.elapsed().as_nanos() as u64),
                     });
                 }
                 Err(blockers) => blockers,
@@ -303,7 +297,10 @@ impl LockManager {
                     return Err(LockError::Deadlock);
                 }
             }
-            waited = true;
+            let (start, deadline) = *parked.get_or_insert_with(|| {
+                let start = Instant::now();
+                (start, start + timeout)
+            });
             if shard.cv.wait_until(&mut table, deadline).timed_out() {
                 // Last-chance re-check, then a single edge cleanup for
                 // either outcome.
@@ -313,7 +310,7 @@ impl LockManager {
                 }
                 return if granted {
                     Ok(Acquired {
-                        waited,
+                        waited: true,
                         contended,
                         blocker: first_blocker,
                         waited_ns: start.elapsed().as_nanos() as u64,
@@ -329,10 +326,11 @@ impl LockManager {
     ///
     /// The broadcast happens after the shard lock is dropped, so woken
     /// waiters can re-check immediately instead of piling up on a mutex
-    /// the notifier still holds. Safe against lost wakeups: a waiter's
-    /// grant check and its park are atomic under the shard lock, so it
-    /// either sees this release's effect or is already parked when the
-    /// notification fires.
+    /// the notifier still holds. Safe against lost wakeups: a waiter
+    /// checks its grant and counts itself as parked under the shard lock,
+    /// so it either sees this release's effect or is already counted when
+    /// the notification reads the count. With nobody parked the notify is
+    /// one load, no system call.
     pub fn release(&self, token: u64, obj: ObjectId) {
         let shard = self.shard(obj);
         {

@@ -434,7 +434,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvcc_core::{DbConfig, MvDatabase};
+    use mvcc_core::{DbConfig, MvDatabase, RetryPolicy};
     use std::sync::Arc;
     use std::thread;
 
@@ -539,12 +539,25 @@ mod tests {
         let db = Arc::new(db());
         db.seed(obj(0), Value::from_u64(0));
         let mut handles = Vec::new();
-        for _ in 0..8 {
+        for i in 0..8u64 {
             let db = Arc::clone(&db);
             handles.push(thread::spawn(move || {
+                // Every attempt is a shared→exclusive upgrade on one key,
+                // so concurrent attempts deadlock each other. Retried with
+                // no pause the victims re-take their shared locks at once
+                // and livelock; a jittered exponential back-off, seeded per
+                // thread so the threads do not back off in step, lets one
+                // upgrade through at a time.
+                let policy = RetryPolicy {
+                    max_attempts: 100,
+                    base_backoff: std::time::Duration::from_micros(20),
+                    max_backoff: std::time::Duration::from_millis(2),
+                    jitter: 1.0,
+                    seed: i + 1,
+                };
                 let mut done = 0;
                 while done < 50 {
-                    let r = db.run_rw(100, |t| {
+                    let r = db.run_rw_with(&policy, |t| {
                         let v = t.read_u64(obj(0))?.unwrap();
                         t.write(obj(0), Value::from_u64(v + 1))
                     });

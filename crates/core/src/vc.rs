@@ -468,7 +468,8 @@ impl VersionControl {
     /// waiters. Takes the waiters' mutex before notifying — a waiter
     /// between its vtnc check and its park would otherwise miss the
     /// wakeup — but never while `inner` is held, so waiter wakeups cannot
-    /// extend the version-control critical section.
+    /// extend the version-control critical section. With no waiter parked
+    /// this is an uncontended lock and one load, no system call.
     fn notify_visible(&self) {
         let _waiters = self.visible_mu.lock();
         self.visible_cv.notify_all();

@@ -4,9 +4,11 @@
 //! registry, so external crates are vendored as thin shims (see
 //! `shims/README.md`). Only the API surface the workspace actually uses is
 //! provided: `Mutex` (non-poisoning `lock`), `Condvar` with
-//! `wait`/`wait_until`/`wait_for` taking `&mut MutexGuard`, and a small
-//! `RwLock`. Poisoning is swallowed (parking_lot has no poisoning).
+//! `wait`/`wait_until`/`wait_for` taking `&mut MutexGuard` and upstream's
+//! notify-with-no-waiter fast path, and a small `RwLock`. Poisoning is
+//! swallowed (parking_lot has no poisoning).
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
@@ -98,32 +100,79 @@ impl WaitTimeoutResult {
 
 /// Condition variable compatible with `parking_lot::Condvar` for the
 /// operations used here (`&mut MutexGuard` instead of guard-by-value).
+///
+/// Like the real crate, it counts its parked waiters, so a notify with
+/// nobody parked is one load and no system call (`std`'s `notify_*`
+/// always enters the kernel).
+///
+/// # No lost wake-ups
+///
+/// A waiter increments `waiters` while it still holds the mutex, just
+/// before the std wait releases it, and decrements it after the wait
+/// returns with the mutex held again (notify, timeout and spurious
+/// wake-ups alike). A notifier changes the waited-on state under that
+/// same mutex, then reads the count (inside or after its critical
+/// section). If its critical section comes after the waiter's condition
+/// check, the waiter's increment happens-before the notifier's read,
+/// through the mutex, so the notify is forwarded. If it comes before,
+/// the waiter's check sees the change and never parks. `Relaxed` is
+/// enough: the mutex supplies the happens-before edge.
+///
+/// Every notify site in the workspace keeps that rule — each changes its
+/// condition under the mutex its waiter holds:
+///
+/// - `cc::lock` `LockManager::release` and `clear_all`: the lock table,
+///   under the shard's `table` mutex;
+/// - `storage::store` `MvStore::notify`: the version chain, under the
+///   shard's `map` mutex (every chain change goes through it);
+/// - `core::vc` `VersionControl::notify_visible`: `vtnc` is stored
+///   before the notifier takes `visible_mu`, and the waiter loads it
+///   under `visible_mu`;
+/// - `cc::adaptive` `Adaptive::switch_to` and `exit`: the gate, under
+///   `gate`;
+/// - `dist::vc` `DistVc::drain` and `resume`: `vtnc` is stored before
+///   the notifier takes `visible_mu`, as in `core::vc`.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads parked (or about to park) in a wait on this condvar. On
+    /// Linux std's condvar is one 4-byte futex word; a `u32` count packs
+    /// beside it, so the condvar stays 8 bytes and the per-shard structs
+    /// embedding one do not grow.
+    waiters: AtomicU32,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicU32::new(0),
         }
     }
 
+    /// Wake one parked thread. Returns whether a thread was waiting.
     pub fn notify_one(&self) -> bool {
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         self.inner.notify_one();
         true
     }
 
-    /// Returns the number of woken threads in real parking_lot; the std
-    /// backend cannot count, so this reports 0.
+    /// Wake every parked thread. Returns how many were waiting.
     pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
+        let n = self.waiters.load(Ordering::Relaxed);
+        if n > 0 {
+            self.inner.notify_all();
+        }
+        n as usize
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard taken during wait");
-        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        guard.inner = Some(g);
     }
 
     pub fn wait_until<T>(
@@ -141,6 +190,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard taken during wait");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let (g, timed_out) = match self.inner.wait_timeout(g, timeout) {
             Ok((g, r)) => (g, r.timed_out()),
             Err(p) => {
@@ -148,6 +198,7 @@ impl Condvar {
                 (g, r.timed_out())
             }
         };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(g);
         WaitTimeoutResult(timed_out)
     }
@@ -276,5 +327,61 @@ mod tests {
         }
         drop(g);
         h.join().unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn condvar_stays_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Condvar>(), 8);
+    }
+
+    #[test]
+    fn notify_without_waiters_reports_none() {
+        let cv = Condvar::new();
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    #[test]
+    fn notify_all_counts_and_wakes_a_parked_waiter() {
+        let m = Arc::new(Mutex::new(false));
+        let cv = Arc::new(Condvar::new());
+        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
+        let h = std::thread::spawn(move || {
+            let mut g = m2.lock();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !*g {
+                assert!(!cv2.wait_until(&mut g, deadline).timed_out());
+            }
+        });
+        // The waiter counts itself under the mutex before parking, so
+        // once the count reads 1, taking the mutex means it is parked (or
+        // woke spuriously and is blocked re-acquiring, still counted).
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cv.waiters.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "waiter never parked");
+            std::thread::yield_now();
+        }
+        let mut g = m.lock();
+        *g = true;
+        assert_eq!(cv.notify_all(), 1);
+        drop(g);
+        h.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn timed_out_waiter_leaves_no_count() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert!(cv
+            .wait_until(&mut g, Instant::now() + Duration::from_millis(5))
+            .timed_out());
+        drop(g);
+        assert_eq!(cv.waiters.load(Ordering::Relaxed), 0);
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
     }
 }

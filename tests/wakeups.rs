@@ -1,0 +1,199 @@
+//! No lost wake-ups: one stress case per condition-variable wait site.
+//!
+//! A notify with nobody parked costs one load and no system call: the
+//! `parking_lot` `Condvar` counts its parked waiters and returns at once
+//! when there are none. That is sound only because every notifier
+//! changes the waited-on state under the mutex its waiter holds (the
+//! argument is in the shim's `Condvar` docs). Each case below races
+//! notifies against parks at one wait site, alternating rounds where
+//! the waiter is made to park first with rounds where the notify races
+//! its condition check. Every wait is bounded by [`BOUND`] and re-checks
+//! its condition when the bound expires, so a lost wake-up turns into a
+//! wait of the whole bound; each case fails on any wait longer than
+//! [`SLOW`], so a lost wake-up fails the test within one bound instead
+//! of hanging it.
+//!
+//! Run it in release too (`cargo test --release --test wakeups`): the
+//! benchmark measures the optimised build, where the races are tighter.
+
+use mvdb::cc::{presets, Adaptive, AdaptiveConfig, LockManager, LockMode};
+use mvdb::core::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Bound on every wait under test.
+const BOUND: Duration = Duration::from_secs(10);
+
+/// A woken wait returns in microseconds; one this slow sat out its bound.
+const SLOW: Duration = Duration::from_secs(1);
+
+/// Spin (yielding) until `cond` holds; fails instead of hanging.
+fn spin_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + BOUND;
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what} never happened");
+        thread::yield_now();
+    }
+}
+
+/// Give a just-started waiter time to park (odd rounds skip this and let
+/// the notify race the waiter's condition check instead). The checks
+/// hold under any interleaving; the sleep only biases the mix toward
+/// parks where no public probe can confirm one.
+fn maybe_let_park(round: u64) {
+    if round.is_multiple_of(2) {
+        thread::sleep(Duration::from_micros(50));
+    }
+}
+
+/// `LockManager::acquire` parks on its shard's condvar; `release_all`
+/// wakes it.
+#[test]
+fn exclusive_lock_ping_pong_loses_no_wakeup() {
+    const GRANTS_PER_THREAD: u64 = 10_000;
+    let lm = LockManager::new();
+    let x = ObjectId(1);
+    let holder = AtomicU64::new(0);
+    let waits = AtomicU64::new(0);
+    thread::scope(|s| {
+        for token in 1..=2u64 {
+            let (lm, holder, waits) = (&lm, &holder, &waits);
+            s.spawn(move || {
+                for _ in 0..GRANTS_PER_THREAD {
+                    let a = lm
+                        .acquire(token, x, LockMode::Exclusive, BOUND, true)
+                        .unwrap_or_else(|e| panic!("token {token}: {e}"));
+                    assert!(
+                        a.waited_ns < SLOW.as_nanos() as u64,
+                        "waited {} ns",
+                        a.waited_ns
+                    );
+                    if a.waited {
+                        waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    assert_eq!(holder.swap(token, Ordering::Relaxed), 0, "two holders");
+                    // Hold across a yield so the other thread parks.
+                    thread::yield_now();
+                    holder.store(0, Ordering::Relaxed);
+                    lm.release_all(token, &[x]);
+                }
+            });
+        }
+    });
+    assert!(waits.load(Ordering::Relaxed) > 0, "no acquire ever parked");
+    assert_eq!(lm.waits_for_edges(), 0);
+    assert_eq!(lm.locked_objects(), 0);
+}
+
+/// A TO read behind an older pending write parks in `MvStore::wait_until`;
+/// the writer's commit wakes it through `MvStore::notify`.
+#[test]
+fn to_read_wakes_when_older_writer_commits() {
+    const ROUNDS: u64 = 2_000;
+    let db = presets::vc_to(DbConfig::default().with_read_wait_timeout(BOUND));
+    let x = ObjectId(7);
+    db.seed(x, Value::from_u64(0));
+    for round in 1..=ROUNDS {
+        let mut older = db.begin_read_write().unwrap();
+        older.write(x, Value::from_u64(round)).unwrap();
+        let blocks = db.metrics().rw_blocks;
+        let started = AtomicBool::new(false);
+        thread::scope(|s| {
+            let reader = s.spawn(|| {
+                // Registers after `older`, so it must wait out its write.
+                let mut younger = db.begin_read_write().unwrap();
+                started.store(true, Ordering::Release);
+                let t0 = Instant::now();
+                let v = younger.read_u64(x).unwrap();
+                let waited = t0.elapsed();
+                younger.commit().unwrap();
+                (v, waited)
+            });
+            spin_until("reader start", || started.load(Ordering::Acquire));
+            if round.is_multiple_of(2) {
+                // The reader counts its block under the shard lock just
+                // before parking, and the commit needs that lock: waiting
+                // for the count makes this round a park-then-notify.
+                spin_until("reader block", || db.metrics().rw_blocks > blocks);
+            }
+            older.commit().unwrap();
+            let (v, waited) = reader.join().unwrap();
+            assert!(waited < SLOW, "round {round}: read waited {waited:?}");
+            assert_eq!(v, Some(round));
+        });
+    }
+    assert!(db.metrics().rw_blocks >= ROUNDS / 2);
+    assert_eq!(db.metrics().aborts_timeout, 0);
+}
+
+/// `VersionControl::wait_visible` parks on the visibility condvar;
+/// `complete` wakes it.
+#[test]
+fn wait_visible_wakes_on_complete() {
+    const ROUNDS: u64 = 2_000;
+    let vc = VersionControl::new();
+    for round in 0..ROUNDS {
+        let tn = vc.register();
+        let started = AtomicBool::new(false);
+        thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                started.store(true, Ordering::Release);
+                let t0 = Instant::now();
+                (vc.wait_visible(tn, BOUND), t0.elapsed())
+            });
+            spin_until("waiter start", || started.load(Ordering::Acquire));
+            maybe_let_park(round);
+            vc.complete(tn);
+            let (visible, waited) = waiter.join().unwrap();
+            assert!(
+                waited < SLOW,
+                "round {round}: wait_visible waited {waited:?}"
+            );
+            assert_eq!(visible, Some(tn), "round {round}");
+        });
+    }
+}
+
+/// The adaptive protocol's `enter` parks on its gate while a mode switch
+/// is pending; the last in-flight transaction's exit flips the switch and
+/// wakes it.
+#[test]
+fn adaptive_enter_wakes_when_last_exit_flips_the_switch() {
+    const ROUNDS: u64 = 2_000;
+    // A one-transaction window with thresholds every abort rate crosses:
+    // each finished transaction requests a switch to the other mode.
+    let cfg = AdaptiveConfig {
+        window: 1,
+        to_locking_above: -1.0,
+        to_optimistic_below: 2.0,
+        drain_timeout: BOUND,
+    };
+    let db = MvDatabase::with_config(Adaptive::with_config(cfg), DbConfig::default());
+    for round in 0..ROUNDS {
+        let straggler = db.begin_read_write().unwrap();
+        let mode = db.cc().mode();
+        // Finishing another transaction requests a switch, which stays
+        // pending behind the straggler.
+        db.begin_read_write().unwrap().commit().unwrap();
+        assert_eq!(db.cc().mode(), mode, "switch must wait for the straggler");
+        let switches = db.cc().switch_count();
+        let started = AtomicBool::new(false);
+        thread::scope(|s| {
+            let entrant = s.spawn(|| {
+                started.store(true, Ordering::Release);
+                let t0 = Instant::now();
+                let t = db.begin_read_write().unwrap();
+                let waited = t0.elapsed();
+                t.commit().unwrap();
+                waited
+            });
+            spin_until("entrant start", || started.load(Ordering::Acquire));
+            maybe_let_park(round);
+            straggler.commit().unwrap(); // last one out flips the gate
+            let waited = entrant.join().unwrap();
+            assert!(waited < SLOW, "round {round}: entrant waited {waited:?}");
+        });
+        assert!(db.cc().switch_count() > switches);
+    }
+}
