@@ -19,6 +19,10 @@
 //!   order.
 //!
 //! All three leave read-only transactions untouched — they never see one.
+//! None of them touches version control or the log directly: each keeps
+//! its writes in a [`mvcc_core::WriteSet`] and commits through the one
+//! `end(T)`, [`mvcc_core::CcContext::end`], so what this crate holds is
+//! conflict bookkeeping only.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

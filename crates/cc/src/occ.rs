@@ -18,7 +18,7 @@
 //! eliminates exactly the "validation overhead of read-only transactions"
 //! that refs \[1, 2\] targeted.
 
-use mvcc_core::{AbortReason, CcContext, ConcurrencyControl, DbError, EventKind};
+use mvcc_core::{AbortReason, CcContext, ConcurrencyControl, DbError, EventKind, WriteSet};
 use mvcc_model::ObjectId;
 use mvcc_storage::Value;
 use parking_lot::Mutex;
@@ -37,7 +37,7 @@ pub struct OccTxn {
     /// `(object, version number observed)` — first read per object.
     read_set: Vec<(ObjectId, u64)>,
     /// Buffered writes, last value per object wins.
-    write_buf: Vec<(ObjectId, Value)>,
+    writes: WriteSet,
 }
 
 impl Optimistic {
@@ -57,7 +57,7 @@ impl ConcurrencyControl for Optimistic {
     fn begin(&self, _ctx: &CcContext) -> Result<OccTxn, DbError> {
         Ok(OccTxn {
             read_set: Vec::new(),
-            write_buf: Vec::new(),
+            writes: WriteSet::buffered(),
         })
     }
 
@@ -68,7 +68,7 @@ impl ConcurrencyControl for Optimistic {
         obj: ObjectId,
     ) -> Result<(u64, Value), DbError> {
         // Own buffered write shadows the store.
-        if let Some((_, v)) = txn.write_buf.iter().rev().find(|(o, _)| *o == obj) {
+        if let Some(v) = txn.writes.get(obj) {
             return Ok((u64::MAX, v.clone()));
         }
         let (version, value) = ctx.store.read_latest(obj);
@@ -85,11 +85,7 @@ impl ConcurrencyControl for Optimistic {
         obj: ObjectId,
         value: Value,
     ) -> Result<(), DbError> {
-        if let Some(slot) = txn.write_buf.iter_mut().find(|(o, _)| *o == obj) {
-            slot.1 = value;
-        } else {
-            txn.write_buf.push((obj, value));
-        }
+        txn.writes.put(obj, value);
         Ok(())
     }
 
@@ -122,50 +118,22 @@ impl ConcurrencyControl for Optimistic {
 
         // Serial order fixed here: registering inside the critical section
         // makes validation order = tn order.
-        let tn = ctx.vc.register();
-        m.vc_register_calls.fetch_add(1, Ordering::Relaxed);
+        let tn = ctx.register();
         if let Some(mut span) = span.take() {
             span.attr("tn", tn);
             span.attr("read_set", txn.read_set.len() as u64);
             span.finish();
         }
-        // Claim before writing (reaper discipline). The claim cannot
-        // realistically fail — register and claim run back-to-back under
-        // the validation lock — but the contract is uniform.
-        if !ctx.vc.start_complete(tn) {
-            return Err(DbError::Aborted(AbortReason::Reaped));
+        // Write phase: the buffered writes become versions numbered tn
+        // before the critical section ends, then VCcomplete.
+        let res = ctx.end(tn, &txn.writes, || drop(crit));
+        if res.is_ok() {
+            // Emitted outside the critical section, which a notification
+            // must never extend.
+            ctx.obs
+                .emit(EventKind::Validate, tn, txn.read_set.len() as u64);
         }
-
-        // Durability point: log before the write phase touches the store
-        // (write-before-visible). Nothing to unwind on failure — the
-        // buffered writes just drop — but the claimed entry must go.
-        if let Err(e) = ctx.log_commit(tn, &txn.write_buf) {
-            ctx.vc.discard(tn);
-            m.vc_discard_calls.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-
-        // Write phase.
-        for (obj, value) in &txn.write_buf {
-            let res = ctx
-                .store
-                .with(*obj, |c| c.insert_committed(tn, value.clone()));
-            if let Err(e) = res {
-                // Impossible: tn is fresh and unique.
-                ctx.vc.discard(tn);
-                return Err(DbError::Internal(format!("OCC write phase: {e}")));
-            }
-            ctx.store.notify(*obj);
-        }
-
-        drop(crit);
-        // Deferred past the lock drop: a notification emit must never
-        // extend the validation critical section.
-        ctx.obs
-            .emit(EventKind::Validate, tn, txn.read_set.len() as u64);
-        ctx.vc.complete(tn);
-        m.vc_complete_calls.fetch_add(1, Ordering::Relaxed);
-        Ok(tn)
+        res
     }
 
     fn abort(&self, _ctx: &CcContext, _txn: OccTxn) {

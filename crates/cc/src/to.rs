@@ -19,7 +19,7 @@
 
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, EventKind, TxnOptions, TxnPhase,
-    WaitPoint,
+    WaitPoint, WriteSet,
 };
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::store::WaitOutcome;
@@ -35,12 +35,9 @@ pub struct TimestampOrdering;
 pub struct ToTxn {
     /// Transaction number = timestamp, assigned at begin.
     tn: u64,
-    /// Objects with an installed pending version.
-    written: Vec<ObjectId>,
-    /// Write values (last per object), buffered for the commit log.
-    writes: Vec<(ObjectId, Value)>,
-    /// Whether the transaction has been aborted (VCdiscard already done).
-    doomed: bool,
+    /// Writes, each also staged in the store as a pending version
+    /// reserved at `tn`.
+    writes: WriteSet,
     /// Deadline budget, when begun with one: every pending-write wait is
     /// bounded by the remaining budget.
     deadline: Option<Deadline>,
@@ -52,20 +49,9 @@ impl TimestampOrdering {
         TimestampOrdering
     }
 
-    fn doom(&self, ctx: &CcContext, txn: &mut ToTxn) {
-        if !txn.doomed {
-            txn.doomed = true;
-            for &obj in &txn.written {
-                ctx.store.with(obj, |c| {
-                    c.discard_pending(TxnId(txn.tn));
-                });
-                ctx.store.notify(obj);
-            }
-            ctx.vc.discard(txn.tn);
-            ctx.metrics.vc_discard_calls.fetch_add(1, Ordering::Relaxed);
-        }
+    fn clear_phase(ctx: &CcContext, tn: u64) {
         if let Some(attr) = ctx.obs.attr() {
-            attr.blame().clear_phase(txn.tn);
+            attr.blame().clear_phase(tn);
         }
     }
 
@@ -115,18 +101,13 @@ impl ConcurrencyControl for TimestampOrdering {
 
     fn begin(&self, ctx: &CcContext) -> Result<ToTxn, DbError> {
         // Serial order known a priori: register now.
-        let tn = ctx.vc.register();
-        ctx.metrics
-            .vc_register_calls
-            .fetch_add(1, Ordering::Relaxed);
+        let tn = ctx.register();
         if let Some(attr) = ctx.obs.attr() {
             attr.blame().set_phase(tn, TxnPhase::Execute);
         }
         Ok(ToTxn {
             tn,
-            written: Vec::new(),
-            writes: Vec::new(),
-            doomed: false,
+            writes: WriteSet::staged(TxnId(tn)),
             deadline: None,
         })
     }
@@ -264,84 +245,23 @@ impl ConcurrencyControl for TimestampOrdering {
                 attr.topk().record_key(obj.get(), 0, true);
             }
         }
-        match outcome {
-            Ok(()) => {
-                if !txn.written.contains(&obj) {
-                    txn.written.push(obj);
-                }
-                match txn.writes.iter_mut().find(|(o, _)| *o == obj) {
-                    Some(slot) => slot.1 = value,
-                    None => txn.writes.push((obj, value)),
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        outcome.map(|()| txn.writes.put(obj, value))
     }
 
-    fn commit(&self, ctx: &CcContext, mut txn: ToTxn) -> Result<u64, DbError> {
-        debug_assert!(!txn.doomed);
+    fn commit(&self, ctx: &CcContext, txn: ToTxn) -> Result<u64, DbError> {
         if let Some(attr) = ctx.obs.attr() {
             attr.blame().set_phase(txn.tn, TxnPhase::Commit);
         }
-        // Claim the VC entry (Active → Committing) before touching the
-        // store: if the stall reaper already force-discarded us while we
-        // sat between begin and commit, we must abort — our registration
-        // is gone and our writes must never become visible.
-        if !ctx.vc.start_complete(txn.tn) {
-            for &obj in &txn.written {
-                ctx.store.with(obj, |c| {
-                    c.discard_pending(TxnId(txn.tn));
-                });
-                ctx.store.notify(obj);
-            }
-            txn.doomed = true; // VC entry already gone; no VCdiscard
-            if let Some(attr) = ctx.obs.attr() {
-                attr.blame().clear_phase(txn.tn);
-            }
-            return Err(DbError::Aborted(AbortReason::Reaped));
-        }
-        // Durability point: log the writeset before any update is applied
-        // (write-before-visible). On failure, unwind like an abort — the
-        // claimed entry is released with VCdiscard.
-        if let Err(e) = ctx.log_commit(txn.tn, &txn.writes) {
-            for &obj in &txn.written {
-                ctx.store.with(obj, |c| {
-                    c.discard_pending(TxnId(txn.tn));
-                });
-                ctx.store.notify(obj);
-            }
-            ctx.vc.discard(txn.tn);
-            ctx.metrics.vc_discard_calls.fetch_add(1, Ordering::Relaxed);
-            txn.doomed = true;
-            if let Some(attr) = ctx.obs.attr() {
-                attr.blame().clear_phase(txn.tn);
-            }
-            return Err(e);
-        }
-        // perform database updates; clear pending read actions
-        for &obj in &txn.written {
-            let res = ctx
-                .store
-                .with(obj, |c| c.promote_pending(TxnId(txn.tn), None));
-            if let Err(e) = res {
-                return Err(DbError::Internal(format!("TO promote: {e}")));
-            }
-            ctx.store.notify(obj);
-        }
-        // VCcomplete(T)
-        ctx.vc.complete(txn.tn);
-        ctx.metrics
-            .vc_complete_calls
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(attr) = ctx.obs.attr() {
-            attr.blame().clear_phase(txn.tn);
-        }
-        Ok(txn.tn)
+        // Registered at begin. end(T) claims the entry before touching
+        // the store, so a transaction the stall reaper force-discarded
+        // while it sat between begin and commit aborts instead: its
+        // writes must never become visible.
+        ctx.end(txn.tn, &txn.writes, || Self::clear_phase(ctx, txn.tn))
     }
 
-    fn abort(&self, ctx: &CcContext, mut txn: ToTxn) {
-        self.doom(ctx, &mut txn);
+    fn abort(&self, ctx: &CcContext, txn: ToTxn) {
+        ctx.discard(Some(txn.tn), &txn.writes);
+        Self::clear_phase(ctx, txn.tn);
     }
 
     fn txn_obs_id(&self, txn: &ToTxn) -> u64 {
@@ -541,39 +461,6 @@ mod tests {
         assert_eq!(db.peek_latest(obj(0)), Value::empty());
         db.store().with(obj(0), |c| assert_eq!(c.pending_len(), 0));
         assert_eq!(db.metrics().aborts_wal, 1);
-    }
-
-    #[test]
-    fn wal_abort_does_not_wedge_vtnc() {
-        use mvcc_core::FaultConfig;
-        // A log-failed abort must release its claimed queue entry, or
-        // every later commit would wait on it forever.
-        let mem = mvcc_storage::MemWal::new();
-        let cfg = DbConfig::default().with_fault(FaultConfig {
-            seed: 7,
-            wal_disk_full: 0.5,
-            ..Default::default()
-        });
-        let db =
-            MvDatabase::with_wal(TimestampOrdering::new(), cfg, Box::new(mem.clone())).unwrap();
-        let mut committed = 0u64;
-        for i in 0..40u64 {
-            if db
-                .run_rw(1, |t| t.write(obj(i % 4), Value::from_u64(i)))
-                .is_ok()
-            {
-                committed += 1;
-            }
-        }
-        assert!(committed > 0, "seed must let some commits through");
-        assert!(committed < 40, "seed must inject some failures");
-        // Every committed transaction became visible (no wedged queue)
-        // and every one of them is in the log.
-        assert_eq!(db.metrics().rw_committed, committed);
-        let (records, _) = mvcc_storage::scan(&mem.bytes()).unwrap();
-        assert_eq!(records.len() as u64, committed);
-        let last_tn = records.iter().map(|r| r.tn).max().unwrap();
-        assert_eq!(db.vc().vtnc(), last_tn);
     }
 
     #[test]

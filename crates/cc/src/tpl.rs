@@ -23,7 +23,7 @@ use crate::lock::{LockError, LockManager, LockMode};
 use mvcc_core::config::DeadlockPolicy;
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, DumpContext, EventKind,
-    FlightTrigger, TxnOptions, TxnPhase, WaitPoint,
+    FlightTrigger, TxnOptions, TxnPhase, WaitPoint, WriteSet,
 };
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::shard::ObjectSet;
@@ -42,10 +42,8 @@ pub struct TplTxn {
     token: u64,
     /// Every object this transaction holds a lock on.
     locked: ObjectSet,
-    /// Objects with an installed pending (φ) version.
-    written: Vec<ObjectId>,
-    /// Write values (last per object), buffered for the commit log.
-    writes: Vec<(ObjectId, Value)>,
+    /// Writes, each also staged in the store as a φ version by `token`.
+    writes: WriteSet,
     /// Deadline budget, when begun with one: every lock wait is bounded
     /// by the remaining budget, never just the configured timeout.
     deadline: Option<Deadline>,
@@ -197,7 +195,7 @@ impl TwoPhaseLocking {
                             obj.get()
                         ),
                         waits_for: Some(self.locks.waits_for_snapshot()),
-                        vc: Some(ctx.vc.view()),
+                        vc: Some(ctx.vc_view()),
                         // Joins this post-mortem to the victim's span tree
                         // when the victim is being traced.
                         trace_id: mvcc_core::obs::trace::current_trace_id(),
@@ -245,18 +243,12 @@ impl TwoPhaseLocking {
         }
     }
 
-    fn cleanup(&self, ctx: &CcContext, txn: &TplTxn) {
-        for &obj in &txn.written {
-            ctx.store.with(obj, |c| {
-                c.discard_pending(TxnId(txn.token));
-            });
-            ctx.store.notify(obj);
-        }
+    /// Clear locks: release every lock `txn` holds.
+    fn release(&self, ctx: &CcContext, txn: &TplTxn) {
         self.locks.release_all(txn.token, txn.locked.iter());
         if let Some(attr) = ctx.obs.attr() {
             attr.blame().clear_phase(txn.token);
         }
-        self.flush_attr(ctx, txn);
     }
 }
 
@@ -276,8 +268,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
         Ok(TplTxn {
             token,
             locked: ObjectSet::default(),
-            written: Vec::new(),
-            writes: Vec::new(),
+            writes: WriteSet::staged(TxnId(token)),
             deadline: None,
             pending_attr: Vec::new(),
         })
@@ -337,13 +328,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
         ctx.store.with(obj, |c| {
             c.install_pending(PendingVersion::phi(TxnId(txn.token), value.clone()))
         });
-        if !txn.written.contains(&obj) {
-            txn.written.push(obj);
-        }
-        match txn.writes.iter_mut().find(|(o, _)| *o == obj) {
-            Some(slot) => slot.1 = value,
-            None => txn.writes.push((obj, value)),
-        }
+        txn.writes.put(obj, value);
         Ok(())
     }
 
@@ -352,67 +337,22 @@ impl ConcurrencyControl for TwoPhaseLocking {
             attr.blame().set_phase(txn.token, TxnPhase::Commit);
         }
         // end(T): the lock point — every lock is held. Serial order fixed.
-        let tn = ctx.vc.register();
-        ctx.metrics
-            .vc_register_calls
-            .fetch_add(1, Ordering::Relaxed);
-        // Claim the entry before applying updates (reaper discipline).
-        // Registration and commit are back-to-back here, so losing the
-        // claim needs the reaper to fire within that window — possible
-        // only under a pathological TTL, but handled all the same.
-        if !ctx.vc.start_complete(tn) {
-            self.cleanup(ctx, &txn);
-            return Err(DbError::Aborted(AbortReason::Reaped));
-        }
-
-        // Durability point: the commit record must be in the log before
-        // any update is applied (write-before-visible). On failure the
-        // transaction aborts cleanly — nothing has touched the store.
-        if let Err(e) = ctx.log_commit(tn, &txn.writes) {
-            self.cleanup(ctx, &txn);
-            ctx.vc.discard(tn);
-            ctx.metrics.vc_discard_calls.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-
-        // perform database updates with version number tn(T)
-        for &obj in &txn.written {
-            let res = ctx
-                .store
-                .with(obj, |c| c.promote_pending(TxnId(txn.token), Some(tn)));
-            if let Err(e) = res {
-                // Invariant violation: nobody else can touch a pending
-                // version under an exclusive lock.
-                self.cleanup(ctx, &txn);
-                ctx.vc.discard(tn);
-                ctx.metrics.vc_discard_calls.fetch_add(1, Ordering::Relaxed);
-                return Err(DbError::Internal(format!("2PL promote: {e}")));
-            }
-            ctx.store.notify(obj);
-        }
-
-        // clear locks
-        self.locks.release_all(txn.token, txn.locked.iter());
-        if let Some(attr) = ctx.obs.attr() {
-            attr.blame().clear_phase(txn.token);
-        }
-
-        // VCcomplete(T)
-        ctx.vc.complete(tn);
-        ctx.metrics
-            .vc_complete_calls
-            .fetch_add(1, Ordering::Relaxed);
-        // Locks are gone and the commit is published: the deferred
+        let tn = ctx.register();
+        // Stamp the φ versions with tn(T), clear locks, VCcomplete(T).
+        let res = ctx.end(tn, &txn.writes, || self.release(ctx, &txn));
+        // Locks are gone and the outcome is published: the deferred
         // attribution samples can no longer perturb anyone's waits.
         self.flush_attr(ctx, &txn);
-        Ok(tn)
+        res
     }
 
     fn abort(&self, ctx: &CcContext, txn: TplTxn) {
         // Never registered (aborts happen before the lock point), so no
         // VCdiscard — exactly the paper's point about deadlocks being
         // invisible to version control.
-        self.cleanup(ctx, &txn);
+        ctx.discard(None, &txn.writes);
+        self.release(ctx, &txn);
+        self.flush_attr(ctx, &txn);
     }
 
     fn txn_obs_id(&self, txn: &TplTxn) -> u64 {

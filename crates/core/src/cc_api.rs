@@ -3,42 +3,100 @@
 //!
 //! A [`ConcurrencyControl`] implementation owns *only* conflict
 //! bookkeeping for read-write transactions — locks, timestamps, or
-//! validation state. Version control and storage belong to the engine and
-//! are handed to the protocol through [`CcContext`]. The contract mirrors
-//! Section 4:
+//! validation state. Version control, the commit log and version
+//! installation belong to the engine. A protocol reaches them through
+//! three calls on [`CcContext`], and through nothing else:
 //!
-//! * The protocol serializes read-write transactions and calls
-//!   [`CcContext::vc`]`.register()` **exactly once**, at the moment the
-//!   transaction's serial position is fixed: at `begin` for timestamp
-//!   ordering, at the lock point (`commit` entry) for two-phase locking,
-//!   at validation for optimistic schemes.
-//! * Versions written must be stamped with the registered transaction
-//!   number, so version order equals transaction-number order.
-//! * On commit, database updates are applied **before**
-//!   `vc.complete(tn)`; on abort, pendings are discarded and, if the
-//!   transaction was registered, `vc.discard(tn)` is called.
-//! * The protocol never sees read-only transactions at all.
+//! | call | paper | when the protocol makes it |
+//! |---|---|---|
+//! | [`register`](CcContext::register) | `VCregister(T)` | exactly once, when the serial position is fixed: at `begin` for timestamp ordering, at the lock point (`commit` entry) for two-phase locking, inside validation for optimistic schemes |
+//! | [`end`](CcContext::end) | `end(T)` | at commit, with the registered number |
+//! | [`discard`](CcContext::discard) | abort + `VCdiscard(T)` | on abort |
+//!
+//! `end(T)` is written once, in [`CcContext::end`], for every protocol:
+//! claim the version-control entry, append the commit record to the log,
+//! install every write as a committed version numbered `tn(T)` (so
+//! version order equals transaction-number order), let the protocol
+//! release what it holds, then `VCcomplete(T)`. A transaction's writes
+//! travel in a [`WriteSet`], which also records whether the protocol
+//! staged them in the store as pending versions or buffered them.
+//!
+//! The protocol never sees read-only transactions at all.
 
 use crate::config::DbConfig;
 use crate::durability::CommitLog;
 use crate::error::{AbortReason, DbError};
 use crate::fault::FaultInjector;
 use crate::metrics::Metrics;
-use crate::obs::{EventKind, Obs};
+use crate::obs::{EventKind, Obs, VcView};
 use crate::pressure::{AdmissionController, TxnOptions};
 use crate::vc::VersionControl;
-use mvcc_model::ObjectId;
+use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::{MvStore, Value};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Everything a protocol needs from the engine: storage, version control,
-/// configuration, counters.
+/// A read-write transaction's writes: the last value per object, in
+/// first-write order. [`CcContext::end`] logs and installs them;
+/// [`CcContext::discard`] drops whatever the protocol staged for them.
+pub struct WriteSet {
+    /// Writer id of the pending versions the protocol staged in the
+    /// store for these writes; `None` when they exist only here.
+    staged_by: Option<TxnId>,
+    writes: Vec<(ObjectId, Value)>,
+}
+
+impl WriteSet {
+    /// Writes the protocol also stages in the store as pending versions
+    /// by `writer`: two-phase locking's φ versions, timestamp ordering's
+    /// reserved versions. `end` promotes them, `discard` drops them.
+    pub fn staged(writer: TxnId) -> Self {
+        WriteSet {
+            staged_by: Some(writer),
+            writes: Vec::new(),
+        }
+    }
+
+    /// Writes buffered only here until `end` inserts them (the write
+    /// phase of optimistic schemes).
+    pub fn buffered() -> Self {
+        WriteSet {
+            staged_by: None,
+            writes: Vec::new(),
+        }
+    }
+
+    /// Record `value` as the write of `obj`, replacing an earlier one.
+    pub fn put(&mut self, obj: ObjectId, value: Value) {
+        match self.writes.iter_mut().find(|(o, _)| *o == obj) {
+            Some(slot) => slot.1 = value,
+            None => self.writes.push((obj, value)),
+        }
+    }
+
+    /// This transaction's write of `obj`, if any.
+    pub fn get(&self, obj: ObjectId) -> Option<&Value> {
+        self.writes.iter().find(|(o, _)| *o == obj).map(|(_, v)| v)
+    }
+
+    /// The writes, in first-write order.
+    pub(crate) fn as_slice(&self) -> &[(ObjectId, Value)] {
+        &self.writes
+    }
+}
+
+/// Everything a protocol needs from the engine: storage, configuration,
+/// counters, and the version-control seam.
 #[derive(Clone)]
 pub struct CcContext {
-    /// The multiversion store.
+    /// The multiversion store. Protocols read it and stage pending
+    /// versions in it; committed versions are installed only by
+    /// [`end`](Self::end).
     pub store: Arc<MvStore>,
-    /// The version-control module (Figure 1).
-    pub vc: Arc<VersionControl>,
+    /// The version-control module (Figure 1), reached by protocols only
+    /// through [`register`](Self::register), [`end`](Self::end) and
+    /// [`discard`](Self::discard).
+    pub(crate) vc: Arc<VersionControl>,
     /// Engine configuration.
     pub config: Arc<DbConfig>,
     /// Shared counters.
@@ -48,9 +106,9 @@ pub struct CcContext {
     /// The write-ahead log, if this engine is durable
     /// (see [`crate::MvDatabase::with_wal`]). `None` costs nothing on
     /// the commit path.
-    pub wal: Option<Arc<CommitLog>>,
+    pub(crate) wal: Option<Arc<CommitLog>>,
     /// Observability hub (events, phase latencies, flight recorder).
-    /// Shared with [`Self::vc`]; disabled unless configured.
+    /// Shared with version control; disabled unless configured.
     pub obs: Arc<Obs>,
     /// Admission controller (overload gate, degradation ladder). Costs
     /// one relaxed load per begin when disabled (the default).
@@ -115,16 +173,117 @@ impl CcContext {
         }
     }
 
-    /// Append `tn`'s writeset to the write-ahead log, if one is attached.
+    /// `VCregister(T)`: assign the transaction its number and enqueue it.
+    /// Call exactly once per transaction, at the moment its serial
+    /// position is fixed; numbers increase in the real-time order of the
+    /// calls, so a transaction registered after its conflicts is ordered
+    /// after them.
+    pub fn register(&self) -> u64 {
+        let tn = self.vc.register();
+        self.metrics
+            .vc_register_calls
+            .fetch_add(1, Ordering::Relaxed);
+        tn
+    }
+
+    /// `end(T)` for the transaction registered as `tn`, the same for every
+    /// protocol (paper Figures 3 and 4: "perform database updates with
+    /// version number tn(T); clear locks; VCcomplete(T)"):
     ///
-    /// Protocols call this **after** the `start_complete` claim (the
-    /// transaction number is final and the entry cannot be reaped out
-    /// from under us) and **before** applying updates to the store —
-    /// write-before-visible, the rule the whole recovery argument rests
-    /// on (see `crate::durability`). On failure the caller must unwind
-    /// exactly like a protocol abort: nothing has been applied yet, and
-    /// the claimed entry is released with `vc.discard(tn)`.
-    pub fn log_commit(&self, tn: u64, writes: &[(ObjectId, Value)]) -> Result<(), DbError> {
+    /// 1. claim the entry, which fences it against the stall reaper (§8
+    ///    of DESIGN.md); an entry the reaper already discarded aborts with
+    ///    [`AbortReason::Reaped`];
+    /// 2. append the commit record to the log, if one is attached, before
+    ///    anything is applied (write-before-visible, see
+    ///    [`crate::durability`]); a failed append aborts with
+    ///    [`AbortReason::LogFailed`];
+    /// 3. install each write as a committed version numbered `tn`, waking
+    ///    waiters on its chain;
+    /// 4. `release()`: the protocol frees what it holds (locks, its
+    ///    validation section);
+    /// 5. `VCcomplete(tn)`.
+    ///
+    /// On `Err` nothing became visible: staged versions are dropped,
+    /// `release` has run, and the entry is discarded (unless the reaper
+    /// already did). `release` runs exactly once on every path, so the
+    /// caller's only remaining duty is to return the error.
+    pub fn end(&self, tn: u64, writes: &WriteSet, release: impl FnOnce()) -> Result<u64, DbError> {
+        if !self.vc.start_complete(tn) {
+            self.unstage(writes);
+            release();
+            return Err(DbError::Aborted(AbortReason::Reaped));
+        }
+        if let Err(e) = self
+            .log(tn, writes.as_slice())
+            .and_then(|()| self.install(tn, writes))
+        {
+            self.unstage(writes);
+            release();
+            self.vc_discard(tn);
+            return Err(e);
+        }
+        release();
+        self.vc.complete(tn);
+        self.metrics
+            .vc_complete_calls
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(tn)
+    }
+
+    /// Abort: drop the versions staged for `writes` and, if the
+    /// transaction was registered as `tn`, `VCdiscard(tn)`. The protocol
+    /// releases its own resources after this returns.
+    pub fn discard(&self, tn: Option<u64>, writes: &WriteSet) {
+        self.unstage(writes);
+        if let Some(tn) = tn {
+            self.vc_discard(tn);
+        }
+    }
+
+    /// One-shot snapshot of version-control state, for flight-recorder
+    /// dumps.
+    pub fn vc_view(&self) -> VcView {
+        self.vc.view()
+    }
+
+    fn vc_discard(&self, tn: u64) {
+        self.vc.discard(tn);
+        self.metrics
+            .vc_discard_calls
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Make every write a committed version numbered `tn`.
+    fn install(&self, tn: u64, writes: &WriteSet) -> Result<(), DbError> {
+        for (obj, value) in writes.as_slice() {
+            let res = self.store.with(*obj, |c| match writes.staged_by {
+                Some(writer) => c.promote_pending(writer, Some(tn)).map(drop),
+                None => c.insert_committed(tn, value.clone()),
+            });
+            // Unreachable while the protocol is correct: its staged
+            // version is its own, and `tn` is fresh.
+            res.map_err(|e| DbError::Internal(format!("installing tn {tn}: {e}")))?;
+            self.store.notify(*obj);
+        }
+        Ok(())
+    }
+
+    /// Drop the pending versions staged for `writes`, waking anyone
+    /// blocked behind them.
+    fn unstage(&self, writes: &WriteSet) {
+        let Some(writer) = writes.staged_by else {
+            return;
+        };
+        for (obj, _) in writes.as_slice() {
+            self.store.with(*obj, |c| {
+                c.discard_pending(writer);
+            });
+            self.store.notify(*obj);
+        }
+    }
+
+    /// Append `tn`'s writeset to the write-ahead log, if one is attached.
+    fn log(&self, tn: u64, writes: &[(ObjectId, Value)]) -> Result<(), DbError> {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
@@ -159,6 +318,15 @@ impl CcContext {
 /// Implementations in `mvcc-cc`: strict two-phase locking (Figure 4),
 /// timestamp ordering (Figure 3), and backward-validation optimistic
 /// concurrency control (references \[1, 2\] of the paper).
+///
+/// Version control is out of a protocol's reach except through the
+/// [`CcContext`] seam:
+///
+/// ```compile_fail
+/// fn bypass(ctx: &mvcc_core::CcContext) -> u64 {
+///     ctx.vc.register()
+/// }
+/// ```
 pub trait ConcurrencyControl: Send + Sync + 'static {
     /// Per-transaction protocol state (lock set, read/write sets, …).
     type Txn: Send;
@@ -208,8 +376,9 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
         self.read(ctx, txn, obj)
     }
 
-    /// `write(x)`: perform the protocol's synchronization and stage the
-    /// new version (pending in the chain or buffered in `txn`). The same
+    /// `write(x)`: perform the protocol's synchronization and record the
+    /// new value in the transaction's [`WriteSet`] (staging a pending
+    /// version in the store first, if the protocol stages). The same
     /// `Err` contract as [`read`](Self::read) applies.
     fn write(
         &self,
@@ -220,15 +389,15 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
     ) -> Result<(), DbError>;
 
     /// `end(T)` + `commit(T)`: fix the serial order if not yet fixed
-    /// (2PL/OCC register here), apply database updates, release protocol
-    /// resources, then `vc.complete(tn)`. Returns the transaction number.
+    /// (2PL/OCC register here), then hand the write set to
+    /// [`CcContext::end`]. Returns the transaction number.
     ///
     /// On `Err`, the implementation must have fully cleaned up (as if
     /// [`abort`](Self::abort) ran).
     fn commit(&self, ctx: &CcContext, txn: Self::Txn) -> Result<u64, DbError>;
 
-    /// `abort(T)`: discard pendings, release protocol resources,
-    /// `vc.discard(tn)` if registered.
+    /// `abort(T)`: [`CcContext::discard`] the write set (and the
+    /// registration, if any), then release protocol resources.
     fn abort(&self, ctx: &CcContext, txn: Self::Txn);
 
     // ---- observability hooks (all optional) ------------------------------
@@ -252,5 +421,224 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
     /// (e.g. locked objects, occupied lock shards, adaptive mode).
     fn gauges(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
+    }
+}
+
+/// The smallest protocol that plugs into the seam, for the engine's own
+/// single-threaded tests (the real protocols live in `mvcc-cc`, which
+/// depends on this crate).
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{CcContext, ConcurrencyControl, WriteSet};
+    use crate::error::DbError;
+    use mvcc_model::ObjectId;
+    use mvcc_storage::Value;
+
+    /// Registers at begin, reads the latest committed version, buffers
+    /// writes. Correct only without concurrency.
+    pub(crate) struct SerialCc;
+
+    pub(crate) struct SerialTxn {
+        tn: u64,
+        writes: WriteSet,
+    }
+
+    impl ConcurrencyControl for SerialCc {
+        type Txn = SerialTxn;
+
+        fn name(&self) -> &'static str {
+            "serial"
+        }
+
+        fn begin(&self, ctx: &CcContext) -> Result<SerialTxn, DbError> {
+            Ok(SerialTxn {
+                tn: ctx.register(),
+                writes: WriteSet::buffered(),
+            })
+        }
+
+        fn read(
+            &self,
+            ctx: &CcContext,
+            txn: &mut SerialTxn,
+            obj: ObjectId,
+        ) -> Result<(u64, Value), DbError> {
+            match txn.writes.get(obj) {
+                Some(v) => Ok((u64::MAX, v.clone())),
+                None => Ok(ctx.store.read_latest(obj)),
+            }
+        }
+
+        fn write(
+            &self,
+            _ctx: &CcContext,
+            txn: &mut SerialTxn,
+            obj: ObjectId,
+            value: Value,
+        ) -> Result<(), DbError> {
+            txn.writes.put(obj, value);
+            Ok(())
+        }
+
+        fn commit(&self, ctx: &CcContext, txn: SerialTxn) -> Result<u64, DbError> {
+            ctx.end(txn.tn, &txn.writes, || ())
+        }
+
+        fn abort(&self, ctx: &CcContext, txn: SerialTxn) {
+            ctx.discard(Some(txn.tn), &txn.writes);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::SimClock;
+    use crate::fault::{FaultConfig, FaultyFile};
+    use mvcc_storage::wal::{FsyncPolicy, MemWal, WalWriter};
+    use mvcc_storage::PendingVersion;
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    fn obj(n: u64) -> ObjectId {
+        ObjectId(n)
+    }
+
+    fn v(n: u64) -> Value {
+        Value::from_u64(n)
+    }
+
+    /// A context whose every log append fails, as on a full disk.
+    fn full_disk_ctx() -> CcContext {
+        let mut ctx = CcContext::new(DbConfig::default().with_fault(FaultConfig {
+            wal_disk_full: 1.0,
+            ..Default::default()
+        }));
+        let (sink, arm) = FaultyFile::gated(MemWal::new(), Arc::clone(&ctx.faults));
+        let writer = WalWriter::create(Box::new(sink), FsyncPolicy::Always).unwrap();
+        arm.store(true, Ordering::Relaxed);
+        ctx.wal = Some(Arc::new(CommitLog::new(writer, Arc::clone(&ctx.metrics))));
+        ctx
+    }
+
+    /// Stage `value` for `obj` the way two-phase locking does (a φ
+    /// version by `writer`) and record it in `ws`.
+    fn stage(ctx: &CcContext, ws: &mut WriteSet, writer: TxnId, o: ObjectId, value: Value) {
+        ctx.store.with(o, |c| {
+            c.install_pending(PendingVersion::phi(writer, value.clone()))
+        });
+        ws.put(o, value);
+    }
+
+    fn pending(ctx: &CcContext, o: ObjectId) -> usize {
+        ctx.store.with(o, |c| c.pending_len())
+    }
+
+    /// `register == complete + discard`, and each call counted once.
+    fn assert_counts(ctx: &CcContext, register: u64, complete: u64, discard: u64) {
+        let m = ctx.metrics.snapshot();
+        assert_eq!(
+            (m.vc_register_calls, m.vc_complete_calls, m.vc_discard_calls),
+            (register, complete, discard)
+        );
+    }
+
+    #[test]
+    fn write_set_keeps_last_value_in_first_write_order() {
+        let mut ws = WriteSet::buffered();
+        ws.put(obj(2), v(1));
+        ws.put(obj(1), v(2));
+        ws.put(obj(2), v(3));
+        assert_eq!(ws.as_slice(), &[(obj(2), v(3)), (obj(1), v(2))]);
+        assert_eq!(ws.get(obj(2)), Some(&v(3)));
+        assert_eq!(ws.get(obj(3)), None);
+    }
+
+    #[test]
+    fn end_inserts_buffered_writes_then_completes() {
+        let ctx = CcContext::new(DbConfig::default());
+        let tn = ctx.register();
+        let mut ws = WriteSet::buffered();
+        ws.put(obj(0), v(7));
+        ws.put(obj(1), v(8));
+        let released = Cell::new(0);
+        // Release comes after the versions are installed, before
+        // VCcomplete makes them visible.
+        let res = ctx.end(tn, &ws, || {
+            assert_eq!(ctx.store.read_latest(obj(1)), (tn, v(8)));
+            assert_eq!(ctx.vc.vtnc(), 0);
+            released.set(released.get() + 1);
+        });
+        assert_eq!(res, Ok(tn));
+        assert_eq!(released.get(), 1);
+        assert_eq!(ctx.store.read_latest(obj(0)), (tn, v(7)));
+        assert_eq!(ctx.vc.vtnc(), tn);
+        assert_counts(&ctx, 1, 1, 0);
+    }
+
+    #[test]
+    fn end_promotes_staged_versions_with_the_registered_number() {
+        let ctx = CcContext::new(DbConfig::default());
+        let mut ws = WriteSet::staged(TxnId(41));
+        stage(&ctx, &mut ws, TxnId(41), obj(0), v(5));
+        stage(&ctx, &mut ws, TxnId(41), obj(0), v(6)); // rewrite
+        let tn = ctx.register();
+        assert_eq!(ctx.end(tn, &ws, || ()), Ok(tn));
+        assert_eq!(ctx.store.read_latest(obj(0)), (tn, v(6)));
+        assert_eq!(pending(&ctx, obj(0)), 0);
+        assert_counts(&ctx, 1, 1, 0);
+    }
+
+    #[test]
+    fn failed_log_unstages_releases_and_discards() {
+        let ctx = full_disk_ctx();
+        let mut ws = WriteSet::staged(TxnId(9));
+        stage(&ctx, &mut ws, TxnId(9), obj(0), v(1));
+        let tn = ctx.register();
+        let released = Cell::new(0);
+        let res = ctx.end(tn, &ws, || released.set(released.get() + 1));
+        assert_eq!(res, Err(DbError::Aborted(AbortReason::LogFailed)));
+        assert_eq!(released.get(), 1);
+        assert_eq!(pending(&ctx, obj(0)), 0);
+        assert_eq!(ctx.store.read_latest(obj(0)).0, 0);
+        // The claimed entry is gone: a later commit becomes visible.
+        assert_eq!(ctx.vc.queue_len(), 0);
+        assert_counts(&ctx, 1, 0, 1);
+    }
+
+    #[test]
+    fn reaped_entry_aborts_without_a_second_discard() {
+        let clock = SimClock::new();
+        let ctx = CcContext::new(
+            DbConfig::default()
+                .with_clock(clock.clone())
+                .with_register_ttl(Duration::from_millis(1)),
+        );
+        let mut ws = WriteSet::staged(TxnId(3));
+        stage(&ctx, &mut ws, TxnId(3), obj(0), v(1));
+        let tn = ctx.register();
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(ctx.vc.reap(), vec![tn]);
+        let released = Cell::new(0);
+        let res = ctx.end(tn, &ws, || released.set(released.get() + 1));
+        assert_eq!(res, Err(DbError::Aborted(AbortReason::Reaped)));
+        assert_eq!(released.get(), 1);
+        assert_eq!(pending(&ctx, obj(0)), 0);
+        assert_eq!(ctx.store.read_latest(obj(0)).0, 0);
+        assert_counts(&ctx, 1, 0, 0);
+    }
+
+    #[test]
+    fn discard_unstages_and_discards_only_a_registered_number() {
+        let ctx = CcContext::new(DbConfig::default());
+        let mut ws = WriteSet::staged(TxnId(5));
+        stage(&ctx, &mut ws, TxnId(5), obj(0), v(1));
+        ctx.discard(None, &ws);
+        assert_eq!(pending(&ctx, obj(0)), 0);
+        assert_counts(&ctx, 0, 0, 0);
+        let tn = ctx.register();
+        ctx.discard(Some(tn), &WriteSet::buffered());
+        assert_eq!(ctx.vc.queue_len(), 0);
+        assert_counts(&ctx, 1, 0, 1);
     }
 }

@@ -125,65 +125,13 @@ impl<'db, C: ConcurrencyControl> Session<'db, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc_api::testing::SerialCc;
     use crate::db::MvDatabase;
     use crate::error::DbError;
     use mvcc_storage::Value;
 
-    // Minimal single-threaded protocol for exercising the currency paths
-    // without pulling in mvcc-cc (a dev-dependency cycle).
-    struct MiniCc;
-    struct MiniTxn {
-        tn: u64,
-        writes: Vec<(ObjectId, Value)>,
-    }
-    impl ConcurrencyControl for MiniCc {
-        type Txn = MiniTxn;
-        fn name(&self) -> &'static str {
-            "mini"
-        }
-        fn begin(&self, ctx: &crate::cc_api::CcContext) -> Result<MiniTxn, DbError> {
-            Ok(MiniTxn {
-                tn: ctx.vc.register(),
-                writes: Vec::new(),
-            })
-        }
-        fn read(
-            &self,
-            ctx: &crate::cc_api::CcContext,
-            txn: &mut MiniTxn,
-            obj: ObjectId,
-        ) -> Result<(u64, Value), DbError> {
-            if let Some((_, v)) = txn.writes.iter().rev().find(|(o, _)| *o == obj) {
-                return Ok((u64::MAX, v.clone()));
-            }
-            Ok(ctx.store.read_latest(obj))
-        }
-        fn write(
-            &self,
-            _ctx: &crate::cc_api::CcContext,
-            txn: &mut MiniTxn,
-            obj: ObjectId,
-            value: Value,
-        ) -> Result<(), DbError> {
-            txn.writes.push((obj, value));
-            Ok(())
-        }
-        fn commit(&self, ctx: &crate::cc_api::CcContext, txn: MiniTxn) -> Result<u64, DbError> {
-            for (obj, v) in &txn.writes {
-                ctx.store
-                    .with(*obj, |c| c.insert_committed(txn.tn, v.clone()))
-                    .map_err(|e| DbError::Internal(e.to_string()))?;
-            }
-            ctx.vc.complete(txn.tn);
-            Ok(txn.tn)
-        }
-        fn abort(&self, ctx: &crate::cc_api::CcContext, txn: MiniTxn) {
-            ctx.vc.discard(txn.tn);
-        }
-    }
-
-    fn db() -> MvDatabase<MiniCc> {
-        MvDatabase::new(MiniCc)
+    fn db() -> MvDatabase<SerialCc> {
+        MvDatabase::new(SerialCc)
     }
 
     #[test]

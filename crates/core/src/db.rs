@@ -836,83 +836,13 @@ mod tests {
     // in the workspace integration tests; here we only verify the
     // protocol-independent pieces using a trivial no-conflict protocol.
     use super::*;
-    use crate::cc_api::ConcurrencyControl;
+    use crate::cc_api::testing::SerialCc;
     use crate::error::DbError;
     use mvcc_model::mvsg;
     use mvcc_storage::Value;
 
-    /// A deliberately naive protocol for testing the engine plumbing in
-    /// single-threaded tests: registers at begin, reads the latest
-    /// committed version, buffers writes. Correct only without
-    /// concurrency; the real protocols live in `mvcc-cc`.
-    struct SerialCc;
-
-    struct SerialTxn {
-        tn: u64,
-        writes: Vec<(ObjectId, Value)>,
-    }
-
-    impl SerialCc {
-        fn new() -> Self {
-            SerialCc
-        }
-    }
-
-    impl ConcurrencyControl for SerialCc {
-        type Txn = SerialTxn;
-
-        fn name(&self) -> &'static str {
-            "serial"
-        }
-
-        fn begin(&self, ctx: &CcContext) -> Result<SerialTxn, DbError> {
-            Ok(SerialTxn {
-                tn: ctx.vc.register(),
-                writes: Vec::new(),
-            })
-        }
-
-        fn read(
-            &self,
-            ctx: &CcContext,
-            txn: &mut SerialTxn,
-            obj: ObjectId,
-        ) -> Result<(u64, Value), DbError> {
-            if let Some((_, v)) = txn.writes.iter().rev().find(|(o, _)| *o == obj) {
-                return Ok((u64::MAX, v.clone()));
-            }
-            Ok(ctx.store.read_latest(obj))
-        }
-
-        fn write(
-            &self,
-            _ctx: &CcContext,
-            txn: &mut SerialTxn,
-            obj: ObjectId,
-            value: Value,
-        ) -> Result<(), DbError> {
-            txn.writes.push((obj, value));
-            Ok(())
-        }
-
-        fn commit(&self, ctx: &CcContext, txn: SerialTxn) -> Result<u64, DbError> {
-            for (obj, value) in &txn.writes {
-                ctx.store.with(*obj, |c| {
-                    c.insert_committed(txn.tn, value.clone())
-                        .map_err(|e| DbError::Internal(format!("serial commit: {e}")))
-                })?;
-            }
-            ctx.vc.complete(txn.tn);
-            Ok(txn.tn)
-        }
-
-        fn abort(&self, ctx: &CcContext, txn: SerialTxn) {
-            ctx.vc.discard(txn.tn);
-        }
-    }
-
     fn db() -> MvDatabase<SerialCc> {
-        MvDatabase::with_config(SerialCc::new(), DbConfig::traced())
+        MvDatabase::with_config(SerialCc, DbConfig::traced())
     }
 
     #[test]
@@ -1087,7 +1017,7 @@ mod tests {
 
     #[test]
     fn gc_pass_emits_prune_event() {
-        let db = MvDatabase::with_config(SerialCc::new(), DbConfig::default().with_events());
+        let db = MvDatabase::with_config(SerialCc, DbConfig::default().with_events());
         for v in 1..=5u64 {
             db.run_rw(1, |t| t.write(ObjectId(1), Value::from_u64(v)))
                 .unwrap();
@@ -1108,7 +1038,7 @@ mod tests {
         use crate::pressure::PressureConfig;
         let cfg = DbConfig::default()
             .with_pressure(PressureConfig::enabled().with_byte_watermarks(8, 16));
-        let db = MvDatabase::with_config(SerialCc::new(), cfg);
+        let db = MvDatabase::with_config(SerialCc, cfg);
         // Six seeded 8-byte versions put live bytes at 48 ≥ 2×16 → the
         // RejectRo rung (seeding bypasses the gate we are about to trip).
         for i in 0..6u64 {
@@ -1146,10 +1076,7 @@ mod tests {
         use crate::clock::SimClock;
         use crate::pressure::TxnOptions;
         let clock = SimClock::new();
-        let db = MvDatabase::with_config(
-            SerialCc::new(),
-            DbConfig::default().with_clock(clock.clone()),
-        );
+        let db = MvDatabase::with_config(SerialCc, DbConfig::default().with_clock(clock.clone()));
         let policy = RetryPolicy {
             max_attempts: 10,
             base_backoff: Duration::from_millis(10),

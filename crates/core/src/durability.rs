@@ -2,9 +2,9 @@
 //!
 //! The storage crate owns the WAL *format* ([`mvcc_storage::wal`]); this
 //! module owns its *integration with the commit protocol*. The single
-//! load-bearing rule, enforced by where [`CcContext::log_commit`]
-//! (`crate::cc_api::CcContext::log_commit`) is called inside every
-//! protocol's commit:
+//! load-bearing rule, enforced by where
+//! [`CcContext::end`](crate::cc_api::CcContext::end) — the one `end(T)`
+//! every protocol commits through — appends to the log:
 //!
 //! > A transaction's commit record is appended (and, under
 //! > `FsyncPolicy::Always`, synced) **after** its `start_complete` claim
@@ -21,7 +21,7 @@
 //!   dependencies, i.e. transaction-consistent.
 //! * A WAL append failure can still abort the transaction cleanly
 //!   (`AbortReason::LogFailed`): no update has touched the store, and
-//!   the claimed queue entry is released with `vc.discard(tn)`.
+//!   the claimed queue entry is released with `VCdiscard(tn)`.
 //!
 //! [`CommitLog`] is the shared handle: one mutex serializes appenders,
 //! which also makes file order well-defined. [`RecoveryStats`] reports

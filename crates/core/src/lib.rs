@@ -24,7 +24,9 @@
 //! * [`vc`], [`vcqueue`] — Figure 1, verbatim semantics, thread-safe.
 //! * [`cc_api`] — the [`ConcurrencyControl`]
 //!   trait: the uniform interface any conflict-based protocol implements
-//!   (two-phase locking, timestamp ordering, optimistic — see `mvcc-cc`).
+//!   (two-phase locking, timestamp ordering, optimistic — see `mvcc-cc`),
+//!   and the [`CcContext`] seam through which a protocol registers, ends
+//!   and discards its transactions; `end(T)` is written once, there.
 //! * [`db`], [`txn`] — the [`MvDatabase`] engine and
 //!   transaction handles; the read-only path is Figure 2 and never touches
 //!   the concurrency-control object.
@@ -57,7 +59,7 @@ pub mod txn;
 pub mod vc;
 pub mod vcqueue;
 
-pub use cc_api::{CcContext, ConcurrencyControl};
+pub use cc_api::{CcContext, ConcurrencyControl, WriteSet};
 pub use clock::{Clock, RealClock, SharedClock, SharedRng, SimClock, SimRng, SplitMixRng};
 pub use config::DbConfig;
 pub use currency::{CurrencyMode, Session};
@@ -83,7 +85,7 @@ pub use vc::VersionControl;
 
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {
-    pub use crate::cc_api::{CcContext, ConcurrencyControl};
+    pub use crate::cc_api::{CcContext, ConcurrencyControl, WriteSet};
     pub use crate::clock::{Clock, RealClock, SimClock, SimRng, SplitMixRng};
     pub use crate::config::DbConfig;
     pub use crate::currency::{CurrencyMode, Session};

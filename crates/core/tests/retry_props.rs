@@ -17,7 +17,7 @@
 //!   stops retrying the moment the next backoff would not fit — its
 //!   virtual sleeping always totals strictly less than the budget.
 
-use mvcc_core::cc_api::{CcContext, ConcurrencyControl};
+use mvcc_core::cc_api::{CcContext, ConcurrencyControl, WriteSet};
 use mvcc_core::{
     AbortReason, DbConfig, DbError, MvDatabase, RetryPolicy, SimClock, SplitMixRng, TxnOptions,
 };
@@ -34,7 +34,7 @@ struct SerialCc;
 
 struct SerialTxn {
     tn: u64,
-    writes: Vec<(ObjectId, Value)>,
+    writes: WriteSet,
 }
 
 impl ConcurrencyControl for SerialCc {
@@ -46,8 +46,8 @@ impl ConcurrencyControl for SerialCc {
 
     fn begin(&self, ctx: &CcContext) -> Result<SerialTxn, DbError> {
         Ok(SerialTxn {
-            tn: ctx.vc.register(),
-            writes: Vec::new(),
+            tn: ctx.register(),
+            writes: WriteSet::buffered(),
         })
     }
 
@@ -57,19 +57,10 @@ impl ConcurrencyControl for SerialCc {
         txn: &mut SerialTxn,
         obj: ObjectId,
     ) -> Result<(u64, Value), DbError> {
-        if let Some((_, v)) = txn.writes.iter().rev().find(|(o, _)| *o == obj) {
-            return Ok((u64::MAX, v.clone()));
+        match txn.writes.get(obj) {
+            Some(v) => Ok((u64::MAX, v.clone())),
+            None => Ok(ctx.store.read_latest(obj)),
         }
-        Ok(ctx.store.read_latest(obj))
-    }
-
-    fn read_for_update(
-        &self,
-        ctx: &CcContext,
-        txn: &mut SerialTxn,
-        obj: ObjectId,
-    ) -> Result<(u64, Value), DbError> {
-        self.read(ctx, txn, obj)
     }
 
     fn write(
@@ -79,23 +70,16 @@ impl ConcurrencyControl for SerialCc {
         obj: ObjectId,
         value: Value,
     ) -> Result<(), DbError> {
-        txn.writes.push((obj, value));
+        txn.writes.put(obj, value);
         Ok(())
     }
 
     fn commit(&self, ctx: &CcContext, txn: SerialTxn) -> Result<u64, DbError> {
-        for (obj, value) in &txn.writes {
-            ctx.store.with(*obj, |c| {
-                c.insert_committed(txn.tn, value.clone())
-                    .map_err(|e| DbError::Internal(format!("serial commit: {e}")))
-            })?;
-        }
-        ctx.vc.complete(txn.tn);
-        Ok(txn.tn)
+        ctx.end(txn.tn, &txn.writes, || ())
     }
 
     fn abort(&self, ctx: &CcContext, txn: SerialTxn) {
-        ctx.vc.discard(txn.tn);
+        ctx.discard(Some(txn.tn), &txn.writes);
     }
 }
 
