@@ -1,6 +1,10 @@
 //! E4 — Figure 4: "Execution of Local Read-write Transactions in
 //! Two-phase Locking", reproduced from traced runs: `sn(T) = ∞`, version
-//! φ for writes, registration at the lock point, stamping at commit.
+//! φ for writes, registration at the lock point, numbering at commit.
+//!
+//! Version φ is the transaction's buffered write: under the X lock nobody
+//! else may see it, so it stays out of the store until `end(T)` inserts
+//! it with version number `tn(T)`.
 
 use mvcc_cc::presets;
 use mvcc_core::DbConfig;
@@ -31,12 +35,17 @@ pub(crate) fn run(_fast: bool) -> String {
         format!("r-lock(x); return x_1 with largest version <= ∞ (value {x})"),
     ]);
     t.write(ObjectId(1), Value::from_u64(x + 1)).unwrap();
-    // The pending version is φ: no number yet, invisible to snapshots.
+    // y_φ has no number yet and is invisible before commit: it lives in
+    // T's write buffer, not in the store, yet T reads it back.
     let (latest_y, _) = db.store().read_latest(ObjectId(1));
     assert_eq!(latest_y, 0, "version φ must be invisible before commit");
+    assert_eq!(db.store_stats().pending_versions, 0, "φ is never staged");
+    assert_eq!(t.read_u64(ObjectId(1)).unwrap(), Some(x + 1));
     table.row([
         "write(y)".to_string(),
-        "w-lock(y); create y_φ with version φ (no transaction number yet)".to_string(),
+        "w-lock(y); create y_φ with version φ (no transaction number yet), \
+         buffered in T: invisible to every other reader"
+            .to_string(),
     ]);
     let tn = t.commit().unwrap();
     table.row([
@@ -51,7 +60,7 @@ pub(crate) fn run(_fast: bool) -> String {
     let mut out = table.render();
     let (n, v) = db.store().read_latest(ObjectId(1));
     out.push_str(&format!(
-        "\nobserved: y_φ was stamped as y_{} = {} only at commit; registration \
+        "\nobserved: y_φ became y_{} = {} only at commit; registration \
          happened at the lock point (tnc moved {} -> {}).\n",
         n,
         v.as_u64().unwrap(),

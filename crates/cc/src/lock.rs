@@ -66,6 +66,10 @@ impl std::error::Error for LockError {}
 /// Outcome details of a successful acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Acquired {
+    /// Whether the requester did not hold the object before: `false` for
+    /// a re-entrant grant or an upgrade. A caller that tracks its lock
+    /// set adds the object exactly when this is set.
+    pub fresh: bool,
     /// Whether the requester had to wait for a conflicting holder.
     pub waited: bool,
     /// Whether the shard's table mutex itself was held by another thread
@@ -84,67 +88,74 @@ pub struct Acquired {
     pub waited_ns: u64,
 }
 
+/// The holders of one locked object. Invariant: either any number of
+/// `Shared` holders, or exactly one `Exclusive` one.
+///
+/// The first holder lives inline, so granting a free object allocates
+/// nothing; only a second concurrent `Shared` holder spills to `more`.
 #[derive(Default)]
 struct LockState {
-    /// Current holders. Invariant: either any number of `Shared` entries,
-    /// or exactly one `Exclusive` entry.
-    holders: Vec<(u64, LockMode)>,
+    /// The first holder; `None` only while the object is unlocked.
+    first: Option<(u64, LockMode)>,
+    /// Further holders, all `Shared` beside a `Shared` first.
+    more: Vec<u64>,
 }
 
 impl LockState {
-    /// Try to grant; returns `Err(blockers)` with the tokens standing in
-    /// the way.
-    fn try_grant(&mut self, token: u64, mode: LockMode) -> Result<(), Vec<u64>> {
-        let mine = self.holders.iter().position(|&(t, _)| t == token);
-        match mode {
-            LockMode::Shared => {
-                if mine.is_some() {
-                    return Ok(()); // S or X already held covers S
-                }
-                let blockers: Vec<u64> = self
-                    .holders
-                    .iter()
-                    .filter(|&&(t, m)| t != token && m == LockMode::Exclusive)
-                    .map(|&(t, _)| t)
-                    .collect();
-                if blockers.is_empty() {
-                    self.holders.push((token, LockMode::Shared));
-                    Ok(())
-                } else {
-                    Err(blockers)
-                }
-            }
-            LockMode::Exclusive => {
-                if let Some(i) = mine {
-                    if self.holders[i].1 == LockMode::Exclusive {
-                        return Ok(());
-                    }
-                    // upgrade: need to be the only holder
-                    if self.holders.len() == 1 {
-                        self.holders[i].1 = LockMode::Exclusive;
-                        return Ok(());
-                    }
-                    return Err(self
-                        .holders
-                        .iter()
-                        .filter(|&&(t, _)| t != token)
-                        .map(|&(t, _)| t)
-                        .collect());
-                }
-                if self.holders.is_empty() {
-                    self.holders.push((token, LockMode::Exclusive));
-                    Ok(())
-                } else {
-                    Err(self.holders.iter().map(|&(t, _)| t).collect())
-                }
-            }
+    /// The mode `token` holds, if any.
+    fn mode_of(&self, token: u64) -> Option<LockMode> {
+        match self.first {
+            Some((t, m)) if t == token => Some(m),
+            _ if self.more.contains(&token) => Some(LockMode::Shared),
+            _ => None,
         }
     }
 
+    /// Try to grant: `Ok(true)` for a fresh grant, `Ok(false)` when
+    /// `token` already held the object (a re-entrant grant or an
+    /// upgrade), `Err(blockers)` with the tokens standing in the way.
+    fn try_grant(&mut self, token: u64, mode: LockMode) -> Result<bool, Vec<u64>> {
+        let Some((first, first_mode)) = self.first else {
+            self.first = Some((token, mode));
+            return Ok(true);
+        };
+        match (mode, self.mode_of(token)) {
+            // S or X already held covers S; X covers X.
+            (LockMode::Shared, Some(_)) | (LockMode::Exclusive, Some(LockMode::Exclusive)) => {
+                Ok(false)
+            }
+            (LockMode::Shared, None) if first_mode == LockMode::Shared => {
+                self.more.push(token);
+                Ok(true)
+            }
+            (LockMode::Shared, None) => Err(vec![first]),
+            // Upgrade: the sole holder may.
+            (LockMode::Exclusive, Some(LockMode::Shared)) if self.more.is_empty() => {
+                self.first = Some((token, LockMode::Exclusive));
+                Ok(false)
+            }
+            (LockMode::Exclusive, _) => Err(std::iter::once(first)
+                .chain(self.more.iter().copied())
+                .filter(|&t| t != token)
+                .collect()),
+        }
+    }
+
+    /// Drop `token`'s hold; whether it held the object.
     fn release(&mut self, token: u64) -> bool {
-        let before = self.holders.len();
-        self.holders.retain(|&(t, _)| t != token);
-        self.holders.len() != before
+        if self.first.is_some_and(|(t, _)| t == token) {
+            // Only `Shared` holders sit in `more`, so a remaining one
+            // takes the inline slot as `Shared`.
+            self.first = self.more.pop().map(|t| (t, LockMode::Shared));
+            return true;
+        }
+        match self.more.iter().position(|&t| t == token) {
+            Some(i) => {
+                self.more.swap_remove(i);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -257,7 +268,8 @@ impl LockManager {
         // retryable timeout abort).
         if timeout.is_zero() {
             return match table.entry(obj).or_default().try_grant(token, mode) {
-                Ok(()) => Ok(Acquired {
+                Ok(fresh) => Ok(Acquired {
+                    fresh,
                     waited: false,
                     contended,
                     blocker: 0,
@@ -272,12 +284,13 @@ impl LockManager {
         let mut first_blocker = 0u64;
         loop {
             let blockers = match table.entry(obj).or_default().try_grant(token, mode) {
-                Ok(()) => {
+                Ok(fresh) => {
                     // Edges exist only if we blocked with detection on.
                     if parked.is_some() && detect_deadlocks {
                         self.waits_for.lock().clear(token);
                     }
                     return Ok(Acquired {
+                        fresh,
                         waited: parked.is_some(),
                         contended,
                         blocker: first_blocker,
@@ -304,19 +317,19 @@ impl LockManager {
             if shard.cv.wait_until(&mut table, deadline).timed_out() {
                 // Last-chance re-check, then a single edge cleanup for
                 // either outcome.
-                let granted = table.entry(obj).or_default().try_grant(token, mode).is_ok();
+                let granted = table.entry(obj).or_default().try_grant(token, mode);
                 if detect_deadlocks {
                     self.waits_for.lock().clear(token);
                 }
-                return if granted {
-                    Ok(Acquired {
+                return match granted {
+                    Ok(fresh) => Ok(Acquired {
+                        fresh,
                         waited: true,
                         contended,
                         blocker: first_blocker,
                         waited_ns: start.elapsed().as_nanos() as u64,
-                    })
-                } else {
-                    Err(LockError::Timeout)
+                    }),
+                    Err(_) => Err(LockError::Timeout),
                 };
             }
         }
@@ -336,7 +349,7 @@ impl LockManager {
         {
             let mut table = shard.table.lock();
             if let Some(state) = table.get_mut(&obj) {
-                if state.release(token) && state.holders.is_empty() {
+                if state.release(token) && state.first.is_none() {
                     table.remove(&obj);
                 }
             }
@@ -418,12 +431,7 @@ impl LockManager {
     pub fn held_mode(&self, token: u64, obj: ObjectId) -> Option<LockMode> {
         let shard = self.shard(obj);
         let table = shard.table.lock();
-        table.get(&obj).and_then(|s| {
-            s.holders
-                .iter()
-                .find(|&&(t, _)| t == token)
-                .map(|&(_, m)| m)
-        })
+        table.get(&obj).and_then(|s| s.mode_of(token))
     }
 }
 
@@ -619,6 +627,121 @@ mod tests {
         lm.release(1, obj(1));
         h.join().unwrap().unwrap();
         assert!(lm.waits_for_snapshot().is_empty());
+    }
+
+    #[test]
+    fn releasing_the_inline_holder_keeps_the_others() {
+        let lm = LockManager::new();
+        let o = obj(1);
+        for t in 1..=3 {
+            assert!(lm.acquire(t, o, LockMode::Shared, T, true).unwrap().fresh);
+        }
+        lm.release(1, o);
+        assert_eq!(lm.held_mode(1, o), None);
+        assert_eq!(lm.held_mode(2, o), Some(LockMode::Shared));
+        assert_eq!(lm.held_mode(3, o), Some(LockMode::Shared));
+        let err = lm.acquire(2, o, LockMode::Exclusive, Duration::ZERO, true);
+        assert_eq!(err, Err(LockError::Timeout));
+        lm.release(3, o);
+        let up = lm.acquire(2, o, LockMode::Exclusive, T, true).unwrap();
+        assert!(!up.fresh && !up.waited);
+        assert_eq!(lm.held_mode(2, o), Some(LockMode::Exclusive));
+        lm.release(2, o);
+        assert_eq!(lm.locked_objects(), 0);
+    }
+
+    /// Reference model of one object's lock: its holders, in grant order.
+    type Holders = Vec<(u64, LockMode)>;
+
+    /// The model's answer to `token` requesting `mode`, applied to `h`:
+    /// `Ok(fresh)`, or the blockers, sorted.
+    fn model_grant(h: &mut Holders, token: u64, mode: LockMode) -> Result<bool, Vec<u64>> {
+        let mine = h.iter().position(|&(t, _)| t == token);
+        if let Some(i) = mine {
+            if mode == LockMode::Shared || h[i].1 == LockMode::Exclusive {
+                return Ok(false);
+            }
+        }
+        let mut blockers: Vec<u64> = h
+            .iter()
+            .filter(|&&(t, m)| {
+                t != token && (mode == LockMode::Exclusive || m == LockMode::Exclusive)
+            })
+            .map(|&(t, _)| t)
+            .collect();
+        if !blockers.is_empty() {
+            blockers.sort_unstable();
+            return Err(blockers);
+        }
+        match mine {
+            Some(i) => {
+                h[i].1 = mode;
+                Ok(false)
+            }
+            None => {
+                h.push((token, mode));
+                Ok(true)
+            }
+        }
+    }
+
+    const OBJECTS: u64 = 3;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random acquire / upgrade / release sequences by 1–4 tokens on
+        /// a few objects, against a plain holder list per object. After
+        /// every step the manager's grant decision (or blocker set),
+        /// `held_mode`, `locked_objects` and `occupied_shards` agree with
+        /// the model — whichever holder sits inline.
+        #[test]
+        fn lock_table_matches_holder_list_model(
+            tokens in 1u64..=4,
+            steps in proptest::collection::vec((0u64..4, 0..OBJECTS, 0u8..3), 1..80),
+        ) {
+            let lm = LockManager::with_shards(2);
+            let mut model: Vec<Holders> = vec![Vec::new(); OBJECTS as usize];
+            for (t, o, op) in steps {
+                let token = 1 + t % tokens;
+                let o = obj(o);
+                let h = &mut model[o.get() as usize];
+                if op == 2 {
+                    lm.release(token, o);
+                    h.retain(|&(t, _)| t != token);
+                } else {
+                    let mode = if op == 0 { LockMode::Shared } else { LockMode::Exclusive };
+                    let want = model_grant(h, token, mode);
+                    let got = lm.acquire(token, o, mode, Duration::ZERO, true);
+                    match &want {
+                        Ok(fresh) => proptest::prop_assert_eq!(got.map(|a| a.fresh), Ok(*fresh)),
+                        Err(_) => {
+                            proptest::prop_assert_eq!(got, Err(LockError::Timeout));
+                            // A denied grant changes nothing, so asking the
+                            // table again yields the blockers themselves.
+                            let again = lm.shard(o).table.lock().get_mut(&o)
+                                .map(|s| s.try_grant(token, mode))
+                                .map(|r| r.map_err(|mut b| { b.sort_unstable(); b }));
+                            proptest::prop_assert_eq!(again, Some(want.clone()));
+                        }
+                    }
+                }
+                for (i, h) in model.iter().enumerate() {
+                    for token in 1..=4 {
+                        let want = h.iter().find(|&&(t, _)| t == token).map(|&(_, m)| m);
+                        proptest::prop_assert_eq!(lm.held_mode(token, obj(i as u64)), want);
+                    }
+                }
+                let mut shards: Vec<u64> = (0..OBJECTS)
+                    .filter(|&i| !model[i as usize].is_empty())
+                    .map(|i| lm.shard_of(obj(i)))
+                    .collect();
+                proptest::prop_assert_eq!(lm.locked_objects(), shards.len() as u64);
+                shards.sort_unstable();
+                shards.dedup();
+                proptest::prop_assert_eq!(lm.occupied_shards(), shards.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! * `read(x)` — `r-lock(x)` (may wait), then read the largest version,
 //!   which the lock guarantees is the latest committed one.
 //! * `write(y)` — `w-lock(y)` (may wait), then create `y` with
-//!   **version φ**: a pending version with no number, because the
-//!   transaction has no number before its lock point.
+//!   **version φ**: a version with no number, because the transaction has
+//!   no number before its lock point. Nobody but its writer can see it —
+//!   the X lock keeps every read-write reader out, and a read-only
+//!   reader never selects an uncommitted version — so φ is simply the
+//!   transaction's buffered write, as in OCC's read phase; nothing is
+//!   staged in the store. A read of `y` by its writer returns it.
 //! * `end(T)` — `VCregister(T)` *at the lock point* (all locks held, none
-//!   released), then commit: stamp every pending version with `tn(T)`,
-//!   clear locks, `VCcomplete(T)`.
+//!   released), then commit: insert every buffered write as a committed
+//!   version numbered `tn(T)` while its X lock is still held, clear
+//!   locks, `VCcomplete(T)`. Locks are released only after the insert,
+//!   so version order on every object is `tn` order.
 //!
 //! The paper's observation that "the version control mechanism is not
 //! affected by deadlocks … since the transactions that interact with the
@@ -25,9 +31,8 @@ use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, DumpContext, EventKind,
     FlightTrigger, TxnOptions, TxnPhase, WaitPoint, WriteSet,
 };
-use mvcc_model::{ObjectId, TxnId};
-use mvcc_storage::shard::ObjectSet;
-use mvcc_storage::{PendingVersion, Value};
+use mvcc_model::ObjectId;
+use mvcc_storage::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Strict two-phase locking over the shared [`LockManager`].
@@ -38,11 +43,17 @@ pub struct TwoPhaseLocking {
 
 /// Per-transaction 2PL state.
 pub struct TplTxn {
-    /// Lock-requester token; doubles as the pending-version writer id.
+    /// Lock-requester token: the transaction's identity in the lock table
+    /// and in observability events (it has no number before `end`).
     token: u64,
-    /// Every object this transaction holds a lock on.
-    locked: ObjectSet,
-    /// Writes, each also staged in the store as a φ version by `token`.
+    /// Every object this transaction holds a lock on, each once, in
+    /// grant order.
+    locked: Vec<ObjectId>,
+    /// The object this transaction was last granted `Exclusive` on. Its
+    /// lock covers any later request on that object (a `write` after a
+    /// `read_for_update`), which then skips the lock table.
+    last_exclusive: Option<ObjectId>,
+    /// Buffered writes (the φ versions), inserted by `end`.
     writes: WriteSet,
     /// Deadline budget, when begun with one: every lock wait is bounded
     /// by the remaining budget, never just the configured timeout.
@@ -86,9 +97,6 @@ impl TwoPhaseLocking {
     pub fn with_shards(n: usize) -> Self {
         TwoPhaseLocking {
             locks: LockManager::with_shards(n),
-            // Tokens must never collide with transaction numbers used as
-            // pending-writer ids by other protocols; within one engine
-            // only this protocol runs, so a plain counter suffices.
             next_token: AtomicU64::new(1),
         }
     }
@@ -107,6 +115,9 @@ impl TwoPhaseLocking {
     ) -> Result<(), DbError> {
         let m = &ctx.metrics;
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        if txn.last_exclusive == Some(obj) {
+            return Ok(());
+        }
         let detect = ctx.config.deadlock == DeadlockPolicy::Detect;
         // A deadline caps the wait at the remaining budget; an already
         // expired budget never reaches the lock table at all.
@@ -159,7 +170,12 @@ impl TwoPhaseLocking {
                 if a.waited || a.contended {
                     m.lock_shard_waits.fetch_add(1, Ordering::Relaxed);
                 }
-                txn.locked.insert(obj);
+                if a.fresh {
+                    txn.locked.push(obj);
+                }
+                if mode == LockMode::Exclusive {
+                    txn.last_exclusive = Some(obj);
+                }
                 Ok(())
             }
             Err(LockError::Deadlock) => {
@@ -243,6 +259,16 @@ impl TwoPhaseLocking {
         }
     }
 
+    /// The value `read(obj)` returns once the lock is held: the
+    /// transaction's own write (φ, not yet numbered), else the latest
+    /// committed version, which the lock keeps latest.
+    fn latest(ctx: &CcContext, txn: &TplTxn, obj: ObjectId) -> (u64, Value) {
+        match txn.writes.get(obj) {
+            Some(v) => (u64::MAX, v.clone()),
+            None => ctx.store.read_latest(obj),
+        }
+    }
+
     /// Clear locks: release every lock `txn` holds.
     fn release(&self, ctx: &CcContext, txn: &TplTxn) {
         self.locks.release_all(txn.token, txn.locked.iter());
@@ -267,8 +293,10 @@ impl ConcurrencyControl for TwoPhaseLocking {
         }
         Ok(TplTxn {
             token,
-            locked: ObjectSet::default(),
-            writes: WriteSet::staged(TxnId(token)),
+            // Room for a typical lock set in one allocation.
+            locked: Vec::with_capacity(8),
+            last_exclusive: None,
+            writes: WriteSet::buffered(),
             deadline: None,
             pending_attr: Vec::new(),
         })
@@ -289,14 +317,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
         obj: ObjectId,
     ) -> Result<(u64, Value), DbError> {
         self.lock(ctx, txn, obj, LockMode::Shared)?;
-        Ok(ctx.store.with(obj, |c| {
-            // Own pending write shadows the committed latest.
-            if let Some(p) = c.pending_by(TxnId(txn.token)) {
-                return (u64::MAX, p.value.clone());
-            }
-            let v = c.at(u64::MAX).expect("chain never empty");
-            (v.number, v.value.clone())
-        }))
+        Ok(Self::latest(ctx, txn, obj))
     }
 
     fn read_for_update(
@@ -308,13 +329,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
         // Take the exclusive lock immediately: no shared→exclusive
         // upgrade later, hence no upgrade deadlocks on read-modify-write.
         self.lock(ctx, txn, obj, LockMode::Exclusive)?;
-        Ok(ctx.store.with(obj, |c| {
-            if let Some(p) = c.pending_by(TxnId(txn.token)) {
-                return (u64::MAX, p.value.clone());
-            }
-            let v = c.at(u64::MAX).expect("chain never empty");
-            (v.number, v.value.clone())
-        }))
+        Ok(Self::latest(ctx, txn, obj))
     }
 
     fn write(
@@ -325,9 +340,6 @@ impl ConcurrencyControl for TwoPhaseLocking {
         value: Value,
     ) -> Result<(), DbError> {
         self.lock(ctx, txn, obj, LockMode::Exclusive)?;
-        ctx.store.with(obj, |c| {
-            c.install_pending(PendingVersion::phi(TxnId(txn.token), value.clone()))
-        });
         txn.writes.put(obj, value);
         Ok(())
     }
@@ -338,7 +350,8 @@ impl ConcurrencyControl for TwoPhaseLocking {
         }
         // end(T): the lock point — every lock is held. Serial order fixed.
         let tn = ctx.register();
-        // Stamp the φ versions with tn(T), clear locks, VCcomplete(T).
+        // Insert the φ versions as tn(T) under their X locks, clear
+        // locks, VCcomplete(T).
         let res = ctx.end(tn, &txn.writes, || self.release(ctx, &txn));
         // Locks are gone and the outcome is published: the deferred
         // attribution samples can no longer perturb anyone's waits.
@@ -349,8 +362,8 @@ impl ConcurrencyControl for TwoPhaseLocking {
     fn abort(&self, ctx: &CcContext, txn: TplTxn) {
         // Never registered (aborts happen before the lock point), so no
         // VCdiscard — exactly the paper's point about deadlocks being
-        // invisible to version control.
-        ctx.discard(None, &txn.writes);
+        // invisible to version control. Nothing was staged: the buffered
+        // writes just drop.
         self.release(ctx, &txn);
         self.flush_attr(ctx, &txn);
     }

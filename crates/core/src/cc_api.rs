@@ -48,8 +48,8 @@ pub struct WriteSet {
 
 impl WriteSet {
     /// Writes the protocol also stages in the store as pending versions
-    /// by `writer`: two-phase locking's φ versions, timestamp ordering's
-    /// reserved versions. `end` promotes them, `discard` drops them.
+    /// by `writer`: timestamp ordering's reserved versions, which later
+    /// readers wait on. `end` promotes them, `discard` drops them.
     pub fn staged(writer: TxnId) -> Self {
         WriteSet {
             staged_by: Some(writer),
@@ -57,8 +57,9 @@ impl WriteSet {
         }
     }
 
-    /// Writes buffered only here until `end` inserts them (the write
-    /// phase of optimistic schemes).
+    /// Writes buffered only here until `end` inserts them: the write
+    /// phase of optimistic schemes, and two-phase locking's φ versions,
+    /// which the writer's exclusive locks already hide.
     pub fn buffered() -> Self {
         WriteSet {
             staged_by: None,
@@ -352,9 +353,9 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
     /// pending-write wait). On `Err`, the transaction is doomed but the
     /// implementation must **not** release its resources yet — the engine
     /// follows up with [`abort`](Self::abort). If the transaction
-    /// previously wrote `x`, its own pending value is returned with its
-    /// reserved number (or `u64::MAX` when the number is not yet known
-    /// under 2PL — such reads never enter the oracle trace).
+    /// previously wrote `x`, its own write is returned with its reserved
+    /// number (or `u64::MAX` when the number is not yet known, under 2PL
+    /// and OCC — such reads never enter the oracle trace).
     fn read(
         &self,
         ctx: &CcContext,
@@ -521,8 +522,8 @@ mod tests {
         ctx
     }
 
-    /// Stage `value` for `obj` the way two-phase locking does (a φ
-    /// version by `writer`) and record it in `ws`.
+    /// Stage `value` for `obj` as a pending φ version by `writer`, which
+    /// `end` numbers, and record it in `ws`.
     fn stage(ctx: &CcContext, ws: &mut WriteSet, writer: TxnId, o: ObjectId, value: Value) {
         ctx.store.with(o, |c| {
             c.install_pending(PendingVersion::phi(writer, value.clone()))

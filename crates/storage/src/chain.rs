@@ -190,12 +190,19 @@ impl VersionChain {
             *existing = p;
         } else {
             self.bytes += p.value.len();
+            // A chain keeps its pending capacity for good and almost never
+            // holds two pending versions at once: one slot, not the four
+            // a first push reserves.
+            if self.pending.capacity() == 0 {
+                self.pending.reserve_exact(1);
+            }
             self.pending.push(p);
         }
     }
 
     /// Commit `writer`'s pending version. `number` overrides the reserved
-    /// number and is mandatory for φ versions (2PL stamps at commit).
+    /// number and is mandatory for φ versions, which are staged before
+    /// their writer has a number.
     pub fn promote_pending(
         &mut self,
         writer: TxnId,
@@ -423,6 +430,28 @@ mod tests {
         assert_eq!(c.pending_len(), 1);
         c.promote_pending(TxnId(1), Some(1)).unwrap();
         assert_eq!(c.latest().value.as_u64(), Some(2));
+    }
+
+    #[test]
+    fn pending_slot_is_reused_after_promote_or_discard() {
+        let mut c = VersionChain::new();
+        c.install_pending(PendingVersion::stamped(TxnId(1), 1, v(10)));
+        assert_eq!(c.pending.capacity(), 1);
+        c.promote_pending(TxnId(1), None).unwrap();
+        c.install_pending(PendingVersion::stamped(TxnId(2), 2, v(20)));
+        assert_eq!(c.pending_by(TxnId(2)).unwrap().reserved_number, Some(2));
+        assert_eq!(c.write_ts(), 2);
+        assert!(c.discard_pending(TxnId(2)));
+        assert_eq!(c.latest().number, 1);
+        c.install_pending(PendingVersion::stamped(TxnId(3), 3, v(30)));
+        assert_eq!(c.pending.capacity(), 1);
+        // A second concurrent writer still fits, by ordinary growth.
+        c.install_pending(PendingVersion::stamped(TxnId(4), 4, v(40)));
+        assert_eq!(c.pending_len(), 2);
+        assert_eq!(c.promote_pending(TxnId(3), None), Ok(3));
+        assert_eq!(c.promote_pending(TxnId(4), None), Ok(4));
+        assert_eq!(c.latest().value.as_u64(), Some(40));
+        assert_eq!(c.payload_bytes(), 8 * 3);
     }
 
     #[test]

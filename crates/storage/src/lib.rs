@@ -7,9 +7,9 @@
 //! * [`value`] — cheaply-cloneable values (small payloads inline, longer
 //!   ones [`bytes::Bytes`]-backed).
 //! * [`version`] — committed and *pending* versions. A pending version is
-//!   the paper's "version φ" under 2PL (Figure 4): installed during the
-//!   execution phase and stamped with the transaction number only at
-//!   commit, after `VCregister`.
+//!   timestamp ordering's reserved write (Figure 3), which younger
+//!   readers wait on, or a "version φ" (Figure 4) with no number until
+//!   commit.
 //! * [`chain`] — per-object version chains ordered by version number
 //!   (= creator transaction number), with snapshot reads
 //!   (`largest version ≤ sn`, Figure 2), read/write timestamps for the

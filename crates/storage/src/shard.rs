@@ -10,11 +10,11 @@
 //! where the Fibonacci multiply concentrates its mixing.
 //!
 //! The same product is the hash of every `ObjectId`-keyed map
-//! ([`FibBuildHasher`], [`ObjectMap`], [`ObjectSet`]), so one multiply
+//! ([`FibBuildHasher`], [`ObjectMap`]), so one multiply
 //! picks the shard *and* the bucket.
 
 use mvcc_model::ObjectId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// Round a requested shard count up to the nearest power of two (min 1).
@@ -92,9 +92,6 @@ impl Hasher for FibHasher {
 
 /// `ObjectId → V` map hashed by [`FibBuildHasher`].
 pub type ObjectMap<V> = HashMap<ObjectId, V, FibBuildHasher>;
-
-/// `ObjectId` set hashed by [`FibBuildHasher`].
-pub type ObjectSet = HashSet<ObjectId, FibBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -38,18 +38,18 @@ impl CommittedVersion {
 
 /// An uncommitted version installed by an in-flight read-write transaction.
 ///
-/// Under 2PL this is the paper's "version φ" (Figure 4): the writer holds
-/// an exclusive lock, has no transaction number yet, and the version is
-/// stamped at commit after `VCregister`. Under timestamp ordering the
-/// writer's number is already known, recorded in `reserved_number`, and
-/// younger readers block on it (Figure 3).
+/// Under timestamp ordering the writer's number is already known,
+/// recorded in `reserved_number`, and younger readers block on it
+/// (Figure 3). A writer that stages before it has a number (the
+/// distributed sites' 2PL) installs the paper's "version φ" (Figure 4):
+/// no number until it is stamped at commit. (Single-site 2PL keeps φ in
+/// its write set instead: nobody else may see it.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PendingVersion {
     /// The transaction that installed this version.
     pub writer: TxnId,
     /// The version number it will take if committed (`Some` under TO,
-    /// `None` = φ under 2PL where the number is assigned at the lock
-    /// point).
+    /// `None` = φ, whose number is assigned at the lock point).
     pub reserved_number: Option<VersionNo>,
     /// Payload.
     pub value: Value,
@@ -65,7 +65,7 @@ impl PendingVersion {
         }
     }
 
-    /// Pending write with no number yet ("version φ", two-phase locking).
+    /// Pending write with no number yet ("version φ").
     pub fn phi(writer: TxnId, value: Value) -> Self {
         PendingVersion {
             writer,
