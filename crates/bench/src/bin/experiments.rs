@@ -1,7 +1,7 @@
 //! Experiment harness CLI.
 //!
 //! ```text
-//! experiments [--fast|--quick] [--metrics-json <path>] [all | e1 e2 ... e16]
+//! experiments [--fast|--quick] [--metrics-json <path>] [all | e1 e2 ... e12]
 //! ```
 //!
 //! Prints one section per experiment (the content of EXPERIMENTS.md).

@@ -12,12 +12,6 @@ pub mod e09_gc;
 pub mod e10_distributed;
 pub mod e11_modularity;
 pub mod e12_adaptive;
-pub mod e13_faults;
-pub mod e14_durability;
-pub mod e15_scalability;
-pub mod e16_obs;
-pub mod e17_overload;
-pub mod e19_contention;
 
 /// An experiment: id, title, and runner.
 pub struct Experiment {
@@ -91,36 +85,6 @@ pub fn registry() -> Vec<Experiment> {
             id: "e12",
             title: "Extensions — adaptive concurrency control and version-based recovery",
             run: e12_adaptive::run,
-        },
-        Experiment {
-            id: "e13",
-            title: "Robustness — fault injection, stall reaping, in-doubt recovery",
-            run: e13_faults::run,
-        },
-        Experiment {
-            id: "e14",
-            title: "Durability — WAL overhead, crash recovery, disk faults",
-            run: e14_durability::run,
-        },
-        Experiment {
-            id: "e15",
-            title: "Contention & scalability — sharded hot path vs global mutexes",
-            run: e15_scalability::run,
-        },
-        Experiment {
-            id: "e16",
-            title: "Observability — event/gauge/flight-recorder layer overhead",
-            run: e16_obs::run,
-        },
-        Experiment {
-            id: "e17",
-            title: "Overload — admission control, goodput and tail latency across the knee",
-            run: e17_overload::run,
-        },
-        Experiment {
-            id: "e19",
-            title: "Contention attribution — hot-key fidelity and always-on cost",
-            run: e19_contention::run,
         },
     ]
 }

@@ -3,9 +3,9 @@
 //! EXPERIMENTS.md).
 //!
 //! Each experiment is a function `run(fast: bool) -> String` producing a
-//! self-contained text report. The `experiments` binary prints them; the
-//! Criterion benches under `benches/` cover the timing-sensitive subset
-//! with proper statistics.
+//! self-contained text report, and the `experiments` binary prints them.
+//! They are seconds-long shape checks of the paper's figures; measured
+//! performance lives in the repo benchmark (`benchmark/`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -26,7 +26,6 @@
 //! registered transaction can never be waiting.
 
 use crate::lock::{LockError, LockManager, LockMode};
-use mvcc_core::config::DeadlockPolicy;
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, DumpContext, EventKind,
     FlightTrigger, TxnOptions, TxnPhase, WaitPoint, WriteSet,
@@ -118,7 +117,6 @@ impl TwoPhaseLocking {
         if txn.last_exclusive == Some(obj) {
             return Ok(());
         }
-        let detect = ctx.config.deadlock == DeadlockPolicy::Detect;
         // A deadline caps the wait at the remaining budget; an already
         // expired budget never reaches the lock table at all.
         let timeout = match txn.deadline {
@@ -138,7 +136,7 @@ impl TwoPhaseLocking {
         // Speculative trace leaf: finished only when the acquire actually
         // waited, discarded on the uncontended fast path.
         let span = mvcc_core::obs::trace::leaf("lock_wait");
-        let res = self.locks.acquire(txn.token, obj, mode, timeout, detect);
+        let res = self.locks.acquire(txn.token, obj, mode, timeout, true);
         if let Some(attr) = ctx.obs.attr() {
             attr.blame().set_phase(txn.token, TxnPhase::Execute);
         }

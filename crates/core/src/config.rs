@@ -7,16 +7,6 @@ use crate::pressure::PressureConfig;
 use mvcc_storage::wal::FsyncPolicy;
 use std::time::Duration;
 
-/// How two-phase locking resolves deadlocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlockPolicy {
-    /// Maintain a waits-for graph; abort the requester whose wait would
-    /// close a cycle.
-    Detect,
-    /// No graph; rely on the lock wait timeout alone.
-    TimeoutOnly,
-}
-
 /// Configuration shared by the engine and the protocols.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -24,18 +14,12 @@ pub struct DbConfig {
     /// two).
     pub store_shards: usize,
     /// Shard count for the 2PL lock table (rounded up to a power of two).
-    /// Consulted by `mvcc-cc`'s preset constructors; `1` reproduces the
-    /// old global-mutex lock manager for A/B experiments.
+    /// Consulted by `mvcc-cc`'s preset constructors.
     pub lock_shards: usize,
-    /// Slot count for the GC read-only snapshot registry (rounded up to a
-    /// power of two). `1` reproduces the old global-mutex registry.
-    pub ro_slots: usize,
     /// Upper bound on any single lock wait (2PL).
     pub lock_wait_timeout: Duration,
     /// Upper bound on a read's wait for a pending write (TO).
     pub read_wait_timeout: Duration,
-    /// Deadlock handling under 2PL.
-    pub deadlock: DeadlockPolicy,
     /// Record an execution trace for the serializability oracle.
     /// Off by default: tracing serializes on a global mutex.
     pub trace: bool,
@@ -79,10 +63,8 @@ impl Default for DbConfig {
         DbConfig {
             store_shards: 64,
             lock_shards: 64,
-            ro_slots: 16,
             lock_wait_timeout: Duration::from_secs(10),
             read_wait_timeout: Duration::from_secs(10),
-            deadlock: DeadlockPolicy::Detect,
             trace: false,
             gc_keep_versions: 1,
             register_ttl: None,
@@ -105,29 +87,6 @@ impl DbConfig {
             read_wait_timeout: Duration::from_secs(5),
             ..Default::default()
         }
-    }
-
-    /// Configuration that funnels every hot-path structure through a
-    /// single mutex: 1-shard store, 1-shard lock table, 1-slot GC
-    /// registry. This is the pre-sharding engine, kept constructible so
-    /// the scalability experiment (E15) can measure exactly what the
-    /// decentralized structures buy.
-    pub fn global_mutex() -> Self {
-        DbConfig {
-            store_shards: 1,
-            lock_shards: 1,
-            ro_slots: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Set the store, lock-table and GC-registry shard counts at once
-    /// (each rounded up to a power of two by its consumer).
-    pub fn with_shard_counts(mut self, store: usize, lock: usize, ro: usize) -> Self {
-        self.store_shards = store;
-        self.lock_shards = lock;
-        self.ro_slots = ro;
-        self
     }
 
     /// Set the upper bound on any single lock wait (2PL).
@@ -213,7 +172,6 @@ mod tests {
         let c = DbConfig::default();
         assert!(c.store_shards >= 1);
         assert!(!c.trace);
-        assert_eq!(c.deadlock, DeadlockPolicy::Detect);
     }
 
     #[test]

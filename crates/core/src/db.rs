@@ -71,11 +71,10 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// Engine with explicit configuration.
     pub fn with_config(cc: C, config: DbConfig) -> Self {
         let tracer = config.trace.then(|| Arc::new(Tracer::new()));
-        let ro_registry = RoScanRegistry::with_slots(config.ro_slots);
         MvDatabase {
             core: DbCore {
                 ctx: CcContext::new(config),
-                ro_registry,
+                ro_registry: RoScanRegistry::new(),
                 tracer,
                 anon_trace_seq: AtomicU64::new(0),
             },
@@ -167,11 +166,10 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
             }
             ctx.wal = Some(Arc::new(CommitLog::new(writer, Arc::clone(&ctx.metrics))));
         }
-        let ro_registry = RoScanRegistry::with_slots(ctx.config.ro_slots);
         let db = MvDatabase {
             core: DbCore {
                 ctx,
-                ro_registry,
+                ro_registry: RoScanRegistry::new(),
                 tracer,
                 anon_trace_seq: AtomicU64::new(0),
             },
@@ -211,11 +209,10 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         let tracer = config.trace.then(|| Arc::new(Tracer::new()));
         let vc = Arc::new(VersionControl::resumed(watermark));
         let ctx = CcContext::with_parts(config, Arc::new(store), vc);
-        let ro_registry = RoScanRegistry::with_slots(ctx.config.ro_slots);
         Ok(MvDatabase {
             core: DbCore {
                 ctx,
-                ro_registry,
+                ro_registry: RoScanRegistry::new(),
                 tracer,
                 anon_trace_seq: AtomicU64::new(0),
             },

@@ -138,8 +138,8 @@ impl CommitLog {
     }
 }
 
-/// What [`crate::MvDatabase::recover`] rebuilt, for assertions and the
-/// E14 report.
+/// What [`crate::MvDatabase::recover`] rebuilt, for assertions and
+/// reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Watermark of the restored checkpoint (0 if none).

@@ -1,6 +1,6 @@
 //! Deterministic fault injection.
 //!
-//! The robustness experiments (E13) and the liveness tests need to make
+//! The liveness, recovery and simulation tests need to make
 //! transactions stall, clients crash, and messages vanish — *on demand and
 //! reproducibly*. [`FaultInjector`] is a seeded coin shared by the engine
 //! ([`crate::MvDatabase`]) and the distributed simulation (`mvcc-dist`):

@@ -1,10 +1,10 @@
 //! Per-thread SPSC event buffers: the buffered publish path.
 //!
-//! The legacy (`direct`) publish path pays, on every recorded event, one
-//! contended `fetch_add` on the global ring head, a seqlock slot write,
-//! and a clock read. At ~25 instrumentation points per transaction that
-//! is 16–31% of a short transaction's budget. The buffered path splits
-//! the cost:
+//! Publishing every recorded event straight into the global ring would
+//! pay one contended `fetch_add` on the ring head, a seqlock slot write
+//! and a clock read per event. At ~25 instrumentation points per
+//! transaction that was measured at 16–31% of a short transaction's
+//! budget. The buffered path splits the cost:
 //!
 //! * **Emit (owner thread only).** Bump a per-kind counter on a
 //!   thread-owned cache line, make the sampling decision, and — only for

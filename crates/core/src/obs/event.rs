@@ -361,24 +361,26 @@ impl EventBus {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record an event if the bus is enabled.
-    #[inline]
-    pub fn emit(&self, kind: EventKind, id: u64, aux: u64) {
+    /// Record an event if the bus is enabled. Engine code records
+    /// through [`Obs`](super::Obs), which buffers per thread; this
+    /// direct publish exists for the ring's own tests.
+    #[cfg(test)]
+    pub(crate) fn emit(&self, kind: EventKind, id: u64, aux: u64) {
         if !self.enabled() {
             return;
         }
         self.emit_always(kind, id, aux);
     }
 
-    /// Record an event regardless of the enabled flag (flight-recorder
-    /// trigger sites use this so the triggering event itself is captured).
-    pub fn emit_always(&self, kind: EventKind, id: u64, aux: u64) {
+    /// Record an event regardless of the enabled flag.
+    #[cfg(test)]
+    pub(crate) fn emit_always(&self, kind: EventKind, id: u64, aux: u64) {
         self.publish_raw(self.now_ns(), kind, thread_ordinal(), id, aux);
     }
 
-    /// Publish an already-stamped event into the ring. The direct-publish
-    /// path stamps here and now; the buffer drainer republishes events
-    /// with the timestamp and thread captured at emit time.
+    /// Publish an already-stamped event into the ring: the buffer
+    /// drainer republishes events with the timestamp and thread captured
+    /// at emit time.
     pub(crate) fn publish_raw(&self, t_ns: u64, kind: EventKind, thread: u64, id: u64, aux: u64) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket & self.mask) as usize];

@@ -739,8 +739,8 @@ mod tests {
     }
 
     fn sample_attr() -> AttrSnapshot {
-        use crate::obs::{blame::TxnPhase, Attribution, ObsConfig};
-        let attr = Attribution::new(&ObsConfig::default().with_attribution(true));
+        use crate::obs::{blame::TxnPhase, Attribution};
+        let attr = Attribution::new();
         attr.topk().record_key(42, 1000, true);
         attr.topk().record_key(7, 250, false);
         attr.topk().record_shard(3, 1250);

@@ -6,11 +6,11 @@
 //! or *why* a deadlock ring formed. This layer adds that visibility while
 //! keeping the disabled hot path to a single relaxed load per
 //! instrumentation point, and the *enabled* hot path cheap enough to
-//! leave on in production (≤5% at 16 threads — E16 measures it):
+//! leave on in production (the benchmark's `driver.trace_overhead_share`
+//! row prices it):
 //!
 //! * [`event`] — the event taxonomy and the global seqlock ring every
-//!   reader consumes, fed either directly (legacy) or by the buffer
-//!   drainer.
+//!   reader consumes, fed by the buffer drainer.
 //! * [`buffer`] (internal) — per-thread SPSC rings: emits touch only
 //!   thread-owned cache lines; a drainer batch-publishes to the global
 //!   ring.
@@ -71,11 +71,8 @@ pub struct ObsConfig {
     /// 64). Zero selects the default (4096).
     pub event_capacity: usize,
     /// Directory for flight-recorder post-mortem dumps; `None` disarms
-    /// the recorder.
+    /// the recorder. Each post-mortem includes the last 512 events.
     pub flight_dir: Option<PathBuf>,
-    /// How many trailing events each post-mortem includes. Zero selects
-    /// the default (512).
-    pub flight_events: usize,
     /// Sampling shift of the events tier: sampled-tier kinds publish 1
     /// in `2^event_sample_shift` (counters stay exact regardless).
     /// Default 4 (1 in 16). Zero publishes every event.
@@ -87,20 +84,21 @@ pub struct ObsConfig {
     /// Per-thread event buffer capacity in slots (rounded up to a power
     /// of two, min 64). Zero selects the default (1024).
     pub thread_buffer: usize,
-    /// Publish every kept event straight into the global seqlock ring
-    /// instead of buffering (the legacy path, kept as E16's A/B arm).
-    pub direct_publish: bool,
-    /// Contention attribution: hot-key/hot-shard top-K tables plus the
-    /// blocking-blame ledger. Off by default; when off, attribution
-    /// state is never allocated and feed sites see `None`.
+    /// Contention attribution: hot-key/hot-shard top-K tables (64 slots
+    /// each) plus the blocking-blame ledger (256 rows). Off by default;
+    /// when off, attribution state is never allocated and feed sites see
+    /// `None`.
     pub attribution: bool,
-    /// Slots in each top-K contention sketch (keys, shards, blockers).
-    /// Zero selects the default (64).
-    pub attr_keys: usize,
-    /// Row budget of the blame ledger's folded profile. Zero selects
-    /// the default (256).
-    pub attr_rows: usize,
 }
+
+/// Trailing events in each flight-recorder post-mortem.
+const FLIGHT_EVENTS: usize = 512;
+
+/// Slots in each top-K contention sketch (keys, shards, blockers).
+const ATTR_KEYS: usize = 64;
+
+/// Row budget of the blame ledger's folded profile.
+const ATTR_ROWS: usize = 256;
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -108,14 +106,10 @@ impl Default for ObsConfig {
             events: false,
             event_capacity: 0,
             flight_dir: None,
-            flight_events: 0,
             event_sample_shift: 4,
             span_sample_shift: 10,
             thread_buffer: 0,
-            direct_publish: false,
             attribution: false,
-            attr_keys: 0,
-            attr_rows: 0,
         }
     }
 }
@@ -151,27 +145,9 @@ impl ObsConfig {
         self
     }
 
-    /// Use the legacy direct-publish path (E16's A/B arm).
-    pub fn with_direct_publish(mut self, on: bool) -> Self {
-        self.direct_publish = on;
-        self
-    }
-
     /// Enable contention attribution (top-K tables + blame ledger).
     pub fn with_attribution(mut self, on: bool) -> Self {
         self.attribution = on;
-        self
-    }
-
-    /// Size the attribution sketches (0 = default 64).
-    pub fn with_attr_keys(mut self, slots: usize) -> Self {
-        self.attr_keys = slots;
-        self
-    }
-
-    /// Size the blame ledger's row budget (0 = default 256).
-    pub fn with_attr_rows(mut self, rows: usize) -> Self {
-        self.attr_rows = rows;
         self
     }
 }
@@ -186,20 +162,10 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    fn new(cfg: &ObsConfig) -> Attribution {
-        let keys = if cfg.attr_keys == 0 {
-            64
-        } else {
-            cfg.attr_keys
-        };
-        let rows = if cfg.attr_rows == 0 {
-            256
-        } else {
-            cfg.attr_rows
-        };
+    fn new() -> Attribution {
         Attribution {
-            topk: ContentionTopK::new(keys, keys.clamp(8, 32)),
-            blame: BlameLedger::new(rows, keys),
+            topk: ContentionTopK::new(ATTR_KEYS, ATTR_KEYS.clamp(8, 32)),
+            blame: BlameLedger::new(ATTR_ROWS, ATTR_KEYS),
         }
     }
 
@@ -262,7 +228,6 @@ pub struct Obs {
     rng: Option<SharedRng>,
     sample_shift: u8,
     span_shift: u8,
-    direct: bool,
     attr: Option<Arc<Attribution>>,
 }
 
@@ -272,7 +237,6 @@ impl std::fmt::Debug for Obs {
             .field("on", &self.on())
             .field("sample_shift", &self.sample_shift)
             .field("span_shift", &self.span_shift)
-            .field("direct", &self.direct)
             .finish_non_exhaustive()
     }
 }
@@ -298,26 +262,20 @@ impl Obs {
         } else {
             cfg.event_capacity
         };
-        let window = if cfg.flight_events == 0 {
-            512
-        } else {
-            cfg.flight_events
-        };
         let registry = buffer::BufferRegistry::new(cfg.thread_buffer);
         let mut events = EventBus::with_clock(cap, cfg.events, clock.clone());
         events.attach_buffers(registry.clone());
         Obs {
             events,
             phases: PhaseHistograms::new(),
-            recorder: FlightRecorder::new(cfg.flight_dir.clone(), window),
+            recorder: FlightRecorder::new(cfg.flight_dir.clone(), FLIGHT_EVENTS),
             tracer: Arc::new(SpanRegistry::new(clock.clone())),
             clock,
             registry,
             rng,
             sample_shift: cfg.event_sample_shift,
             span_shift: cfg.span_sample_shift,
-            direct: cfg.direct_publish,
-            attr: cfg.attribution.then(|| Arc::new(Attribution::new(cfg))),
+            attr: cfg.attribution.then(|| Arc::new(Attribution::new())),
         }
     }
 
@@ -428,10 +386,6 @@ impl Obs {
     }
 
     fn publish_on(&self, ring: &buffer::ThreadRing, kind: EventKind, id: u64, aux: u64) {
-        if self.direct {
-            self.events.emit_always(kind, id, aux);
-            return;
-        }
         let t_ns = self.events.now_ns();
         if !ring.push(t_ns, kind, id, aux) {
             // Full: drain everything (single fetch of the drain mutex;
@@ -659,24 +613,6 @@ mod tests {
         assert_eq!(obs.count(EventKind::WalAppend), 16);
         assert_eq!(obs.events().recent(64).len(), 4);
         assert_eq!(obs.phases().wal_append.count(), 4);
-    }
-
-    #[test]
-    fn direct_publish_mode_matches_buffered_content() {
-        for direct in [false, true] {
-            let obs = Obs::new(
-                &ObsConfig::default()
-                    .with_events(true)
-                    .with_sample_shift(0)
-                    .with_direct_publish(direct),
-            );
-            for i in 0..10u64 {
-                obs.emit(EventKind::Complete, i, i);
-            }
-            let evs = obs.events().recent(64);
-            assert_eq!(evs.len(), 10, "direct={direct}");
-            assert!(evs.iter().enumerate().all(|(i, e)| e.id == i as u64));
-        }
     }
 
     #[test]

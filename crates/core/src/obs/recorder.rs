@@ -317,12 +317,12 @@ mod tests {
 
     #[test]
     fn dump_with_attribution_includes_tables() {
-        use crate::obs::{blame::TxnPhase, blame::WaitPoint, Attribution, ObsConfig};
+        use crate::obs::{blame::TxnPhase, blame::WaitPoint, Attribution};
         let dir = std::env::temp_dir().join(format!("mvdb-obs-attr-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let r = FlightRecorder::new(Some(dir.clone()), 64);
         let bus = EventBus::new(64, true);
-        let attr = Attribution::new(&ObsConfig::default().with_attribution(true));
+        let attr = Attribution::new();
         attr.topk().record_key(42, 900, true);
         attr.blame().set_phase(5, TxnPhase::Validate);
         attr.blame().record(WaitPoint::LockWait, 42, 5, 900);

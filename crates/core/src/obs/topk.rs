@@ -17,7 +17,7 @@
 //! A space-saving record is an O(K) scan, and a single shared table
 //! turns that scan into K cache misses per record once several threads
 //! bump it concurrently — measured at tens of percent of engine
-//! throughput in E19's contended cell. So each table is striped: every
+//! throughput on a contended 8-thread zipfian workload. So each table is striped: every
 //! thread records into its own stripe (assigned once per thread from a
 //! global counter, so scans stay in that core's cache), and readers
 //! merge the stripes into one sketch at snapshot time. Merging sums

@@ -107,8 +107,7 @@ fn gc_stall_with_deadlines_misses_loudly_not_silently() {
 }
 
 /// Control run with admission off: the same burst, no refusals, no
-/// ladder movement. This is the "degradation is a choice" baseline the
-/// E17 experiment quantifies.
+/// ladder movement: the "degradation is a choice" baseline.
 #[test]
 fn shedding_off_never_refuses() {
     let r = run_overload(&OverloadSpec {

@@ -82,19 +82,13 @@ pub struct DriverConfig {
     /// Stop after this many transactions (across all threads), if set —
     /// used when a bounded trace is needed (oracle checks).
     pub txn_budget: Option<u64>,
-    /// Client think time between transactions (TPC-style open-ish load).
-    /// Zero (the default) keeps the classic saturating closed loop; a
-    /// non-zero value makes throughput scale with the client count until
-    /// the engine's capacity is reached — the regime scalability sweeps
-    /// need on hosts with few cores.
-    pub think_time: Duration,
     /// Fire the [`reporter`](Self::reporter) roughly this often, if set.
     pub report_every: Option<Duration>,
     /// Periodic metrics callback (exporter hook) invoked from the control
     /// loop with a [`ReportTick`]. Ignored unless
     /// [`report_every`](Self::report_every) is also set.
     pub reporter: Option<Reporter>,
-    /// Time source for latency stamps, backoff/think-time sleeps, and
+    /// Time source for latency stamps, backoff sleeps, and
     /// interval bookkeeping. Defaults to the real wall clock; under a
     /// simulated clock the control loop still polls on a real 2 ms tick
     /// (the run then needs a [`txn_budget`](Self::txn_budget), since
@@ -111,7 +105,6 @@ impl Default for DriverConfig {
             backoff: RetryPolicy::no_backoff(0),
             gc_every: None,
             txn_budget: None,
-            think_time: Duration::ZERO,
             report_every: None,
             reporter: None,
             clock: real_clock(),
@@ -338,9 +331,6 @@ pub fn run(engine: &dyn Engine, spec: &WorkloadSpec, cfg: &DriverConfig) -> RunR
                         },
                         &mut out,
                     );
-                    if !cfg.think_time.is_zero() {
-                        cfg.clock.sleep(cfg.think_time);
-                    }
                 }
                 out
             }));

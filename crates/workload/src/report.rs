@@ -1,6 +1,5 @@
 //! Aligned text tables for experiment output.
 
-use mvcc_core::MetricsSnapshot;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -76,39 +75,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Per-reason abort/retry breakdown of a run's engine counters, plus the
-/// stall reaper's force-discard count. One row per reason with activity;
-/// an all-zero snapshot yields an empty table.
-pub fn abort_breakdown(m: &MetricsSnapshot) -> Table {
-    let mut t = Table::new(["abort reason", "aborts", "retries"]);
-    let rows: [(&str, u64, u64); 10] = [
-        ("ts-conflict", m.aborts_ts_conflict, m.retries_ts_conflict),
-        ("deadlock", m.aborts_deadlock, m.retries_deadlock),
-        ("validation", m.aborts_validation, m.retries_validation),
-        ("wait-timeout", m.aborts_timeout, m.retries_timeout),
-        ("baseline-conflict", m.aborts_baseline, m.retries_baseline),
-        ("reaped", m.aborts_reaped, m.retries_reaped),
-        ("user-requested", m.aborts_user, 0),
-        // Overload refusals are non-retryable by default: no retry column.
-        ("shed", m.aborts_shed, 0),
-        ("deadline-exceeded", m.aborts_deadline, 0),
-        ("memory-pressure", m.aborts_mem_pressure, 0),
-    ];
-    for (reason, aborts, retries) in rows {
-        if aborts > 0 || retries > 0 {
-            t.row([reason.to_string(), aborts.to_string(), retries.to_string()]);
-        }
-    }
-    if m.reaper_force_discards > 0 {
-        t.row([
-            "(reaper force-discards)".to_string(),
-            m.reaper_force_discards.to_string(),
-            String::new(),
-        ]);
-    }
-    t
 }
 
 /// Format a duration compactly (`1.23µs`, `45.6ms`, `2.00s`).
@@ -189,28 +155,5 @@ mod tests {
     fn pct_formats() {
         assert_eq!(fmt_pct(0.123), "12.3%");
         assert_eq!(fmt_pct(0.0), "0.0%");
-    }
-
-    #[test]
-    fn abort_breakdown_skips_quiet_reasons() {
-        let mut m = MetricsSnapshot::default();
-        assert!(abort_breakdown(&m).is_empty());
-        m.aborts_deadlock = 3;
-        m.retries_deadlock = 2;
-        m.retries_reaped = 1;
-        m.reaper_force_discards = 4;
-        m.aborts_shed = 5;
-        m.aborts_deadline = 6;
-        m.aborts_mem_pressure = 7;
-        let t = abort_breakdown(&m);
-        assert_eq!(t.len(), 6);
-        let s = t.render();
-        assert!(s.contains("deadlock"));
-        assert!(s.contains("reaped"));
-        assert!(s.contains("force-discards"));
-        assert!(s.contains("shed"));
-        assert!(s.contains("deadline-exceeded"));
-        assert!(s.contains("memory-pressure"));
-        assert!(!s.contains("validation"));
     }
 }

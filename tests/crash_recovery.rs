@@ -597,7 +597,9 @@ fn recovery_is_itself_durable() {
 }
 
 /// A log whose tail was corrupted in place (not truncated) replays the
-/// intact prefix and stops cleanly at the first bad CRC.
+/// intact prefix and stops cleanly at the first bad CRC, so a flip later
+/// in the log keeps at least as many records. A flipped magic byte
+/// rejects the whole log.
 #[test]
 fn in_place_corruption_recovers_prefix() {
     let mem = MemWal::new();
@@ -611,19 +613,33 @@ fn in_place_corruption_recovers_prefix() {
     transfers(&db, 20, 3);
     drop(db);
     let clean = mem.bytes();
-    for pos in (8..clean.len()).step_by(11) {
-        let mut corrupt = clean.clone();
-        corrupt[pos] ^= 0x40;
-        let (db2, stats) = MvDatabase::recover(
+    let records = scan(&clean).unwrap().0.len();
+    let recover = |bytes: &[u8]| {
+        MvDatabase::recover(
             TwoPhaseLocking::new(),
             DbConfig::default(),
             None,
-            &corrupt,
+            bytes,
             None,
         )
-        .unwrap();
+    };
+    let mut corrupt = clean.clone();
+    corrupt[2] ^= 0x01;
+    assert!(recover(&corrupt).is_err(), "bad magic must be rejected");
+    let mut previous = 0;
+    for pos in (8..clean.len()).step_by(11) {
+        let mut corrupt = clean.clone();
+        corrupt[pos] ^= 0x40;
+        let (db2, stats) = recover(&corrupt).unwrap();
         // Whatever survived is a consistent prefix with a rejected tail.
         assert!(!stats.clean_end, "corruption at {pos} must stop the scan");
+        assert!(stats.torn_bytes > 0, "pos {pos}");
+        assert!(stats.replayed < records, "pos {pos}");
+        assert!(
+            stats.replayed >= previous,
+            "pos {pos}: later flip, longer prefix"
+        );
+        previous = stats.replayed;
         if stats.replayed > 0 {
             assert_eq!(bank_total(&db2), ACCOUNTS * INITIAL, "pos {pos}");
         }
@@ -794,4 +810,100 @@ proptest! {
         let cut = (bytes.len() as u64 * cut_bps / 10_000) as usize;
         assert_consistent_recovery(None, &bytes, cut.min(bytes.len()), true);
     }
+}
+
+/// Exact log accounting under a driven workload (25 % read-only), for
+/// every protocol and fsync policy: one frame per read-write commit and
+/// none per read-only transaction, syncs exactly as the policy
+/// prescribes, header plus frames equal to the log's bytes, and a log
+/// that scans clean to exactly the committed transactions.
+#[test]
+fn log_accounting_matches_the_fsync_policy_under_every_protocol() {
+    use mvdb::workload::{driver, WorkloadSpec};
+
+    fn check<C: mvdb::core::ConcurrencyControl>(make: fn() -> C) {
+        let spec = WorkloadSpec {
+            n_objects: 64,
+            ro_fraction: 0.25,
+            use_increments: true,
+            seed: 14,
+            ..Default::default()
+        };
+        let db = MvDatabase::with_config(make(), DbConfig::default());
+        driver::seed_zeroes(&db, spec.n_objects);
+        driver::run_fixed_count(&db, &spec, 300, 16);
+        assert_eq!(db.metrics().wal_appends, 0, "no log, no appends");
+
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(8),
+            FsyncPolicy::Never,
+        ] {
+            let mem = MemWal::new();
+            let config = DbConfig::default().with_wal_fsync(policy);
+            let db = MvDatabase::with_wal(make(), config, Box::new(mem.clone())).unwrap();
+            driver::seed_zeroes(&db, spec.n_objects);
+            driver::run_fixed_count(&db, &spec, 300, 16);
+            let m = db.metrics();
+            let name = format!("{} {policy}", db.name());
+            assert!(m.ro_begun > 0, "{name}: the mix has read-only txns");
+            assert_eq!(
+                m.wal_appends, m.rw_committed,
+                "{name}: one frame per commit"
+            );
+            let syncs = match policy {
+                FsyncPolicy::Always => m.wal_appends,
+                FsyncPolicy::EveryN(n) => m.wal_appends / n,
+                FsyncPolicy::Never => 0,
+            };
+            assert_eq!(m.wal_syncs, syncs, "{name}: sync contract");
+            assert_eq!(mem.len() as u64, 8 + m.wal_bytes, "{name}: header + frames");
+            let (records, stats) = scan(&mem.bytes()).unwrap();
+            assert_eq!(records.len() as u64, m.rw_committed, "{name}");
+            assert!(stats.clean_end(), "{name}");
+        }
+    }
+    check(TwoPhaseLocking::new);
+    check(TimestampOrdering::new);
+    check(Optimistic::new);
+}
+
+/// Injected disk-full faults on a quarter of the appends: each one
+/// aborts its commit with `LogFailed`, and nothing else fails. `vtnc`
+/// never wedges, the latest committed value survives, and the log holds
+/// exactly the commits that succeeded.
+#[test]
+fn disk_full_faults_abort_exactly_the_failed_commits() {
+    let mem = MemWal::new();
+    let config = DbConfig::default().with_fault(FaultConfig {
+        seed: 0xE14,
+        wal_disk_full: 0.25,
+        ..Default::default()
+    });
+    let db = MvDatabase::with_wal(TimestampOrdering::new(), config, Box::new(mem.clone())).unwrap();
+    let (mut committed, mut failed, mut last_ok) = (0u64, 0u64, 0u64);
+    for i in 1..=80 {
+        match db.run_rw(0, |t| t.write(ObjectId(0), Value::from_u64(i))) {
+            Ok(_) => {
+                committed += 1;
+                last_ok = i;
+            }
+            Err(_) => failed += 1,
+        }
+    }
+    assert!(
+        committed > 0 && failed > 0,
+        "25% must produce both outcomes"
+    );
+    assert_eq!(
+        failed,
+        db.metrics().aborts_wal,
+        "every failure is LogFailed"
+    );
+    assert_eq!(failed, db.faults().injected(FaultPoint::WalDiskFull));
+    assert_eq!(db.vc().vtnc(), db.vc().tnc() - 1);
+    assert_eq!(db.peek_latest(ObjectId(0)).as_u64(), Some(last_ok));
+    let (records, stats) = scan(&mem.bytes()).unwrap();
+    assert_eq!(records.len() as u64, committed);
+    assert!(stats.clean_end());
 }

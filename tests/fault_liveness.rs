@@ -13,7 +13,7 @@
 
 use mvdb::cc::presets;
 use mvdb::core::prelude::*;
-use mvdb::core::{FaultConfig, FaultPoint};
+use mvdb::core::{FaultConfig, FaultPoint, RetryPolicy};
 use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -274,4 +274,104 @@ fn commit_time_registration_is_immune_to_stalls() {
     sim.advance(TTL + Duration::from_millis(2));
     assert!(db.reap_stalled().is_empty());
     assert_eq!(db.metrics().reaper_force_discards, 0);
+}
+
+/// Stalls under load, for every protocol: 5 % of read-write clients
+/// stall right after registering while a seeded workload runs in chunks,
+/// each chunk followed by a TTL's worth of virtual time and one
+/// `maintenance()` tick. Every stall gives up exactly once, the reaper
+/// drains every one (`vtnc` lag back to 0), and the history stays
+/// one-copy serializable. Only timestamp ordering registers at begin,
+/// so only its stalls reach version control: the reaper force-discards
+/// exactly that many there and none under 2PL or OCC.
+#[test]
+fn reaper_drains_every_stall_under_load() {
+    use mvdb::model::mvsg;
+    use mvdb::workload::{driver, WorkloadSpec};
+
+    let spec = WorkloadSpec {
+        n_objects: 32,
+        ro_fraction: 0.4,
+        use_increments: true,
+        seed: 13,
+        ..Default::default()
+    };
+    fn check<C: ConcurrencyControl>(
+        make: fn(DbConfig) -> MvDatabase<C>,
+        spec: &WorkloadSpec,
+        registers_at_begin: bool,
+    ) {
+        let sim = SimClock::new();
+        let db = make(
+            DbConfig::traced()
+                .with_register_ttl(TTL)
+                .with_fault(FaultConfig {
+                    seed: 0xE13,
+                    stall_after_register: 0.05,
+                    ..Default::default()
+                })
+                .with_clock(sim.clone()),
+        );
+        driver::seed_zeroes(&db, spec.n_objects);
+        let mut gave_up = 0;
+        for _ in 0..4 {
+            gave_up += driver::run_fixed_count(&db, spec, 100, 8).gave_up;
+            sim.advance(TTL + Duration::from_millis(1));
+            db.maintenance();
+        }
+        let name = db.name();
+        let stalls = db.faults().injected(FaultPoint::StallAfterRegister);
+        assert!(stalls > 0, "{name}: a 5% stall rate must fire");
+        assert_eq!(gave_up, stalls, "{name}: every stall gives up once");
+        assert_eq!(db.vc().lag(), 0, "{name}: the reaper must drain all stalls");
+        let discards = db.metrics().reaper_force_discards;
+        if registers_at_begin {
+            assert_eq!(discards, stalls, "{name}: every stall needs the reaper");
+        } else {
+            assert_eq!(discards, 0, "{name}: stalls never reach version control");
+        }
+        let history = db.trace_history().expect("traced");
+        assert!(mvsg::check_tn_order(&history).acyclic, "{name} not 1SR");
+    }
+    check(presets::vc_to, &spec, true);
+    check(presets::vc_2pl, &spec, false);
+    check(presets::vc_occ, &spec, false);
+}
+
+/// Contended increments through the backoff runner: four threads hold a
+/// read of one counter open while the others write it, so timestamp
+/// ordering must retry. Every increment still lands exactly once, and
+/// the per-reason retry counters partition the total.
+#[test]
+fn contended_increments_retry_until_every_one_lands() {
+    let db = presets::vc_to(DbConfig::default());
+    db.seed(ObjectId(0), Value::from_u64(0));
+    let policy = RetryPolicy {
+        max_attempts: 64,
+        base_backoff: Duration::from_micros(20),
+        max_backoff: Duration::from_millis(1),
+        ..Default::default()
+    };
+    let (threads, per_thread) = (4, 50);
+    thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                for _ in 0..per_thread {
+                    db.run_rw_with(&policy, |t| {
+                        let v = t.read_u64(ObjectId(0))?.unwrap();
+                        thread::sleep(Duration::from_micros(30));
+                        t.write(ObjectId(0), Value::from_u64(v + 1))
+                    })
+                    .expect("64 backoff attempts must suffice");
+                }
+            });
+        }
+    });
+    assert_eq!(
+        db.peek_latest(ObjectId(0)).as_u64(),
+        Some(threads * per_thread)
+    );
+    let m = db.metrics();
+    assert!(m.rw_retries > 0, "contended increments must retry");
+    assert_eq!(m.rw_retries, m.retries_ts_conflict + m.retries_timeout);
 }
