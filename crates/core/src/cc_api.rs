@@ -29,7 +29,7 @@ use crate::error::{AbortReason, DbError};
 use crate::fault::FaultInjector;
 use crate::metrics::Metrics;
 use crate::obs::{EventKind, Obs, VcView};
-use crate::pressure::{AdmissionController, TxnOptions};
+use crate::txn::TxnOptions;
 use crate::vc::VersionControl;
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::{MvStore, Value};
@@ -111,9 +111,6 @@ pub struct CcContext {
     /// Observability hub (events, phase latencies, flight recorder).
     /// Shared with version control; disabled unless configured.
     pub obs: Arc<Obs>,
-    /// Admission controller (overload gate, degradation ladder). Costs
-    /// one relaxed load per begin when disabled (the default).
-    pub admission: Arc<AdmissionController>,
 }
 
 impl CcContext {
@@ -146,31 +143,14 @@ impl CcContext {
             config.clock.clone(),
             config.rng.clone(),
         )));
-        let metrics = Arc::new(Metrics::new());
-        let admission = AdmissionController::new(
-            config.pressure.clone(),
-            config.clock.clone(),
-            Arc::clone(&metrics),
-            Arc::clone(&obs),
-        );
         CcContext {
             store,
             vc,
             config: Arc::new(config),
-            metrics,
+            metrics: Arc::new(Metrics::new()),
             faults,
             wal: None,
             obs,
-            admission,
-        }
-    }
-
-    /// Feed the store's O(1) pressure signals into the admission
-    /// controller's degradation ladder. No-op when admission is disabled.
-    pub fn observe_pressure(&self) {
-        if self.admission.enabled() {
-            let p = self.store.pressure_stats();
-            self.admission.observe(p.live_bytes, p.gc_debt());
         }
     }
 
@@ -339,7 +319,7 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
     /// registers with version control here.
     fn begin(&self, ctx: &CcContext) -> Result<Self::Txn, DbError>;
 
-    /// `begin(T)` with per-transaction options (tenant, deadline).
+    /// `begin(T)` with per-transaction options (deadline, trace).
     /// Protocols with blocking points override this to capture the
     /// deadline and bound every wait by the remaining budget; the default
     /// ignores the options (correct for protocols that never block, like

@@ -3,7 +3,6 @@
 use crate::clock::{real_clock, SharedClock, SharedRng};
 use crate::fault::FaultConfig;
 use crate::obs::ObsConfig;
-use crate::pressure::PressureConfig;
 use mvcc_storage::wal::FsyncPolicy;
 use std::time::Duration;
 
@@ -53,9 +52,6 @@ pub struct DbConfig {
     /// engine. `None` (the default) keeps the per-component seeded
     /// streams.
     pub rng: Option<SharedRng>,
-    /// Overload control: admission gate, per-tenant quotas, degradation
-    /// ladder. Disabled by default — see [`crate::pressure`].
-    pub pressure: PressureConfig,
 }
 
 impl Default for DbConfig {
@@ -73,7 +69,6 @@ impl Default for DbConfig {
             obs: ObsConfig::default(),
             clock: real_clock(),
             rng: None,
-            pressure: PressureConfig::default(),
         }
     }
 }
@@ -141,12 +136,6 @@ impl DbConfig {
     /// Inject a shared random stream for fault coins and retry jitter.
     pub fn with_rng(mut self, rng: SharedRng) -> Self {
         self.rng = Some(rng);
-        self
-    }
-
-    /// Set the overload-control (admission + backpressure) knobs.
-    pub fn with_pressure(mut self, pressure: PressureConfig) -> Self {
-        self.pressure = pressure;
         self
     }
 

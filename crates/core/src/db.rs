@@ -12,10 +12,9 @@ use crate::obs::{
     json_snapshot, prometheus_text, DumpContext, EventKind, FlightTrigger, GaugeCollector,
     GaugeSample, Obs, PhaseSnapshot,
 };
-use crate::pressure::{AdmissionController, Deadline, TxnOptions};
 use crate::retry::RetryPolicy;
 use crate::trace::{Tracer, TxnTrace};
-use crate::txn::{RoTxn, RwTxn, ANON_TRACE_BASE};
+use crate::txn::{Deadline, RoTxn, RwTxn, TxnOptions, ANON_TRACE_BASE};
 use crate::vc::VersionControl;
 use mvcc_model::{History, ObjectId, TxnId};
 use mvcc_storage::wal::{self, WalSink, WalWriter};
@@ -302,37 +301,16 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
 
     /// Begin a read-write transaction under protocol `C`. Equivalent to
     /// [`begin_read_write_with`](Self::begin_read_write_with) with default
-    /// options — in particular, it passes through the admission gate, so
-    /// under overload it can be refused with a non-retryable
-    /// [`AbortReason::Shed`].
+    /// options.
     pub fn begin_read_write(&self) -> Result<RwTxn<'_, C>, DbError> {
         self.begin_read_write_with(&TxnOptions::default())
     }
 
-    /// Begin a read-write transaction with per-transaction options: a
-    /// tenant (for weighted admission quotas) and an optional deadline
-    /// budget, enforced at every subsequent blocking point. The call
-    /// first feeds the store's pressure signals into the degradation
-    /// ladder, then asks the admission controller for a permit; both are
-    /// a single relaxed load when admission is disabled (the default).
+    /// Begin a read-write transaction with per-transaction options: an
+    /// optional deadline budget, enforced at every subsequent operation
+    /// and blocking point, and an explicit trace to join.
     pub fn begin_read_write_with(&self, opts: &TxnOptions) -> Result<RwTxn<'_, C>, DbError> {
-        self.core.ctx.observe_pressure();
-        let permit = self.core.ctx.admission.admit_rw(opts)?;
-        RwTxn::begin_with(&self.core, &self.cc, opts, permit)
-    }
-
-    /// Begin a read-only transaction through the admission gate. The
-    /// paper's read-only path is infallible ([`begin_read_only`]
-    /// (Self::begin_read_only) stays so); this variant adds the one
-    /// refusal the degradation ladder ever applies to readers — at its
-    /// highest rung new snapshots are rejected with
-    /// [`AbortReason::MemoryPressure`] (old versions pinned by snapshots
-    /// are exactly what the ladder is trying to shed). Callers should
-    /// back off for [`AdmissionController::retry_after`] before retrying.
-    pub fn begin_read_only_admitted(&self, opts: &TxnOptions) -> Result<RoTxn<'_>, DbError> {
-        self.core.ctx.observe_pressure();
-        self.core.ctx.admission.admit_ro(opts)?;
-        Ok(self.begin_read_only())
+        RwTxn::begin_with(&self.core, &self.cc, opts)
     }
 
     /// Run a read-write transaction body with automatic commit and
@@ -502,15 +480,12 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// `min(vtnc, oldest live read-only start number)` — the paper's
     /// Section 6 rule plus protection of in-flight snapshots.
     pub fn collect_garbage(&self) -> GcStats {
-        let watermark = self.core.ro_registry.watermark(self.core.ctx.vc.vtnc());
-        // Under pressure the degradation ladder paces GC harder: each
-        // rung divides the keep-recent allowance (Normal 1×, Throttle 2×,
-        // Shed/RejectRo 4×), so a pass under overload reclaims versions a
-        // relaxed pass would have retained.
-        let boost = self.core.ctx.admission.level().gc_boost() as usize;
-        let keep = self.core.ctx.config.gc_keep_versions / boost.max(1);
-        let stats = self.core.ctx.store.collect_garbage_keep(watermark, keep);
-        self.core.ctx.obs.emit(
+        let ctx = &self.core.ctx;
+        let watermark = self.core.ro_registry.watermark(ctx.vc.vtnc());
+        let stats = ctx
+            .store
+            .collect_garbage_keep(watermark, ctx.config.gc_keep_versions);
+        ctx.obs.emit(
             EventKind::GcPrune,
             stats.watermark,
             stats.versions_pruned as u64,
@@ -603,9 +578,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
                 _ => sample.extra.push((name, value)),
             }
         }
-        if self.core.ctx.admission.enabled() {
-            sample.extra.extend(self.core.ctx.admission.gauges());
-        }
         sample
     }
 
@@ -682,11 +654,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// The fault injector (for experiments and tests).
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.core.ctx.faults
-    }
-
-    /// The admission controller (overload gate, degradation ladder).
-    pub fn admission(&self) -> &Arc<AdmissionController> {
-        &self.core.ctx.admission
     }
 
     /// The write-ahead log handle, if this engine is durable.
@@ -1025,47 +992,24 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_sheds_default_tenant_under_pressure() {
-        use crate::pressure::PressureConfig;
-        let cfg = DbConfig::default()
-            .with_pressure(PressureConfig::enabled().with_byte_watermarks(8, 16));
-        let db = MvDatabase::with_config(SerialCc, cfg);
-        // Six seeded 8-byte versions put live bytes at 48 ≥ 2×16 → the
-        // RejectRo rung (seeding bypasses the gate we are about to trip).
-        for i in 0..6u64 {
-            db.seed(ObjectId(i), Value::from_u64(i));
-        }
-        db.core.ctx.observe_pressure();
+    fn zero_budget_aborts_as_deadline_exceeded_at_first_operation() {
+        use crate::clock::SimClock;
+        let clock = SimClock::new();
+        let db = MvDatabase::with_config(SerialCc, DbConfig::default().with_clock(clock.clone()));
+        let opts = TxnOptions::default().with_deadline(Duration::ZERO);
+        let mut t = db.begin_read_write_with(&opts).unwrap();
         assert_eq!(
-            db.admission().level(),
-            crate::pressure::PressureLevel::RejectRo
+            t.read(ObjectId(1)).unwrap_err(),
+            DbError::Aborted(AbortReason::DeadlineExceeded)
         );
-        // The default tenant (weight 1 < shed_weight_below 2) is refused.
-        let err = match db.begin_read_write() {
-            Ok(_) => panic!("begin must be shed under pressure"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, DbError::Aborted(AbortReason::Shed)), "{err}");
-        // New RO snapshots are refused at the top rung, with a hint.
-        let opts = crate::pressure::TxnOptions::default();
-        let err = db.begin_read_only_admitted(&opts).unwrap_err();
-        assert!(
-            matches!(err, DbError::Aborted(AbortReason::MemoryPressure)),
-            "{err}"
-        );
-        assert!(db.admission().retry_after() > Duration::ZERO);
-        // The raw read-only path stays infallible regardless of pressure.
-        let mut r = db.begin_read_only();
-        assert!(r.read_u64(ObjectId(0)).unwrap().is_some());
-        r.finish();
-        assert!(db.metrics().shed_rw >= 1);
-        assert!(db.metrics().shed_ro >= 1);
+        drop(t);
+        let m = db.metrics();
+        assert_eq!((m.rw_aborted, m.aborts_deadline), (1, 1));
     }
 
     #[test]
     fn run_rw_deadline_stops_when_budget_cannot_fund_backoff() {
         use crate::clock::SimClock;
-        use crate::pressure::TxnOptions;
         let clock = SimClock::new();
         let db = MvDatabase::with_config(SerialCc, DbConfig::default().with_clock(clock.clone()));
         let policy = RetryPolicy {
@@ -1094,7 +1038,7 @@ mod tests {
     fn run_rw_deadline_without_deadline_matches_run_rw_with() {
         let db = db();
         let policy = RetryPolicy::no_backoff(4);
-        let opts = crate::pressure::TxnOptions::default();
+        let opts = TxnOptions::default();
         let (tn, v) = db
             .run_rw_deadline(&policy, &opts, |t| {
                 t.write(ObjectId(3), Value::from_u64(9))?;

@@ -29,28 +29,18 @@ pub enum AbortReason {
     /// property of the medium, not of this transaction's timing — the
     /// application must surface it, not spin against a dead disk.
     LogFailed,
-    /// The admission controller refused to admit (or shed) the
-    /// transaction under overload. Not retryable by default: blind
-    /// retries are exactly the load amplification shedding exists to
-    /// stop — callers should honor the controller's `retry_after` hint
-    /// and come back later.
-    Shed,
     /// The transaction's deadline budget expired at a blocking point
     /// (lock wait, version wait, commit entry) or between retries. Not
     /// retryable: the budget is a property of the whole request, and it
     /// is already gone.
     DeadlineExceeded,
-    /// The storage layer is over its memory watermarks (live-version
-    /// bytes / GC debt) and the degradation ladder rejected new work.
-    /// Not retryable until pressure drains; honor `retry_after`.
-    MemoryPressure,
 }
 
 impl AbortReason {
     /// Every abort reason, in declaration order. Table-driven
     /// retryability audits iterate this so a new variant cannot be added
     /// without classifying it.
-    pub const ALL: [AbortReason; 11] = [
+    pub const ALL: [AbortReason; 9] = [
         AbortReason::TimestampConflict,
         AbortReason::Deadlock,
         AbortReason::ValidationFailed,
@@ -59,9 +49,7 @@ impl AbortReason {
         AbortReason::UserRequested,
         AbortReason::Reaped,
         AbortReason::LogFailed,
-        AbortReason::Shed,
         AbortReason::DeadlineExceeded,
-        AbortReason::MemoryPressure,
     ];
 }
 
@@ -76,9 +64,7 @@ impl fmt::Display for AbortReason {
             AbortReason::UserRequested => "user requested",
             AbortReason::Reaped => "reaped after registration stall",
             AbortReason::LogFailed => "write-ahead log append failed",
-            AbortReason::Shed => "shed by admission control",
             AbortReason::DeadlineExceeded => "deadline exceeded",
-            AbortReason::MemoryPressure => "rejected under memory pressure",
         };
         f.write_str(s)
     }
@@ -160,9 +146,7 @@ mod tests {
         assert!(DbError::Aborted(AbortReason::Reaped).is_retryable());
         assert!(!DbError::Aborted(AbortReason::LogFailed).is_retryable());
         assert!(!DbError::Aborted(AbortReason::UserRequested).is_retryable());
-        assert!(!DbError::Aborted(AbortReason::Shed).is_retryable());
         assert!(!DbError::Aborted(AbortReason::DeadlineExceeded).is_retryable());
-        assert!(!DbError::Aborted(AbortReason::MemoryPressure).is_retryable());
         assert!(!DbError::TxnFinished.is_retryable());
         assert!(!DbError::VersionPruned {
             obj: ObjectId(1),

@@ -52,7 +52,6 @@ pub mod error;
 pub mod fault;
 pub mod metrics;
 pub mod obs;
-pub mod pressure;
 pub mod retry;
 pub mod trace;
 pub mod txn;
@@ -74,13 +73,9 @@ pub use obs::{
     Attribution, DumpContext, EventKind, FlightTrigger, GaugeCollector, GaugeSample, Obs,
     ObsConfig, PhaseSnapshot, TxnPhase, VcView, WaitPoint,
 };
-pub use pressure::{
-    AdmissionController, AdmissionPermit, Deadline, PressureConfig, PressureLevel, TenantId,
-    TxnOptions, TxnOutcome,
-};
 pub use retry::RetryPolicy;
 pub use trace::Tracer;
-pub use txn::{RoTxn, RwTxn};
+pub use txn::{Deadline, RoTxn, RwTxn, TxnOptions};
 pub use vc::VersionControl;
 
 /// Commonly used items, re-exported for examples and downstream users.
@@ -93,8 +88,7 @@ pub mod prelude {
     pub use crate::durability::{CheckpointSink, RecoveryStats};
     pub use crate::engine::{Engine, OpSpec, RoOutcome, RoRead, RwOutcome};
     pub use crate::error::{AbortReason, DbError};
-    pub use crate::pressure::{Deadline, PressureConfig, PressureLevel, TenantId, TxnOptions};
-    pub use crate::txn::{RoTxn, RwTxn};
+    pub use crate::txn::{Deadline, RoTxn, RwTxn, TxnOptions};
     pub use crate::vc::VersionControl;
     pub use mvcc_model::{ObjectId, TxnId};
     pub use mvcc_storage::wal::{FsyncPolicy, MemWal};

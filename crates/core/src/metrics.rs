@@ -147,22 +147,8 @@ metrics! { ;
     /// Contended acquisitions of GC snapshot-registry slots (stays 0
     /// when slots ≥ worker threads).
     gc_slot_contention,
-    /// Read-write transactions admitted by the admission controller.
-    admitted_rw,
-    /// Read-only transactions admitted by the admission controller.
-    admitted_ro,
-    /// Read-write begins refused (token, AIMD limit, quota, or ladder).
-    shed_rw,
-    /// Read-only begins refused on the `RejectRo` ladder rung.
-    shed_ro,
-    /// Degradation-ladder rung transitions (either direction).
-    pressure_transitions,
-    /// Aborts caused by admission-control shedding.
-    aborts_shed,
     /// Aborts caused by an expired deadline budget.
     aborts_deadline,
-    /// Aborts caused by memory-pressure rejection.
-    aborts_mem_pressure,
     /// Always 0: the single version-control sequencer drains its queue in
     /// place and runs no watermark folds. Kept so readers of the
     /// counter set (exporters, the repo benchmark) stay stable.

@@ -527,12 +527,12 @@ mod tests {
         let ring = ring_for(&reg);
         let mut kept = 0;
         for _ in 0..1000 {
-            ring.count(EventKind::Admit);
+            ring.count(EventKind::RoRead);
             if ring.sample(4, None) {
                 kept += 1;
             }
         }
-        assert_eq!(reg.count(EventKind::Admit), 1000);
+        assert_eq!(reg.count(EventKind::RoRead), 1000);
         // Sequences 0, 16, 32, … 992 are kept: ceil(1000 / 16) of them.
         assert_eq!(kept, 63, "counter sampling keeps exactly 1 in 16");
     }

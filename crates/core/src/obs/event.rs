@@ -22,14 +22,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of event kinds (array size for per-kind counters).
-pub const KIND_COUNT: usize = 16;
+pub const KIND_COUNT: usize = 13;
 
 /// Which rung of the sampling ladder an event kind sits on.
 ///
 /// * `Counter` — only the per-kind counter is bumped; no ring write ever.
 /// * `Sampled` — counted always, published 1 in `2^event_sample_shift`.
 /// * `Always` — counted and published on every emit (rare, load-bearing
-///   events: aborts, GC, reaper, shed, pressure transitions).
+///   events: aborts, GC, reaper, discards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Counter only; never published to the ring.
@@ -70,20 +70,10 @@ pub enum EventKind {
     ReaperFire = 10,
     /// `VCdiscard` dropped a registration (`id` = tn, `aux` = new vtnc).
     Discard = 11,
-    /// The admission controller admitted a read-write transaction
-    /// (`id` = tenant, `aux` = in-flight count). Sampled when a sample
-    /// shift is configured.
-    Admit = 12,
-    /// The admission controller refused a begin (`id` = tenant,
-    /// `aux` = [`abort_reason_code`] of the refusal). Sampled.
-    Shed = 13,
-    /// The degradation ladder changed rung (`id` = new level,
-    /// `aux` = previous level).
-    PressureChange = 14,
     /// A read-only snapshot read completed (`id` = snapshot tn,
     /// `aux` = object). Sampled — RO reads are the highest-frequency
     /// instrumentation point in the engine.
-    RoRead = 15,
+    RoRead = 12,
 }
 
 impl EventKind {
@@ -103,10 +93,7 @@ impl EventKind {
             9 => EventKind::GcPrune,
             10 => EventKind::ReaperFire,
             11 => EventKind::Discard,
-            12 => EventKind::Admit,
-            13 => EventKind::Shed,
-            14 => EventKind::PressureChange,
-            15 => EventKind::RoRead,
+            12 => EventKind::RoRead,
             _ => return None,
         })
     }
@@ -125,14 +112,10 @@ impl EventKind {
             | EventKind::WalAppend
             | EventKind::Complete
             | EventKind::VtncAdvance
-            | EventKind::Admit
             | EventKind::RoRead => Tier::Sampled,
-            EventKind::Abort
-            | EventKind::GcPrune
-            | EventKind::ReaperFire
-            | EventKind::Discard
-            | EventKind::Shed
-            | EventKind::PressureChange => Tier::Always,
+            EventKind::Abort | EventKind::GcPrune | EventKind::ReaperFire | EventKind::Discard => {
+                Tier::Always
+            }
         }
     }
 
@@ -151,9 +134,6 @@ impl EventKind {
             EventKind::GcPrune => "gc_prune",
             EventKind::ReaperFire => "reaper_fire",
             EventKind::Discard => "discard",
-            EventKind::Admit => "admit",
-            EventKind::Shed => "shed",
-            EventKind::PressureChange => "pressure_change",
             EventKind::RoRead => "ro_read",
         }
     }
@@ -173,15 +153,13 @@ impl EventKind {
             EventKind::GcPrune,
             EventKind::ReaperFire,
             EventKind::Discard,
-            EventKind::Admit,
-            EventKind::Shed,
-            EventKind::PressureChange,
             EventKind::RoRead,
         ]
     }
 }
 
 /// Stable numeric code for an abort reason, stored in `Abort` event `aux`.
+/// Codes 9 and 11 belonged to removed variants and are never reused.
 pub fn abort_reason_code(r: &AbortReason) -> u64 {
     match r {
         AbortReason::TimestampConflict => 1,
@@ -192,9 +170,7 @@ pub fn abort_reason_code(r: &AbortReason) -> u64 {
         AbortReason::UserRequested => 6,
         AbortReason::Reaped => 7,
         AbortReason::LogFailed => 8,
-        AbortReason::Shed => 9,
         AbortReason::DeadlineExceeded => 10,
-        AbortReason::MemoryPressure => 11,
     }
 }
 
@@ -209,9 +185,7 @@ pub fn abort_reason_name(code: u64) -> &'static str {
         6 => "user_requested",
         7 => "reaped",
         8 => "log_failed",
-        9 => "shed",
         10 => "deadline_exceeded",
-        11 => "memory_pressure",
         _ => "unknown",
     }
 }
@@ -536,9 +510,7 @@ mod tests {
                 EventKind::Abort
                 | EventKind::GcPrune
                 | EventKind::ReaperFire
-                | EventKind::Discard
-                | EventKind::Shed
-                | EventKind::PressureChange => assert_eq!(k.tier(), Tier::Always),
+                | EventKind::Discard => assert_eq!(k.tier(), Tier::Always),
                 _ => assert_eq!(k.tier(), Tier::Sampled),
             }
         }

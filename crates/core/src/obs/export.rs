@@ -26,7 +26,7 @@ use mvcc_storage::{Histogram, SketchEntry};
 /// Version of the JSON shapes emitted by [`json_snapshot`] and
 /// [`profile_json`]. Bumped whenever a key is added, removed, or
 /// renamed, so downstream scrapers can detect shape changes.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Per-kind event counters plus buffer accounting, for exporters.
 #[derive(Debug, Clone, Default)]

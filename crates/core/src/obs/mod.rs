@@ -303,17 +303,6 @@ impl Obs {
         self.record(kind, id, aux, kind.tier());
     }
 
-    /// Emit on the sampled tier regardless of the kind's default —
-    /// high-frequency gate sites (admission, shed storms) use this so
-    /// enabling events under overload does not itself add load.
-    #[inline]
-    pub fn emit_sampled(&self, kind: EventKind, id: u64, aux: u64) {
-        if !self.on() {
-            return;
-        }
-        self.record(kind, id, aux, Tier::Sampled);
-    }
-
     /// Emit unconditionally (counter still advances) regardless of the
     /// kind's tier — for rare events a post-mortem must never miss, like
     /// the fatal lock wait that closed a deadlock cycle.
@@ -575,16 +564,20 @@ mod tests {
     fn sampled_tier_keeps_one_in_2_pow_shift() {
         let obs = Obs::new(&ObsConfig::default().with_events(true).with_sample_shift(3));
         for i in 0..64 {
-            obs.emit_sampled(EventKind::Shed, i, 0);
+            obs.emit(EventKind::Register, i, 0);
         }
         let evs = obs.events().recent(64);
         assert_eq!(evs.len(), 8, "1 in 2^3 survives");
         assert!(evs.iter().all(|e| e.id % 8 == 0));
-        assert_eq!(obs.count(EventKind::Shed), 64, "counter tier stays exact");
+        assert_eq!(
+            obs.count(EventKind::Register),
+            64,
+            "counter tier stays exact"
+        );
         // shift 0 records everything
         let all = Obs::new(&ObsConfig::default().with_events(true).with_sample_shift(0));
         for i in 0..10 {
-            all.emit_sampled(EventKind::Admit, i, 0);
+            all.emit(EventKind::Register, i, 0);
         }
         assert_eq!(all.events().recent(64).len(), 10);
     }

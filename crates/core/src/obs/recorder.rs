@@ -26,8 +26,6 @@ pub enum FlightTrigger {
     Recovery,
     /// An engine invariant failed (e.g. `VersionControl::validate`).
     InvariantViolation,
-    /// Sustained overload tripped the degradation ladder into shedding.
-    Overload,
 }
 
 impl FlightTrigger {
@@ -38,7 +36,6 @@ impl FlightTrigger {
             FlightTrigger::ReaperFire => "reaper_fire",
             FlightTrigger::Recovery => "recovery",
             FlightTrigger::InvariantViolation => "invariant_violation",
-            FlightTrigger::Overload => "overload",
         }
     }
 }
@@ -329,7 +326,7 @@ mod tests {
         let snap = attr.snapshot();
         let path = r
             .dump_with(
-                FlightTrigger::Overload,
+                FlightTrigger::Deadlock,
                 &bus,
                 &DumpContext::default(),
                 Some(&snap),
@@ -340,7 +337,7 @@ mod tests {
         assert!(text.contains("lock_wait;blocker_validate;target_42 900"));
         // And without attribution the sections are null, not absent.
         let plain = r
-            .dump(FlightTrigger::Overload, &bus, &DumpContext::default())
+            .dump(FlightTrigger::Deadlock, &bus, &DumpContext::default())
             .expect("dump");
         let text = std::fs::read_to_string(&plain).unwrap();
         assert!(text.contains("\"hot_keys\": null"));

@@ -16,15 +16,86 @@
 //! read, counted into `ro_reads` once at finish.
 
 use crate::cc_api::{CcContext, ConcurrencyControl};
+use crate::clock::Clock;
 use crate::db::DbCore;
 use crate::error::{AbortReason, DbError};
 use crate::obs::trace::{self, AttemptGuard};
 use crate::obs::{abort_reason_code, EventKind};
-use crate::pressure::{AdmissionPermit, Deadline, TxnOptions, TxnOutcome};
 use crate::trace::TxnTrace;
 use mvcc_model::ObjectId;
 use mvcc_storage::Value;
 use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+
+/// Per-transaction options accepted by the `begin_*_with` entry points.
+#[derive(Debug, Clone, Default)]
+pub struct TxnOptions {
+    /// Total latency budget for the transaction, including blocking
+    /// waits and retries. `None` means unbounded.
+    pub deadline: Option<Duration>,
+    /// End-to-end trace to join (from
+    /// [`MvDatabase::start_trace`](crate::db::MvDatabase::start_trace)).
+    /// `None` leaves tracing to the spans-tier sampler.
+    pub trace: Option<crate::obs::TraceCtx>,
+}
+
+impl TxnOptions {
+    /// Give the transaction `budget` of total latency.
+    pub fn with_deadline(mut self, budget: Duration) -> Self {
+        self.deadline = Some(budget);
+        self
+    }
+
+    /// Join an explicit end-to-end trace.
+    pub fn with_trace(mut self, trace: crate::obs::TraceCtx) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+}
+
+/// An absolute deadline, measured on the engine's (possibly simulated)
+/// clock. Copyable plain data: protocols stash it in their per-txn state
+/// and bound every wait by [`remaining`](Self::remaining).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    at: Instant,
+}
+
+impl Deadline {
+    /// A deadline `budget` from now on `clock`.
+    pub fn within(clock: &dyn Clock, budget: Duration) -> Deadline {
+        Deadline {
+            at: clock.now() + budget,
+        }
+    }
+
+    /// A deadline at an explicit instant.
+    pub fn at(at: Instant) -> Deadline {
+        Deadline { at }
+    }
+
+    /// The absolute expiry instant.
+    pub fn instant(&self) -> Instant {
+        self.at
+    }
+
+    /// Budget left on `clock` (zero once expired).
+    pub fn remaining(&self, clock: &dyn Clock) -> Duration {
+        self.at.saturating_duration_since(clock.now())
+    }
+
+    /// Whether the budget is gone.
+    pub fn expired(&self, clock: &dyn Clock) -> bool {
+        self.remaining(clock).is_zero()
+    }
+
+    /// Bound a configured wait `timeout` by the remaining budget: the
+    /// effective wait a blocking point may use. Expired deadlines yield
+    /// `Duration::ZERO`, which every wait primitive treats as fail-fast.
+    pub fn bound(&self, clock: &dyn Clock, timeout: Duration) -> Duration {
+        timeout.min(self.remaining(clock))
+    }
+}
 
 /// Trace ids for transactions that never receive a transaction number
 /// (read-only transactions, and read-write transactions aborted before
@@ -155,8 +226,6 @@ pub struct RwTxn<'db, C: ConcurrencyControl> {
     /// Absolute latency budget, checked at every operation entry (the
     /// protocol additionally bounds its blocking waits by it).
     deadline: Option<Deadline>,
-    /// Admission slot, released on drop; its outcome feeds the AIMD loop.
-    permit: Option<AdmissionPermit>,
     /// End-to-end trace attempt (explicit via [`TxnOptions::with_trace`]
     /// or spans-tier sampled). While held, instrumented sites deeper in
     /// the engine parent their spans on it through the thread-local
@@ -169,7 +238,6 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
         core: &'db DbCore,
         cc: &'db C,
         opts: &TxnOptions,
-        permit: Option<AdmissionPermit>,
     ) -> Result<Self, DbError> {
         // Open the trace frame *before* the protocol's begin, so a
         // protocol that registers with version control at begin gets its
@@ -202,7 +270,6 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
             trace: core.new_trace(),
             obs_id,
             deadline,
-            permit,
             tspan,
         })
     }
@@ -314,9 +381,6 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
         let state = self.state.take().ok_or(DbError::TxnFinished)?;
         match self.cc.commit(&self.core.ctx, state) {
             Ok(tn) => {
-                if let Some(p) = self.permit.as_mut() {
-                    p.set_outcome(TxnOutcome::Committed);
-                }
                 if let Some(g) = self.tspan.as_mut() {
                     g.attr("committed", 1);
                     g.attr("tn", tn);
@@ -405,22 +469,10 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
             Some(AbortReason::LogFailed) => {
                 m.aborts_wal.fetch_add(1, Ordering::Relaxed);
             }
-            Some(AbortReason::Shed) => {
-                m.aborts_shed.fetch_add(1, Ordering::Relaxed);
-            }
             Some(AbortReason::DeadlineExceeded) => {
                 m.aborts_deadline.fetch_add(1, Ordering::Relaxed);
             }
-            Some(AbortReason::MemoryPressure) => {
-                m.aborts_mem_pressure.fetch_add(1, Ordering::Relaxed);
-            }
             None => {}
-        }
-        if let Some(p) = self.permit.as_mut() {
-            p.set_outcome(match e.abort_reason() {
-                Some(AbortReason::DeadlineExceeded) => TxnOutcome::DeadlineMiss,
-                _ => TxnOutcome::Aborted,
-            });
         }
         self.core.flush_trace(self.trace.as_ref(), None, false);
     }
@@ -432,5 +484,34 @@ impl<C: ConcurrencyControl> Drop for RwTxn<'_, C> {
             self.cc.abort(&self.core.ctx, state);
             self.record_abort(&DbError::Aborted(AbortReason::UserRequested));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::SimClock;
+
+    #[test]
+    fn deadline_arithmetic_on_sim_clock() {
+        let clock = SimClock::new();
+        let d = Deadline::within(clock.as_ref(), Duration::from_millis(10));
+        assert!(!d.expired(clock.as_ref()));
+        assert_eq!(
+            d.bound(clock.as_ref(), Duration::from_secs(1)),
+            Duration::from_millis(10)
+        );
+        clock.advance(Duration::from_millis(4));
+        assert_eq!(d.remaining(clock.as_ref()), Duration::from_millis(6));
+        assert_eq!(
+            d.bound(clock.as_ref(), Duration::from_millis(2)),
+            Duration::from_millis(2)
+        );
+        clock.advance(Duration::from_millis(7));
+        assert!(d.expired(clock.as_ref()));
+        assert_eq!(
+            d.bound(clock.as_ref(), Duration::from_secs(1)),
+            Duration::ZERO
+        );
     }
 }

@@ -376,6 +376,7 @@ pub fn run_cluster(spec: &SimSpec) -> RunReport {
         reaped: 0,
         ro_reads,
         ro_aborts,
+        deadline_aborts: 0,
         violations,
         trace,
         fingerprint,

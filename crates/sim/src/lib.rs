@@ -33,7 +33,6 @@
 
 pub mod cluster;
 pub mod minimize;
-pub mod overload;
 pub mod report;
 pub mod single;
 pub mod spec;
@@ -41,7 +40,6 @@ pub mod sweep;
 
 pub use cluster::run_cluster;
 pub use minimize::minimize;
-pub use overload::{run_overload, LadderStep, OverloadReport, OverloadSpec};
 pub use report::{RunReport, Violation};
 pub use single::run_single;
 pub use spec::{FaultProfile, Mode, Protocol, Sabotage, SimSpec};

@@ -45,6 +45,9 @@ pub struct RunReport {
     pub ro_reads: u64,
     /// Read-only transactions cut short (pruned version, visibility wait).
     pub ro_aborts: u64,
+    /// Read-write transactions aborted with `DeadlineExceeded` (nonzero
+    /// only when the spec sets a deadline).
+    pub deadline_aborts: u64,
     /// Oracle failures; empty means the run passed.
     pub violations: Vec<Violation>,
     /// Canonical deterministic trace: normalized event log, the model
@@ -63,9 +66,13 @@ impl RunReport {
 
     /// One-line outcome summary.
     pub fn summary(&self) -> String {
+        let deadline_aborts = match self.spec.deadline {
+            Some(_) => format!(" deadline_aborts={}", self.deadline_aborts),
+            None => String::new(),
+        };
         format!(
             "{} | steps={} ticks={} commits={} aborts={} stalls={} crashes={} wal_aborts={} \
-             reaped={} ro_reads={} ro_aborts={} violations={} fp={}",
+             reaped={} ro_reads={} ro_aborts={}{} violations={} fp={}",
             self.spec,
             self.steps_done,
             self.ticks,
@@ -77,6 +84,7 @@ impl RunReport {
             self.reaped,
             self.ro_reads,
             self.ro_aborts,
+            deadline_aborts,
             self.violations.len(),
             self.fingerprint,
         )

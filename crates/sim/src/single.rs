@@ -21,6 +21,13 @@
 //! * **`reserved_keyspace`** — an object the workload never touches is
 //!   still empty (catches the [`Sabotage::RogueWrite`] plant).
 //!
+//! With [`SimSpec::deadline`] set, every read-write transaction carries
+//! that budget, and one more oracle is checked as the run goes:
+//!
+//! * **`no_silent_overrun`** — a transaction either commits within its
+//!   budget (in virtual time) or aborts with `DeadlineExceeded`; no
+//!   commit lands after its budget is spent.
+//!
 //! [`VersionControl::validate`]: mvcc_core::VersionControl::validate
 
 use crate::report::{fnv1a, RunReport, Violation};
@@ -69,6 +76,8 @@ struct RwFlight<'db, C: ConcurrencyControl> {
     plan: Vec<ObjectId>,
     pos: usize,
     wrote: Vec<ObjectId>,
+    /// Virtual time at begin, for the `no_silent_overrun` oracle.
+    start_ns: u64,
 }
 
 /// An in-flight read-only transaction owned by a logical client.
@@ -127,6 +136,7 @@ where
     let mut reaped = 0u64;
     let mut ro_reads = 0u64;
     let mut ro_aborts = 0u64;
+    let mut deadline_aborts = 0u64;
     let mut violations: Vec<Violation> = Vec::new();
     let mut rogue_done = false;
     let mut traced: Vec<u64> = Vec::new();
@@ -150,13 +160,14 @@ where
                 None => {
                     // Sampled transactions carry an explicit trace context
                     // so their whole lifecycle lands in one span tree.
-                    let opts = if db.obs().span_sampled() {
+                    let mut opts = if db.obs().span_sampled() {
                         let ctx = db.start_trace();
                         traced.push(ctx.trace_id);
                         TxnOptions::default().with_trace(ctx)
                     } else {
                         TxnOptions::default()
                     };
+                    opts.deadline = spec.deadline;
                     match db.begin_read_write_with(&opts) {
                         Ok(txn) => {
                             let n = 1 + sched.next_below(3);
@@ -172,6 +183,7 @@ where
                                 plan,
                                 pos: 0,
                                 wrote: Vec::new(),
+                                start_ns: clock.elapsed_ns(),
                             });
                         }
                         Err(_) => {
@@ -209,6 +221,10 @@ where
                                 aborts += 1;
                                 steps_done += 1;
                             }
+                            Err(DbError::Aborted(AbortReason::DeadlineExceeded)) => {
+                                deadline_aborts += 1;
+                                steps_done += 1;
+                            }
                             Err(e) => {
                                 violations.push(Violation {
                                     oracle: "engine_error",
@@ -228,6 +244,22 @@ where
                                     expected[o.0 as usize] += 1;
                                 }
                                 commits += 1;
+                                steps_done += 1;
+                                if let Some(budget) = spec.deadline {
+                                    let elapsed = clock.elapsed_ns() - f.start_ns;
+                                    if elapsed > budget.as_nanos() as u64 {
+                                        violations.push(Violation {
+                                            oracle: "no_silent_overrun",
+                                            detail: format!(
+                                                "commit landed {elapsed}ns after begin, \
+                                                 budget was {budget:?}"
+                                            ),
+                                        });
+                                    }
+                                }
+                            }
+                            Err(DbError::Aborted(AbortReason::DeadlineExceeded)) => {
+                                deadline_aborts += 1;
                                 steps_done += 1;
                             }
                             Err(e) if e.is_retryable() => {
@@ -422,6 +454,9 @@ where
          crashes={crashes} wal_aborts={wal_aborts} reaped={reaped} ro_reads={ro_reads} \
          ro_aborts={ro_aborts}\n"
     ));
+    if spec.deadline.is_some() {
+        trace.push_str(&format!("deadline_aborts={deadline_aborts}\n"));
+    }
     let fingerprint = format!("{:016x}", fnv1a(trace.as_bytes()));
 
     RunReport {
@@ -436,6 +471,7 @@ where
         reaped,
         ro_reads,
         ro_aborts,
+        deadline_aborts,
         violations,
         trace,
         fingerprint,

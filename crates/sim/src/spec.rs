@@ -254,6 +254,10 @@ pub struct SimSpec {
     /// be byte-identical with it on or off (covered by a determinism
     /// test).
     pub attribution: bool,
+    /// Latency budget handed to every read-write begin (single-node mode
+    /// only). Tests set it to check the deadline oracle; the explorer
+    /// never does, and `None` leaves the run exactly as without it.
+    pub deadline: Option<Duration>,
 }
 
 impl Default for SimSpec {
@@ -270,6 +274,7 @@ impl Default for SimSpec {
             faults: FaultProfile::Light,
             sabotage: Sabotage::None,
             attribution: false,
+            deadline: None,
         }
     }
 }
@@ -309,7 +314,11 @@ impl fmt::Display for SimSpec {
             self.ro_clients,
             self.steps,
             self.objects,
-        )
+        )?;
+        if let Some(d) = self.deadline {
+            write!(f, " deadline={d:?}")?;
+        }
+        Ok(())
     }
 }
 

@@ -47,10 +47,6 @@ pub struct VersionChain {
     /// Pending versions (at most one under the paper's protocols; a `Vec`
     /// to support baselines that admit several in-flight writers).
     pending: Vec<PendingVersion>,
-    /// Maintained sum of committed + pending payload lengths, so
-    /// [`payload_bytes`](Self::payload_bytes) is O(1) — the store samples
-    /// it on every access to keep its live-byte pressure gauge current.
-    bytes: usize,
 }
 
 impl Default for VersionChain {
@@ -65,17 +61,14 @@ impl VersionChain {
         VersionChain {
             committed: vec![CommittedVersion::new(INITIAL_VERSION, Value::empty())],
             pending: Vec::new(),
-            bytes: 0,
         }
     }
 
     /// A chain whose initial version carries `value`.
     pub fn seeded(value: Value) -> Self {
-        let bytes = value.len();
         VersionChain {
             committed: vec![CommittedVersion::new(INITIAL_VERSION, value)],
             pending: Vec::new(),
-            bytes,
         }
     }
 
@@ -83,12 +76,10 @@ impl VersionChain {
     pub fn seed(&mut self, value: Value) {
         if let Some(first) = self.committed.first_mut() {
             if first.number == INITIAL_VERSION {
-                self.bytes = self.bytes - first.value.len() + value.len();
                 first.value = value;
                 return;
             }
         }
-        self.bytes += value.len();
         self.committed
             .insert(0, CommittedVersion::new(INITIAL_VERSION, value));
     }
@@ -186,10 +177,8 @@ impl VersionChain {
     /// payload, honoring the one-write-per-object model restriction).
     pub fn install_pending(&mut self, p: PendingVersion) {
         if let Some(existing) = self.pending.iter_mut().find(|q| q.writer == p.writer) {
-            self.bytes = self.bytes - existing.value.len() + p.value.len();
             *existing = p;
         } else {
-            self.bytes += p.value.len();
             // A chain keeps its pending capacity for good and almost never
             // holds two pending versions at once: one slot, not the four
             // a first push reserves.
@@ -229,16 +218,7 @@ impl VersionChain {
     /// Drop `writer`'s pending version (abort path). Idempotent.
     pub fn discard_pending(&mut self, writer: TxnId) -> bool {
         let before = self.pending.len();
-        let mut freed = 0;
-        self.pending.retain(|p| {
-            if p.writer == writer {
-                freed += p.value.len();
-                false
-            } else {
-                true
-            }
-        });
-        self.bytes -= freed;
+        self.pending.retain(|p| p.writer != writer);
         self.pending.len() != before
     }
 
@@ -250,7 +230,6 @@ impl VersionChain {
             return Err(ChainError::DuplicateVersion(number));
         }
         let insert_at = self.committed.partition_point(|v| v.number < number);
-        self.bytes += value.len();
         self.committed
             .insert(insert_at, CommittedVersion::new(number, value));
         Ok(())
@@ -268,23 +247,10 @@ impl VersionChain {
             .committed
             .partition_point(|v| v.number <= watermark)
             .saturating_sub(1);
-        if keep_from == 0 {
-            return 0;
+        if keep_from > 0 {
+            self.committed.drain(..keep_from);
         }
-        self.drain_committed(keep_from)
-    }
-
-    /// Drain the oldest `keep_from` committed versions, maintaining the
-    /// byte counter. Returns how many were removed.
-    fn drain_committed(&mut self, keep_from: usize) -> usize {
-        let mut freed = 0;
-        let n = self
-            .committed
-            .drain(..keep_from)
-            .map(|v| freed += v.value.len())
-            .count();
-        self.bytes -= freed;
-        n
+        keep_from
     }
 
     /// Prune like [`prune_below`](Self::prune_below) but keep up to
@@ -297,10 +263,10 @@ impl VersionChain {
         let keep = keep.max(1);
         let visible_end = self.committed.partition_point(|v| v.number <= watermark);
         let keep_from = visible_end.saturating_sub(keep);
-        if keep_from == 0 {
-            return 0;
+        if keep_from > 0 {
+            self.committed.drain(..keep_from);
         }
-        self.drain_committed(keep_from)
+        keep_from
     }
 
     /// Number of committed versions currently held.
@@ -313,10 +279,11 @@ impl VersionChain {
         self.pending.len()
     }
 
-    /// Approximate payload bytes held by this chain. O(1): the counter is
-    /// maintained by every mutation.
+    /// Payload bytes held by this chain, committed and pending: a walk
+    /// over its versions, for [`MvStore::stats`](crate::MvStore::stats).
     pub fn payload_bytes(&self) -> usize {
-        self.bytes
+        self.committed.iter().map(|v| v.value.len()).sum::<usize>()
+            + self.pending.iter().map(|p| p.value.len()).sum::<usize>()
     }
 }
 
@@ -566,39 +533,5 @@ mod tests {
         c.insert_committed(1, v(1)).unwrap(); // 8 bytes
         c.install_pending(PendingVersion::phi(TxnId(2), Value::from_str("abc"))); // 3
         assert_eq!(c.payload_bytes(), 11);
-    }
-
-    /// The maintained O(1) byte counter must agree with a full walk after
-    /// every kind of mutation (it feeds the store's pressure gauge).
-    #[test]
-    fn payload_bytes_counter_tracks_every_mutation() {
-        let walk = |c: &VersionChain| -> usize {
-            c.committed()
-                .iter()
-                .map(|v| v.value.len())
-                .chain(c.pending().iter().map(|p| p.value.len()))
-                .sum()
-        };
-        let mut c = VersionChain::seeded(Value::from_str("seed"));
-        assert_eq!(c.payload_bytes(), walk(&c));
-        c.seed(Value::from_str("reseeded!"));
-        assert_eq!(c.payload_bytes(), walk(&c));
-        for n in [2, 4, 6, 8] {
-            c.insert_committed(n, v(n)).unwrap();
-            assert_eq!(c.payload_bytes(), walk(&c));
-        }
-        c.install_pending(PendingVersion::phi(TxnId(1), Value::from_str("abc")));
-        c.install_pending(PendingVersion::phi(TxnId(1), Value::from_str("abcdef")));
-        c.install_pending(PendingVersion::stamped(TxnId(2), 9, v(90)));
-        assert_eq!(c.payload_bytes(), walk(&c));
-        c.promote_pending(TxnId(2), None).unwrap();
-        assert_eq!(c.payload_bytes(), walk(&c));
-        c.discard_pending(TxnId(1));
-        assert_eq!(c.payload_bytes(), walk(&c));
-        c.prune_below(7);
-        assert_eq!(c.payload_bytes(), walk(&c));
-        c.prune_keep_recent(9, 1);
-        assert_eq!(c.payload_bytes(), walk(&c));
-        assert_eq!(c.payload_bytes(), c.latest().value.len());
     }
 }

@@ -47,7 +47,7 @@ pub use histogram::{AtomicHistogram, Histogram};
 pub use persist::CheckpointStats;
 pub use sketch::{SketchEntry, TopKSketch};
 pub use stats::StoreStats;
-pub use store::{MvStore, PressureStats, WaitOutcome, WaitTimeout};
+pub use store::{MvStore, WaitOutcome, WaitTimeout};
 pub use value::Value;
 pub use version::{CommittedVersion, PendingVersion};
 pub use wal::{

@@ -16,7 +16,6 @@ use crate::value::Value;
 use crate::{VersionNo, INITIAL_VERSION};
 use mvcc_model::ObjectId;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Result of one poll inside [`MvStore::wait_until`].
@@ -57,76 +56,6 @@ struct Shard {
     cv: Condvar,
 }
 
-/// O(1) pressure signals maintained incrementally by every chain access
-/// (vs [`MvStore::stats`], which walks every shard). These feed the
-/// admission controller's degradation ladder, so they must stay cheap
-/// enough to sample on every `begin`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PressureStats {
-    /// Payload bytes held live across all chains (committed + pending).
-    pub live_bytes: u64,
-    /// Committed versions across all chains (including initial versions).
-    pub committed_versions: u64,
-    /// Pending (uncommitted) versions across all chains.
-    pub pending_versions: u64,
-    /// Materialized objects.
-    pub objects: u64,
-}
-
-impl PressureStats {
-    /// GC debt: versions above the one-per-object floor — an upper bound
-    /// on what a sweep at the current watermark could reclaim. (The exact
-    /// reclaimable count depends on the watermark; this maintained
-    /// approximation is what lets the gauge stay O(1).)
-    pub fn gc_debt(&self) -> u64 {
-        self.committed_versions.saturating_sub(self.objects)
-    }
-}
-
-/// Incrementally-maintained store counters behind [`PressureStats`].
-///
-/// Every chain mutation writes them, while every snapshot read loads the
-/// `shards` pointer stored next to them in [`MvStore`]. Sharing a cache
-/// line turned each write into a coherence miss for a concurrent reader,
-/// and each read into one for the writer. The 128-byte alignment (two
-/// lines, the unit Intel's adjacent-line prefetcher fetches) keeps the
-/// two apart.
-#[derive(Default)]
-#[repr(align(128))]
-struct Counters {
-    live_bytes: AtomicU64,
-    committed: AtomicU64,
-    pending: AtomicU64,
-    objects: AtomicU64,
-}
-
-impl Counters {
-    /// Apply before/after deltas from one chain mutation. Wrapping add of
-    /// a two's-complement-encoded signed delta; the aggregate can never
-    /// go negative because every subtraction was preceded by the matching
-    /// addition under the same shard lock.
-    fn apply(&self, before: (usize, usize, usize), chain: &VersionChain) {
-        let (b0, c0, p0) = before;
-        let d = |a: &AtomicU64, from: usize, to: usize| {
-            if from != to {
-                a.fetch_add((to as u64).wrapping_sub(from as u64), Ordering::Relaxed);
-            }
-        };
-        d(&self.live_bytes, b0, chain.payload_bytes());
-        d(&self.committed, c0, chain.committed_len());
-        d(&self.pending, p0, chain.pending_len());
-    }
-}
-
-/// Snapshot a chain's counter inputs before a mutation.
-fn chain_counts(chain: &VersionChain) -> (usize, usize, usize) {
-    (
-        chain.payload_bytes(),
-        chain.committed_len(),
-        chain.pending_len(),
-    )
-}
-
 /// Sharded map of object → version chain.
 ///
 /// ```
@@ -144,7 +73,6 @@ fn chain_counts(chain: &VersionChain) -> (usize, usize, usize) {
 /// ```
 pub struct MvStore {
     shards: Box<[Shard]>,
-    counters: Counters,
 }
 
 impl std::fmt::Debug for MvStore {
@@ -179,10 +107,7 @@ impl MvStore {
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        MvStore {
-            shards,
-            counters: Counters::default(),
-        }
+        MvStore { shards }
     }
 
     fn shard(&self, obj: ObjectId) -> &Shard {
@@ -194,26 +119,7 @@ impl MvStore {
     /// touch, holding the implicit initial version).
     pub fn with<R>(&self, obj: ObjectId, f: impl FnOnce(&mut VersionChain) -> R) -> R {
         let shard = self.shard(obj);
-        let mut map = shard.map.lock();
-        let chain = self.entry(&mut map, obj);
-        let before = chain_counts(chain);
-        let r = f(chain);
-        self.counters.apply(before, chain);
-        r
-    }
-
-    /// Materialize `obj`'s chain, counting first-touch creation (one
-    /// object, one initial version) into the pressure counters.
-    fn entry<'m>(
-        &self,
-        map: &'m mut ObjectMap<VersionChain>,
-        obj: ObjectId,
-    ) -> &'m mut VersionChain {
-        map.entry(obj).or_insert_with(|| {
-            self.counters.objects.fetch_add(1, Ordering::Relaxed);
-            self.counters.committed.fetch_add(1, Ordering::Relaxed);
-            VersionChain::new()
-        })
+        f(shard.map.lock().entry(obj).or_default())
     }
 
     /// Repeatedly run `f` until it returns [`WaitOutcome::Ready`], sleeping
@@ -229,15 +135,7 @@ impl MvStore {
         // Zero-timeout fail-fast: poll once, never park. Deterministic
         // simulation configures every wait bound as zero so virtual
         // deadlines are never handed to a real condvar.
-        // Each poll may mutate the chain (TO reads bump r-ts, writes
-        // install pendings), so every invocation is delta-tracked.
-        let mut poll = |map: &mut ObjectMap<VersionChain>| {
-            let chain = self.entry(map, obj);
-            let before = chain_counts(chain);
-            let out = f(chain);
-            self.counters.apply(before, chain);
-            out
-        };
+        let mut poll = |map: &mut ObjectMap<VersionChain>| f(map.entry(obj).or_default());
         if timeout.is_zero() {
             let mut map = shard.map.lock();
             return match poll(&mut map) {
@@ -339,26 +237,12 @@ impl MvStore {
             let mut map = shard.map.lock();
             for chain in map.values_mut() {
                 stats.chains_examined += 1;
-                let before = chain_counts(chain);
-                let removed = chain.prune_keep_recent(watermark, keep);
-                self.counters.apply(before, chain);
-                stats.versions_pruned += removed;
+                stats.versions_pruned += chain.prune_keep_recent(watermark, keep);
                 stats.versions_retained += chain.committed_len();
             }
         }
         stats.watermark = watermark;
         stats
-    }
-
-    /// O(1) snapshot of the maintained pressure counters — cheap enough
-    /// for the admission controller to sample on every `begin`.
-    pub fn pressure_stats(&self) -> PressureStats {
-        PressureStats {
-            live_bytes: self.counters.live_bytes.load(Ordering::Relaxed),
-            committed_versions: self.counters.committed.load(Ordering::Relaxed),
-            pending_versions: self.counters.pending.load(Ordering::Relaxed),
-            objects: self.counters.objects.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -423,68 +307,12 @@ mod tests {
         assert_eq!(st.payload_bytes, 11);
     }
 
-    /// The counters own a 128-byte block, apart from the `shards` pointer
-    /// every read loads, and no two shards share a cache line.
+    /// No two shards share a cache line.
     #[test]
-    fn counters_and_shards_do_not_share_cache_lines() {
+    fn shards_do_not_share_cache_lines() {
         use std::mem::{align_of, size_of};
-        assert_eq!((size_of::<Counters>(), align_of::<Counters>()), (128, 128));
         assert_eq!(align_of::<Shard>(), 64);
         assert_eq!(size_of::<Shard>() % 64, 0);
-        let s = Arc::new(MvStore::new());
-        assert_eq!(&s.counters as *const Counters as usize % 128, 0);
-    }
-
-    /// The O(1) maintained pressure counters must agree with the full
-    /// walk after every kind of store access, including GC.
-    #[test]
-    fn pressure_stats_track_full_walk() {
-        let s = MvStore::with_shards(4);
-        let check = |s: &MvStore| {
-            let walk = s.stats();
-            let fast = s.pressure_stats();
-            assert_eq!(fast.live_bytes, walk.payload_bytes as u64);
-            assert_eq!(fast.committed_versions, walk.committed_versions as u64);
-            assert_eq!(fast.pending_versions, walk.pending_versions as u64);
-            assert_eq!(fast.objects, walk.objects as u64);
-        };
-        check(&s);
-        s.seed(obj(1), Value::from_str("seed-value"));
-        for o in 0..6u64 {
-            s.with(obj(o), |c| {
-                for n in 1..=4 {
-                    c.insert_committed(n, Value::from_u64(n)).unwrap();
-                }
-            });
-            check(&s);
-        }
-        s.with(obj(2), |c| {
-            c.install_pending(PendingVersion::phi(TxnId(9), Value::from_str("pending")))
-        });
-        check(&s);
-        s.with(obj(2), |c| {
-            c.discard_pending(TxnId(9));
-        });
-        check(&s);
-        // wait_until's polls are delta-tracked too
-        s.wait_until(obj(3), Duration::ZERO, |c| {
-            c.install_pending(PendingVersion::stamped(TxnId(5), 9, Value::from_u64(9)));
-            WaitOutcome::Ready(())
-        })
-        .unwrap();
-        check(&s);
-        // reads of a never-touched object materialize nothing
-        let (objects, pressure) = (s.objects(), s.pressure_stats());
-        assert_eq!(s.read_at(obj(99), 7), Some((0, Value::empty())));
-        assert_eq!(s.read_latest(obj(99)), (0, Value::empty()));
-        assert_eq!(s.objects(), objects);
-        assert_eq!(s.pressure_stats(), pressure);
-        check(&s);
-        let debt_before = s.pressure_stats().gc_debt();
-        assert!(debt_before > 0);
-        s.collect_garbage(4);
-        check(&s);
-        assert!(s.pressure_stats().gc_debt() < debt_before);
     }
 
     #[test]

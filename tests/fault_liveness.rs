@@ -212,9 +212,8 @@ fn background_reaper_restores_freshness_and_refuses_late_commit() {
 /// Table-driven audit of [`AbortReason`] retryability, covering **every**
 /// variant. Retrying is only sound when a fresh attempt can observe a
 /// different interleaving (conflicts, timeouts); it is actively harmful
-/// for durability failures (the disk is still full), overload refusals
-/// (immediate retry feeds the overload the shed exists to relieve), and
-/// deadline misses (the budget is gone). Pinning each variant here means
+/// for durability failures (the disk is still full) and deadline misses
+/// (the budget is gone). Pinning each variant here means
 /// adding a new one forces a conscious decision: `AbortReason::ALL` and
 /// this table must both grow, and a mismatch in either direction fails.
 #[test]
@@ -228,9 +227,7 @@ fn abort_reason_retryability_audit_covers_every_variant() {
         (AbortReason::Reaped, true),
         (AbortReason::UserRequested, false),
         (AbortReason::LogFailed, false),
-        (AbortReason::Shed, false),
         (AbortReason::DeadlineExceeded, false),
-        (AbortReason::MemoryPressure, false),
     ];
     assert_eq!(
         expected.len(),

@@ -507,7 +507,7 @@ fn profile_json_matches_golden_when_disabled() {
     );
     let json = db.metrics_json();
     assert!(
-        json.contains("\"schema_version\": 3"),
+        json.contains("\"schema_version\": 4"),
         "metrics_json must lead with the schema version: {json}"
     );
 }
@@ -535,7 +535,7 @@ fn attribution_names_hot_key_and_blocker() {
 
     let profile = db.profile_json();
     assert_balanced_json(&profile);
-    assert!(profile.contains("\"schema_version\": 3"));
+    assert!(profile.contains("\"schema_version\": 4"));
     assert!(
         profile.contains("\"key\": 5"),
         "hot-key sketch must name the contended object: {profile}"

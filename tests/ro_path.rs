@@ -96,7 +96,7 @@ fn warm_snapshot_scan_allocates_nothing() {
 fn reading_an_untouched_object_materializes_nothing() {
     let db = loaded_db();
     let store = db.store();
-    let (objects, pressure) = (store.objects(), store.pressure_stats());
+    let (objects, stats) = (store.objects(), store.stats());
     let mut ro = db.begin_read_only();
     assert_eq!(
         ro.read_versioned(ObjectId(KEYS + 7)).unwrap(),
@@ -108,7 +108,7 @@ fn reading_an_untouched_object_materializes_nothing() {
         Some((0, Value::empty()))
     );
     assert!(store.objects() == objects, "a read materialized a chain");
-    assert_eq!(store.pressure_stats(), pressure);
+    assert_eq!(store.stats(), stats);
 }
 
 #[test]
