@@ -196,7 +196,7 @@ impl Engine for ChanMv2pl {
             // synchronization action.
             let mut scanned = 0u64;
             let found = self.store.with(k, |c| {
-                for v in c.committed().iter().rev() {
+                for v in c.committed().rev() {
                     if v.number >= copy.start_ts {
                         continue;
                     }

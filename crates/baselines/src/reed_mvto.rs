@@ -40,10 +40,12 @@ pub struct ReedMvto {
     clock: LogicalClock,
     metrics: Metrics,
     tracer: Option<Tracer>,
-    /// `(object, version) → the read that holds the max r-ts came from a
-    /// read-only transaction`. Used to attribute writer aborts to
-    /// read-only interference (the paper's claim about this protocol).
-    ro_read_marks: Mutex<HashMap<(ObjectId, u64), bool>>,
+    /// `(object, version) → (r-ts, whether the read that set it came from
+    /// a read-only transaction)`. Reed's per-version read timestamps; the
+    /// flag attributes writer aborts to read-only interference (the
+    /// paper's claim about this protocol). The store's chains track
+    /// `r-ts` only on their newest version, as the paper's TO does.
+    read_marks: Mutex<HashMap<(ObjectId, u64), (u64, bool)>>,
     wait_timeout: Duration,
 }
 
@@ -70,7 +72,7 @@ impl ReedMvto {
             clock: LogicalClock::new(),
             metrics: Metrics::new(),
             tracer: trace.then(Tracer::new),
-            ro_read_marks: Mutex::new(HashMap::new()),
+            read_marks: Mutex::new(HashMap::new()),
             wait_timeout: Duration::from_secs(10),
         }
     }
@@ -116,10 +118,12 @@ impl ReedMvto {
             // Raise the candidate's read timestamp — a *write* to shared
             // concurrency-control state, performed even by read-only
             // transactions. This is the paper's cited overhead.
-            let prev = c.exact(cand).map(|v| v.read_ts).unwrap_or(0);
-            c.update_read_ts_of(cand, ts);
-            if ts > prev {
-                self.ro_read_marks.lock().insert((obj, cand), is_ro);
+            {
+                let mut marks = self.read_marks.lock();
+                let mark = marks.entry((obj, cand)).or_default();
+                if ts > mark.0 {
+                    *mark = (ts, is_ro);
+                }
             }
             let v = c.exact(cand).expect("candidate exists");
             WaitOutcome::Ready((v.number, v.value.clone()))
@@ -159,17 +163,16 @@ impl ReedMvto {
                 }
                 return WaitOutcome::Wait;
             }
-            let cand_v = c.exact(cand).expect("candidate exists");
-            if cand_v.read_ts > ts {
+            let (read_ts, by_ro) = self
+                .read_marks
+                .lock()
+                .get(&(obj, cand))
+                .copied()
+                .unwrap_or((0, false));
+            if read_ts > ts {
                 // A younger transaction already read the state this write
                 // would change: abort (Reed's rule). Attribute the abort
                 // if the offending reader was read-only.
-                let by_ro = self
-                    .ro_read_marks
-                    .lock()
-                    .get(&(obj, cand))
-                    .copied()
-                    .unwrap_or(false);
                 if by_ro {
                     m.aborts_due_to_ro.fetch_add(1, Ordering::Relaxed);
                 }
@@ -303,7 +306,11 @@ impl Engine for ReedMvto {
 
     fn reset_metrics(&self) {
         self.metrics.reset();
-        self.ro_read_marks.lock().clear();
+        // Forget who set each r-ts, not the r-ts itself: that is
+        // protocol state, which a metrics reset must not change.
+        for (_, by_ro) in self.read_marks.lock().values_mut() {
+            *by_ro = false;
+        }
     }
 
     fn store_stats(&self) -> StoreStats {

@@ -98,7 +98,9 @@ impl ConcurrencyControl for Optimistic {
         // Backward validation: every read must still be current.
         for &(obj, seen) in &txn.read_set {
             m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
-            let current = ctx.store.with(obj, |c| c.latest().number);
+            // The read-only probe: an object nobody wrote stays
+            // unmaterialized, and the map never rehashes in this section.
+            let current = ctx.store.read_latest(obj).0;
             if current != seen {
                 // id 0: the loser has no transaction number (it never
                 // registers); aux names the conflicting object.

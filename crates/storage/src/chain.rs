@@ -6,6 +6,11 @@
 //! [`INITIAL_VERSION`], empty payload unless seeded), written by the
 //! pseudo-transaction `T_0` — matching the model crate's convention.
 //!
+//! The newest committed version is stored inline, so it lives in the
+//! store map's bucket; only older versions sit in a heap `Vec`. A read
+//! at or above the newest number — every read-only read at `vtnc` and
+//! every protocol read of the latest version — touches no heap memory.
+//!
 //! Chains are plain data: all locking lives in [`crate::store::MvStore`].
 
 use crate::value::Value;
@@ -41,12 +46,24 @@ impl std::error::Error for ChainError {}
 /// The version list of one object.
 #[derive(Clone, Debug)]
 pub struct VersionChain {
-    /// Committed versions, sorted by `number` ascending. Never empty: the
-    /// initial version is always present until GC decides it is dominated.
-    committed: Vec<CommittedVersion>,
+    /// The committed version with the largest number. GC never prunes
+    /// it, so a chain always has one.
+    newest: CommittedVersion,
+    /// `r-ts` of `newest` (paper Figure 3); a new newest starts at 0.
+    read_ts: VersionNo,
+    /// Every other committed version, sorted by `number` ascending, all
+    /// below `newest.number`. GC drains it but keeps its allocation.
+    older: Vec<CommittedVersion>,
     /// Pending versions (at most one under the paper's protocols; a `Vec`
     /// to support baselines that admit several in-flight writers).
     pending: Vec<PendingVersion>,
+}
+
+/// Where a new committed version goes: in place of `newest` (which
+/// moves to the end of `older`), or at an index of `older`.
+enum Slot {
+    Newest,
+    Older(usize),
 }
 
 impl Default for VersionChain {
@@ -58,59 +75,68 @@ impl Default for VersionChain {
 impl VersionChain {
     /// A chain holding only the (empty-payload) initial version.
     pub fn new() -> Self {
-        VersionChain {
-            committed: vec![CommittedVersion::new(INITIAL_VERSION, Value::empty())],
-            pending: Vec::new(),
-        }
+        Self::seeded(Value::empty())
     }
 
     /// A chain whose initial version carries `value`.
     pub fn seeded(value: Value) -> Self {
         VersionChain {
-            committed: vec![CommittedVersion::new(INITIAL_VERSION, value)],
+            newest: CommittedVersion::new(INITIAL_VERSION, value),
+            read_ts: 0,
+            older: Vec::new(),
             pending: Vec::new(),
         }
     }
 
     /// Replace the initial version's payload (used when loading data).
     pub fn seed(&mut self, value: Value) {
-        if let Some(first) = self.committed.first_mut() {
-            if first.number == INITIAL_VERSION {
-                first.value = value;
-                return;
-            }
+        if self.newest.number == INITIAL_VERSION {
+            self.newest.value = value;
+            return;
         }
-        self.committed
-            .insert(0, CommittedVersion::new(INITIAL_VERSION, value));
+        match self.older.first_mut() {
+            Some(first) if first.number == INITIAL_VERSION => first.value = value,
+            _ => self
+                .older
+                .insert(0, CommittedVersion::new(INITIAL_VERSION, value)),
+        }
     }
 
     // ---- reads -----------------------------------------------------------
 
     /// The most recent committed version.
     pub fn latest(&self) -> &CommittedVersion {
-        self.committed.last().expect("chain never empty")
+        &self.newest
     }
 
     /// Snapshot read: the committed version with the **largest number
     /// `≤ sn`** (paper Figure 2). `None` only if GC pruned every such
     /// version (paper: "barring the unavailability of an appropriate
     /// version to read due to garbage-collection").
+    #[inline]
     pub fn at(&self, sn: VersionNo) -> Option<&CommittedVersion> {
-        let idx = self.committed.partition_point(|v| v.number <= sn);
-        idx.checked_sub(1).map(|i| &self.committed[i])
+        if sn >= self.newest.number {
+            return Some(&self.newest);
+        }
+        let idx = self.older.partition_point(|v| v.number <= sn);
+        idx.checked_sub(1).map(|i| &self.older[i])
     }
 
     /// Committed version with exactly this number.
     pub fn exact(&self, number: VersionNo) -> Option<&CommittedVersion> {
-        self.committed
+        if number == self.newest.number {
+            return Some(&self.newest);
+        }
+        let i = self
+            .older
             .binary_search_by_key(&number, |v| v.number)
-            .ok()
-            .map(|i| &self.committed[i])
+            .ok()?;
+        Some(&self.older[i])
     }
 
     /// All committed versions, oldest first.
-    pub fn committed(&self) -> &[CommittedVersion] {
-        &self.committed
+    pub fn committed(&self) -> impl DoubleEndedIterator<Item = &CommittedVersion> {
+        self.older.iter().chain(std::iter::once(&self.newest))
     }
 
     /// All pending versions.
@@ -137,29 +163,20 @@ impl VersionChain {
     /// `r-ts(x)` of the most recent version (paper Figure 3): the largest
     /// transaction number that read the latest version.
     pub fn read_ts(&self) -> VersionNo {
-        self.latest().read_ts
+        self.read_ts
     }
 
     /// Raise the latest version's `r-ts` to at least `tn`
     /// (`r-ts(x) ← MAX(r-ts(x), tn(T))`).
     pub fn update_read_ts(&mut self, tn: VersionNo) {
-        let v = self.committed.last_mut().expect("chain never empty");
-        v.read_ts = v.read_ts.max(tn);
-    }
-
-    /// Raise the `r-ts` of the version numbered `number` (Reed-style
-    /// per-version read timestamps). No-op if the version is gone.
-    pub fn update_read_ts_of(&mut self, number: VersionNo, tn: VersionNo) {
-        if let Ok(i) = self.committed.binary_search_by_key(&number, |v| v.number) {
-            self.committed[i].read_ts = self.committed[i].read_ts.max(tn);
-        }
+        self.read_ts = self.read_ts.max(tn);
     }
 
     /// `w-ts(x)` of the most recent version: the largest committed version
     /// number, taking reserved numbers of pending writes into account
     /// (a granted-but-uncommitted write has already claimed its slot).
     pub fn write_ts(&self) -> VersionNo {
-        let committed_max = self.latest().number;
+        let committed_max = self.newest.number;
         let pending_max = self
             .pending
             .iter()
@@ -205,13 +222,9 @@ impl VersionChain {
         let final_no = number
             .or(self.pending[idx].reserved_number)
             .ok_or(ChainError::MissingNumber(writer))?;
-        if self.exact(final_no).is_some() {
-            return Err(ChainError::DuplicateVersion(final_no));
-        }
+        let slot = self.slot(final_no)?;
         let p = self.pending.remove(idx);
-        let insert_at = self.committed.partition_point(|v| v.number < final_no);
-        self.committed
-            .insert(insert_at, CommittedVersion::new(final_no, p.value));
+        self.place(slot, CommittedVersion::new(final_no, p.value));
         Ok(final_no)
     }
 
@@ -226,13 +239,34 @@ impl VersionChain {
     /// by the distributed apply path, where no pending version was staged
     /// in this chain).
     pub fn insert_committed(&mut self, number: VersionNo, value: Value) -> Result<(), ChainError> {
-        if self.exact(number).is_some() {
-            return Err(ChainError::DuplicateVersion(number));
-        }
-        let insert_at = self.committed.partition_point(|v| v.number < number);
-        self.committed
-            .insert(insert_at, CommittedVersion::new(number, value));
+        let slot = self.slot(number)?;
+        self.place(slot, CommittedVersion::new(number, value));
         Ok(())
+    }
+
+    /// Where a committed version numbered `number` goes, or
+    /// [`ChainError::DuplicateVersion`]. A number above the newest — the
+    /// only case when versions are installed in `tn` order — costs one
+    /// comparison.
+    fn slot(&self, number: VersionNo) -> Result<Slot, ChainError> {
+        if number > self.newest.number {
+            return Ok(Slot::Newest);
+        }
+        match self.older.binary_search_by_key(&number, |v| v.number) {
+            Err(i) if number != self.newest.number => Ok(Slot::Older(i)),
+            _ => Err(ChainError::DuplicateVersion(number)),
+        }
+    }
+
+    fn place(&mut self, slot: Slot, version: CommittedVersion) {
+        match slot {
+            Slot::Newest => {
+                let old = std::mem::replace(&mut self.newest, version);
+                self.read_ts = 0;
+                self.older.push(old);
+            }
+            Slot::Older(i) => self.older.insert(i, version),
+        }
     }
 
     // ---- garbage collection ---------------------------------------------
@@ -243,14 +277,7 @@ impl VersionChain {
     /// largest version number `≤ watermark` (that one stays — it is what a
     /// snapshot at `watermark` reads). Returns how many were removed.
     pub fn prune_below(&mut self, watermark: VersionNo) -> usize {
-        let keep_from = self
-            .committed
-            .partition_point(|v| v.number <= watermark)
-            .saturating_sub(1);
-        if keep_from > 0 {
-            self.committed.drain(..keep_from);
-        }
-        keep_from
+        self.prune_keep_recent(watermark, 1)
     }
 
     /// Prune like [`prune_below`](Self::prune_below) but keep up to
@@ -259,19 +286,25 @@ impl VersionChain {
     /// retains bounded history for time-travel reads below the
     /// watermark, one of the garbage-collection policies Section 6
     /// invites experimentation with.
+    ///
+    /// The newest version is never pruned, and `older` keeps its
+    /// allocation: a chain written again after a sweep would otherwise
+    /// go back to the allocator for its next version.
     pub fn prune_keep_recent(&mut self, watermark: VersionNo, keep: usize) -> usize {
         let keep = keep.max(1);
-        let visible_end = self.committed.partition_point(|v| v.number <= watermark);
+        let visible_end = if watermark >= self.newest.number {
+            self.older.len() + 1
+        } else {
+            self.older.partition_point(|v| v.number <= watermark)
+        };
         let keep_from = visible_end.saturating_sub(keep);
-        if keep_from > 0 {
-            self.committed.drain(..keep_from);
-        }
+        self.older.drain(..keep_from);
         keep_from
     }
 
     /// Number of committed versions currently held.
     pub fn committed_len(&self) -> usize {
-        self.committed.len()
+        self.older.len() + 1
     }
 
     /// Number of pending versions currently held.
@@ -282,7 +315,7 @@ impl VersionChain {
     /// Payload bytes held by this chain, committed and pending: a walk
     /// over its versions, for [`MvStore::stats`](crate::MvStore::stats).
     pub fn payload_bytes(&self) -> usize {
-        self.committed.iter().map(|v| v.value.len()).sum::<usize>()
+        self.committed().map(|v| v.value.len()).sum::<usize>()
             + self.pending.iter().map(|p| p.value.len()).sum::<usize>()
     }
 }
@@ -329,7 +362,7 @@ mod tests {
         let mut c = VersionChain::new();
         c.insert_committed(9, v(90)).unwrap();
         c.insert_committed(5, v(50)).unwrap();
-        let nums: Vec<u64> = c.committed().iter().map(|x| x.number).collect();
+        let nums: Vec<u64> = c.committed().map(|x| x.number).collect();
         assert_eq!(nums, vec![0, 5, 9]);
         assert_eq!(c.latest().number, 9);
     }
@@ -429,10 +462,12 @@ mod tests {
         c.update_read_ts(3); // MAX semantics
         assert_eq!(c.read_ts(), 5);
         c.insert_committed(7, v(1)).unwrap();
-        // r-ts is per version; the new latest starts at 0
+        // r-ts belongs to the latest version; the new latest starts at 0
         assert_eq!(c.read_ts(), 0);
-        c.update_read_ts_of(0, 9);
-        assert_eq!(c.exact(0).unwrap().read_ts, 9);
+        c.update_read_ts(9);
+        // a version slotted in below the latest leaves its r-ts alone
+        c.insert_committed(4, v(2)).unwrap();
+        assert_eq!(c.read_ts(), 9);
     }
 
     #[test]
@@ -455,7 +490,7 @@ mod tests {
         // watermark 5: snapshot at 5 reads version 4; versions 0 and 2 die.
         let removed = c.prune_below(5);
         assert_eq!(removed, 2);
-        let nums: Vec<u64> = c.committed().iter().map(|x| x.number).collect();
+        let nums: Vec<u64> = c.committed().map(|x| x.number).collect();
         assert_eq!(nums, vec![4, 6, 8]);
         // reads at/above the watermark unaffected
         assert_eq!(c.at(5).unwrap().number, 4);
@@ -495,7 +530,7 @@ mod tests {
         // those plus everything above the watermark.
         let removed = c.prune_keep_recent(9, 3);
         assert_eq!(removed, 2);
-        let nums: Vec<u64> = c.committed().iter().map(|x| x.number).collect();
+        let nums: Vec<u64> = c.committed().map(|x| x.number).collect();
         assert_eq!(nums, vec![4, 6, 8, 10]);
         // time-travel reads within the kept window still work
         assert_eq!(c.at(7).unwrap().number, 6);
@@ -513,8 +548,8 @@ mod tests {
             b.insert_committed(n, v(n)).unwrap();
         }
         assert_eq!(a.prune_below(6), b.prune_keep_recent(6, 1));
-        let na: Vec<u64> = a.committed().iter().map(|x| x.number).collect();
-        let nb: Vec<u64> = b.committed().iter().map(|x| x.number).collect();
+        let na: Vec<u64> = a.committed().map(|x| x.number).collect();
+        let nb: Vec<u64> = b.committed().map(|x| x.number).collect();
         assert_eq!(na, nb);
     }
 
@@ -525,6 +560,46 @@ mod tests {
         c.prune_keep_recent(10, 0);
         assert_eq!(c.committed_len(), 1);
         assert_eq!(c.at(10).unwrap().number, 5);
+    }
+
+    /// The chain is the store map's bucket value: its newest version (32
+    /// bytes), that version's `r-ts` (8), and the `older` and `pending`
+    /// vectors (24 each). With the 8-byte key a bucket is 96 bytes;
+    /// growing it is a decision.
+    #[test]
+    fn chain_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<CommittedVersion>(), 32);
+        assert_eq!(std::mem::size_of::<VersionChain>(), 88);
+    }
+
+    /// Materializing a chain allocates nothing; the first write moves the
+    /// initial version into `older`.
+    #[test]
+    fn fresh_chain_owns_no_heap_memory() {
+        let mut c = VersionChain::new();
+        assert_eq!(c.older.capacity(), 0);
+        c.insert_committed(1, v(1)).unwrap();
+        assert_eq!(c.older.len(), 1);
+        assert_eq!(c.at(1).unwrap().value.as_u64(), Some(1));
+        assert_eq!(c.at(0).unwrap().number, 0);
+    }
+
+    #[test]
+    fn prune_keeps_older_allocation() {
+        let mut c = VersionChain::new();
+        for n in 1..=4 {
+            c.insert_committed(n, v(n)).unwrap();
+        }
+        let cap = c.older.capacity();
+        assert_eq!(c.prune_below(10), 4);
+        assert!(c.older.is_empty());
+        assert_eq!(c.older.capacity(), cap);
+        // The next writes reuse it.
+        for n in 5..=8 {
+            c.insert_committed(n, v(n)).unwrap();
+        }
+        assert_eq!(c.older.capacity(), cap);
+        assert_eq!(c.latest().number, 8);
     }
 
     #[test]

@@ -129,7 +129,6 @@ impl MvStore {
             // write without holding it.
             let versions: Vec<(VersionNo, Value)> = self.with(obj, |c| {
                 c.committed()
-                    .iter()
                     .filter(|v| v.number <= watermark)
                     .map(|v| (v.number, v.value.clone()))
                     .collect()
@@ -273,6 +272,70 @@ mod tests {
         );
         // the post-watermark version is gone
         assert_eq!(restored.read_latest(obj(1)).0, 3);
+    }
+
+    /// Every chain's committed `(number, value)` list, by object.
+    fn chains(store: &MvStore) -> Vec<(ObjectId, Vec<(VersionNo, Value)>)> {
+        let versions = |c: &mut crate::VersionChain| {
+            c.committed().map(|v| (v.number, v.value.clone())).collect()
+        };
+        store
+            .objects()
+            .into_iter()
+            .map(|o| (o, store.with(o, versions)))
+            .collect()
+    }
+
+    /// Checkpoint → restore, then replaying the log's later records out
+    /// of order, rebuilds chains of depth 1, 2 and 8 version for version
+    /// — the newest inline, the rest in order behind it.
+    #[test]
+    fn checkpoint_and_replay_rebuild_identical_chains() {
+        use crate::wal::{replay_into, CommitRecord};
+        // Object 1 keeps only its seed (depth 1); tn 1 writes object 2
+        // (depth 2); tns 1–7 write object 3 (depth 8).
+        let records: Vec<CommitRecord> = (1..=7u64)
+            .map(|tn| CommitRecord {
+                tn,
+                writes: [2, 3]
+                    .into_iter()
+                    .filter(|&o| o == 3 || tn == 1)
+                    .map(|o| (obj(o), Value::from_u64(10 * tn + o)))
+                    .collect(),
+            })
+            .collect();
+        let seeded = || {
+            let store = MvStore::new();
+            for o in 1..=3 {
+                store.seed(obj(o), Value::from_u64(o));
+            }
+            store
+        };
+        let source = seeded();
+        for r in &records {
+            for (o, v) in &r.writes {
+                source.with(*o, |c| c.insert_committed(r.tn, v.clone()).unwrap());
+            }
+        }
+        let depths: Vec<usize> = chains(&source).iter().map(|(_, vs)| vs.len()).collect();
+        assert_eq!(depths, vec![1, 2, 8]);
+        let mut shuffled = records.clone();
+        shuffled.reverse();
+        shuffled.swap(1, 4);
+
+        for watermark in [0, 1, 4, 7] {
+            let mut buf = Vec::new();
+            source.checkpoint(&mut buf, watermark).unwrap();
+            let (restored, w) = MvStore::restore(&mut buf.as_slice()).unwrap();
+            assert_eq!(w, watermark);
+            let (last, skipped) = replay_into(&restored, watermark, &shuffled).unwrap();
+            assert_eq!((last, skipped), (7, watermark as usize));
+            assert_eq!(chains(&restored), chains(&source), "watermark {watermark}");
+        }
+        // Recovery with no checkpoint: the log alone over the seeds.
+        let replayed = seeded();
+        replay_into(&replayed, 0, &shuffled).unwrap();
+        assert_eq!(chains(&replayed), chains(&source));
     }
 
     #[test]

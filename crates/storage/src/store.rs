@@ -132,29 +132,28 @@ impl MvStore {
         mut f: impl FnMut(&mut VersionChain) -> WaitOutcome<R>,
     ) -> Result<R, WaitTimeout> {
         let shard = self.shard(obj);
-        // Zero-timeout fail-fast: poll once, never park. Deterministic
-        // simulation configures every wait bound as zero so virtual
-        // deadlines are never handed to a real condvar.
         let mut poll = |map: &mut ObjectMap<VersionChain>| f(map.entry(obj).or_default());
-        if timeout.is_zero() {
-            let mut map = shard.map.lock();
-            return match poll(&mut map) {
-                WaitOutcome::Ready(r) => Ok(r),
-                _ => Err(WaitTimeout { waited: timeout }),
-            };
-        }
-        let deadline = Instant::now() + timeout;
         let mut map = shard.map.lock();
+        if let WaitOutcome::Ready(r) = poll(&mut map) {
+            return Ok(r);
+        }
+        // Zero-timeout fail-fast: never park. Deterministic simulation
+        // configures every wait bound as zero so virtual deadlines are
+        // never handed to a real condvar.
+        if timeout.is_zero() {
+            return Err(WaitTimeout { waited: timeout });
+        }
+        // Only a wait that parks reads the clock.
+        let deadline = Instant::now() + timeout;
         loop {
+            let timed_out = shard.cv.wait_until(&mut map, deadline).timed_out();
+            // After a timeout this is the final re-check: the condition
+            // may have become true in the race between the last poll and
+            // the timeout.
             if let WaitOutcome::Ready(r) = poll(&mut map) {
                 return Ok(r);
             }
-            if shard.cv.wait_until(&mut map, deadline).timed_out() {
-                // Final re-check: the condition may have become true in the
-                // race between the last poll and the timeout.
-                if let WaitOutcome::Ready(r) = poll(&mut map) {
-                    return Ok(r);
-                }
+            if timed_out {
                 return Err(WaitTimeout { waited: timeout });
             }
         }
@@ -176,8 +175,10 @@ impl MvStore {
     /// pruned the needed version.
     ///
     /// A read mutates nothing, so it bypasses [`with`](Self::with): one
-    /// shard lock, one map probe, one binary search. An object never
-    /// written holds only its initial version and is not materialized.
+    /// shard lock and one map probe. A read at or above the chain's newest
+    /// version finds it inline in the map's bucket; an older snapshot
+    /// binary-searches the chain's heap part. An object never written
+    /// holds only its initial version and is not materialized.
     pub fn read_at(&self, obj: ObjectId, sn: VersionNo) -> Option<(VersionNo, Value)> {
         match self.shard(obj).map.lock().get(&obj) {
             Some(c) => c.at(sn).map(|v| (v.number, v.value.clone())),
@@ -419,7 +420,7 @@ mod tests {
         assert_eq!(chain_len, 1 + 8 * 50);
         // chain stayed sorted
         s.with(obj(1), |c| {
-            let nums: Vec<u64> = c.committed().iter().map(|v| v.number).collect();
+            let nums: Vec<u64> = c.committed().map(|v| v.number).collect();
             let mut sorted = nums.clone();
             sorted.sort_unstable();
             assert_eq!(nums, sorted);

@@ -11,28 +11,24 @@ use mvcc_model::TxnId;
 /// of the transaction that wrote that version" (Section 3.2) — and chains
 /// keep committed versions sorted by it.
 ///
-/// `read_ts` is the per-version read timestamp used by timestamp-based
-/// protocols: the paper's TO integration tracks it on the most recent
-/// version only (Figure 3), while Reed's original MVTO (the baseline)
-/// tracks it on every version. It is bookkeeping, not payload.
+/// A version carries no read timestamp. The paper's TO integration
+/// tracks `r-ts` on the most recent version only (Figure 3), so the chain
+/// keeps that one ([`VersionChain::read_ts`](crate::VersionChain::read_ts));
+/// Reed's original MVTO, which tracks it on every version, is a baseline
+/// and keeps its own. Every older version a chain holds is therefore 32
+/// bytes, not 40.
 #[derive(Clone, Debug)]
 pub struct CommittedVersion {
     /// Version number = creator's transaction number.
     pub number: VersionNo,
     /// Payload.
     pub value: Value,
-    /// Largest transaction number that has read this version (0 if none).
-    pub read_ts: VersionNo,
 }
 
 impl CommittedVersion {
-    /// A fresh committed version with no readers yet.
+    /// A committed version numbered `number` carrying `value`.
     pub fn new(number: VersionNo, value: Value) -> Self {
-        CommittedVersion {
-            number,
-            value,
-            read_ts: 0,
-        }
+        CommittedVersion { number, value }
     }
 }
 
@@ -89,10 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn fresh_committed_version_has_no_readers() {
+    fn committed_version_is_number_and_payload() {
         let v = CommittedVersion::new(7, Value::from_u64(9));
         assert_eq!(v.number, 7);
-        assert_eq!(v.read_ts, 0);
         assert_eq!(v.value.as_u64(), Some(9));
+        assert_eq!(std::mem::size_of::<CommittedVersion>(), 32);
     }
 }

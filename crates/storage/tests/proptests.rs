@@ -1,7 +1,8 @@
-//! Property tests for version chains and GC: chains stay sorted, snapshot
-//! reads match a naive reference, and pruning never changes the result of
-//! any read at or above the watermark. Values of every length either side
-//! of the inline capacity survive the log and checkpoint formats.
+//! Property tests for version chains and GC: a chain holds exactly the
+//! versions of a sorted-map reference model, and pruning never changes
+//! the result of any read at or above the watermark. Values of every
+//! length either side of the inline capacity survive the log and
+//! checkpoint formats.
 
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::chain::VersionChain;
@@ -17,11 +18,6 @@ fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
         proptest::collection::vec(any::<u8>(), 0..=2 * Value::INLINE_CAPACITY),
         1..12,
     )
-}
-
-/// Reference model: a sorted map of version number → payload.
-fn reference_at(model: &BTreeMap<u64, u64>, sn: u64) -> Option<(u64, u64)> {
-    model.range(..=sn).next_back().map(|(&n, &v)| (n, v))
 }
 
 /// A [`MemWal`] that gathers frames into batches of `batch` bytes, the
@@ -67,34 +63,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Chain reads agree with a BTreeMap reference model under arbitrary
-    /// interleavings of inserts, pending installs, promotes and discards.
+    /// interleavings of inserts, pending installs, promotes, discards,
+    /// pruning, seeding and `r-ts` updates. Numbers are drawn in any
+    /// order, so inserts and promotions land both above and below the
+    /// inline newest version; pruning keeps 1–4 versions at a watermark
+    /// both above and below it.
     #[test]
     fn chain_matches_reference(
-        steps in proptest::collection::vec((0u8..4, 1u64..64, 0u64..1000), 1..60),
+        steps in proptest::collection::vec((0u8..7, 1u64..64, 0u64..1000), 1..80),
         probes in proptest::collection::vec(0u64..70, 1..20),
     ) {
         let mut chain = VersionChain::new();
+        // number → payload; the initial version's empty payload reads as 0.
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        model.insert(0, 0); // initial version (empty payload ~ "0")
+        model.insert(0, 0);
+        let mut read_ts = 0u64; // r-ts of the newest version
         let mut next_writer = 1u64;
         let mut pendings: Vec<(TxnId, u64, u64)> = Vec::new(); // writer, number, payload
+        let commit = |model: &mut BTreeMap<u64, u64>, read_ts: &mut u64, n: u64, p: u64| {
+            if model.keys().next_back().is_some_and(|&newest| n > newest) {
+                *read_ts = 0;
+            }
+            model.insert(n, p);
+        };
 
         for (kind, num, payload) in steps {
+            let fresh = !model.contains_key(&num) && !pendings.iter().any(|&(_, n, _)| n == num);
             match kind {
                 0 => {
                     // direct committed insert (unique number only)
-                    if !model.contains_key(&num)
-                        && !pendings.iter().any(|&(_, n, _)| n == num)
-                    {
+                    if fresh {
                         chain.insert_committed(num, Value::from_u64(payload)).unwrap();
-                        model.insert(num, payload);
+                        commit(&mut model, &mut read_ts, num, payload);
+                    } else if model.contains_key(&num) {
+                        prop_assert!(chain.insert_committed(num, Value::from_u64(payload)).is_err());
                     }
                 }
                 1 => {
                     // install stamped pending
-                    if !model.contains_key(&num)
-                        && !pendings.iter().any(|&(_, n, _)| n == num)
-                    {
+                    if fresh {
                         let w = TxnId(next_writer);
                         next_writer += 1;
                         chain.install_pending(PendingVersion::stamped(
@@ -108,28 +115,55 @@ proptest! {
                     if !pendings.is_empty() {
                         let (w, n, p) = pendings.remove(0);
                         chain.promote_pending(w, None).unwrap();
-                        model.insert(n, p);
+                        commit(&mut model, &mut read_ts, n, p);
                     }
                 }
-                _ => {
+                3 => {
                     // discard newest pending
                     if let Some((w, _, _)) = pendings.pop() {
                         prop_assert!(chain.discard_pending(w));
                     }
                 }
+                4 => {
+                    // keep the newest `keep` versions at or below `num`
+                    let keep = (payload % 4 + 1) as usize;
+                    let visible: Vec<u64> = model.range(..=num).map(|(&n, _)| n).collect();
+                    let doomed = visible.len().saturating_sub(keep);
+                    for n in &visible[..doomed] {
+                        model.remove(n);
+                    }
+                    prop_assert_eq!(chain.prune_keep_recent(num, keep), doomed);
+                }
+                5 => {
+                    // seed: replaces the initial payload, or restores a
+                    // pruned initial version below the rest
+                    chain.seed(Value::from_u64(payload));
+                    model.insert(0, payload);
+                }
+                _ => {
+                    // raise r-ts of the newest version
+                    chain.update_read_ts(payload);
+                    read_ts = read_ts.max(payload);
+                }
             }
-            // invariant: committed versions sorted and unique
-            let nums: Vec<u64> = chain.committed().iter().map(|v| v.number).collect();
-            let mut sorted = nums.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(&nums, &sorted, "chain unsorted or duplicated");
+            // invariant: committed versions are exactly the model's
+            let held: Vec<(u64, u64)> = chain
+                .committed()
+                .map(|v| (v.number, v.value.as_u64().unwrap_or(0)))
+                .collect();
+            let want: Vec<(u64, u64)> = model.iter().map(|(&n, &p)| (n, p)).collect();
+            prop_assert_eq!(&held, &want);
+            prop_assert_eq!(chain.committed_len(), model.len());
+            let newest = *model.keys().next_back().unwrap();
+            prop_assert_eq!((chain.latest().number, chain.read_ts()), (newest, read_ts));
             prop_assert_eq!(chain.pending_len(), pendings.len());
         }
 
         for sn in probes {
             let got = chain.at(sn).map(|v| (v.number, v.value.as_u64().unwrap_or(0)));
-            prop_assert_eq!(got, reference_at(&model, sn));
+            let want = model.range(..=sn).next_back().map(|(&n, &p)| (n, p));
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(chain.exact(sn).map(|v| v.number), model.get(&sn).map(|_| sn));
         }
     }
 
