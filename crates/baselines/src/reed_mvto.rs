@@ -20,14 +20,14 @@
 //! already been read by a younger transaction.
 
 use crate::clock::LogicalClock;
+use mvcc_cc::pending::{PendingTable, WaitOutcome};
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
     AbortReason, DbError, Engine, Metrics, MetricsSnapshot, OpSpec, RoOutcome, RoRead, RwOutcome,
-    Tracer,
+    Tracer, WriteSet,
 };
 use mvcc_model::{ObjectId, TxnId};
-use mvcc_storage::store::WaitOutcome;
-use mvcc_storage::{MvStore, PendingVersion, StoreStats, Value};
+use mvcc_storage::{MvStore, StoreStats, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -40,11 +40,13 @@ pub struct ReedMvto {
     clock: LogicalClock,
     metrics: Metrics,
     tracer: Option<Tracer>,
+    /// Pending writes, reserved at their writer's timestamp: what reads
+    /// (read-only ones included) wait on.
+    pending: PendingTable,
     /// `(object, version) → (r-ts, whether the read that set it came from
     /// a read-only transaction)`. Reed's per-version read timestamps; the
     /// flag attributes writer aborts to read-only interference (the
-    /// paper's claim about this protocol). The store's chains track
-    /// `r-ts` only on their newest version, as the paper's TO does.
+    /// paper's claim about this protocol).
     read_marks: Mutex<HashMap<(ObjectId, u64), (u64, bool)>>,
     wait_timeout: Duration,
 }
@@ -72,6 +74,7 @@ impl ReedMvto {
             clock: LogicalClock::new(),
             metrics: Metrics::new(),
             tracer: trace.then(Tracer::new),
+            pending: PendingTable::default(),
             read_marks: Mutex::new(HashMap::new()),
             wait_timeout: Duration::from_secs(10),
         }
@@ -85,7 +88,8 @@ impl ReedMvto {
     /// MVTO read: candidate = largest committed version `≤ ts`; wait out
     /// any pending write whose reserved number falls in
     /// `(candidate, ts]` (it would become the candidate); then stamp the
-    /// candidate's r-ts.
+    /// candidate's r-ts. The transaction's own writes are not here:
+    /// `run_read_write` answers those from its buffer.
     fn read(
         &self,
         obj: ObjectId,
@@ -95,16 +99,12 @@ impl ReedMvto {
     ) -> Result<(u64, Value), DbError> {
         let m = &self.metrics;
         let mut blocked = false;
-        let res = self.store.wait_until(obj, self.wait_timeout, |c| {
-            if let Some(p) = c.pending_by(TxnId(ts)) {
-                return WaitOutcome::Ready((ts, p.value.clone()));
-            }
-            let cand = c.at(ts).expect("initial version present").number;
-            let must_wait = c
-                .pending()
-                .iter()
-                .any(|p| p.reserved_number.is_some_and(|n| n > cand && n <= ts));
-            if must_wait {
+        let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
+            let (cand, value) = self
+                .store
+                .read_at(obj, ts)
+                .expect("initial version present");
+            if e.oldest_in(cand, ts).is_some() {
                 if !blocked {
                     blocked = true;
                     if is_ro {
@@ -118,15 +118,12 @@ impl ReedMvto {
             // Raise the candidate's read timestamp — a *write* to shared
             // concurrency-control state, performed even by read-only
             // transactions. This is the paper's cited overhead.
-            {
-                let mut marks = self.read_marks.lock();
-                let mark = marks.entry((obj, cand)).or_default();
-                if ts > mark.0 {
-                    *mark = (ts, is_ro);
-                }
+            let mut marks = self.read_marks.lock();
+            let mark = marks.entry((obj, cand)).or_default();
+            if ts > mark.0 {
+                *mark = (ts, is_ro);
             }
-            let v = c.exact(cand).expect("candidate exists");
-            WaitOutcome::Ready((v.number, v.value.clone()))
+            WaitOutcome::Ready((cand, value))
         });
         if is_ro {
             m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
@@ -134,29 +131,27 @@ impl ReedMvto {
             m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         }
         match res {
-            Ok((n, v)) => {
+            Some((n, v)) => {
                 trace.read(obj, n);
                 Ok((n, v))
             }
-            Err(_) => Err(DbError::Aborted(AbortReason::WaitTimeout)),
+            None => Err(DbError::Aborted(AbortReason::WaitTimeout)),
         }
     }
 
-    fn write(&self, obj: ObjectId, ts: u64, value: Value) -> Result<(), DbError> {
+    /// MVTO write: reserve `obj` at `ts`, unless a younger transaction
+    /// already read the version this write would supersede. The caller
+    /// buffers the value and skips objects it already reserved.
+    fn write(&self, obj: ObjectId, ts: u64) -> Result<(), DbError> {
         let m = &self.metrics;
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         let mut blocked = false;
-        let res = self.store.wait_until(obj, self.wait_timeout, |c| {
-            if c.pending_by(TxnId(ts)).is_some() {
-                c.install_pending(PendingVersion::stamped(TxnId(ts), ts, value.clone()));
-                return WaitOutcome::Ready(Ok(()));
-            }
-            let cand = c.at(ts).expect("initial version present").number;
-            let must_wait = c
-                .pending()
-                .iter()
-                .any(|p| p.reserved_number.is_some_and(|n| n > cand && n <= ts));
-            if must_wait {
+        let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
+            let (cand, _) = self
+                .store
+                .read_at(obj, ts)
+                .expect("initial version present");
+            if e.oldest_in(cand, ts).is_some() {
                 if !blocked {
                     blocked = true;
                     m.rw_blocks.fetch_add(1, Ordering::Relaxed);
@@ -178,21 +173,16 @@ impl ReedMvto {
                 }
                 return WaitOutcome::Ready(Err(DbError::Aborted(AbortReason::TimestampConflict)));
             }
-            c.install_pending(PendingVersion::stamped(TxnId(ts), ts, value.clone()));
+            e.reserve(ts);
             WaitOutcome::Ready(Ok(()))
         });
-        match res {
-            Ok(inner) => inner,
-            Err(_) => Err(DbError::Aborted(AbortReason::WaitTimeout)),
-        }
+        res.unwrap_or(Err(DbError::Aborted(AbortReason::WaitTimeout)))
     }
 
-    fn cleanup(&self, ts: u64, written: &[ObjectId]) {
-        for &obj in written {
-            self.store.with(obj, |c| {
-                c.discard_pending(TxnId(ts));
-            });
-            self.store.notify(obj);
+    /// Drop `ts`'s reservations, waking whoever waits behind them.
+    fn release(&self, ts: u64, written: &WriteSet) {
+        for (obj, _) in written.as_slice() {
+            self.pending.release(*obj, ts, 0);
         }
     }
 }
@@ -238,9 +228,10 @@ impl Engine for ReedMvto {
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let ts = self.clock.tick();
         let mut trace = TxnTrace::new();
-        let mut written: Vec<ObjectId> = Vec::new();
-        let fail = |e: DbError, written: &[ObjectId], trace: &TxnTrace| {
-            self.cleanup(ts, written);
+        // Buffered writes, each reserved at `ts` until commit or abort.
+        let mut written = WriteSet::new();
+        let fail = |e: DbError, written: &WriteSet, trace: &TxnTrace| {
+            self.release(ts, written);
             m.rw_aborted.fetch_add(1, Ordering::Relaxed);
             if e.abort_reason() == Some(AbortReason::TimestampConflict) {
                 m.aborts_ts_conflict.fetch_add(1, Ordering::Relaxed);
@@ -250,45 +241,51 @@ impl Engine for ReedMvto {
             }
             Err(e)
         };
+        // The transaction's own writes shadow the store; a read or
+        // rewrite of one still counts as a synchronization action.
+        let read = |k: ObjectId, written: &WriteSet, trace: &mut TxnTrace| match written.get(k) {
+            Some(v) => {
+                m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+                trace.read(k, ts);
+                Ok(v.clone())
+            }
+            None => self.read(k, ts, false, trace).map(|(_, v)| v),
+        };
+        let write = |k: ObjectId, v: Value, written: &mut WriteSet, trace: &mut TxnTrace| {
+            if written.get(k).is_some() {
+                m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.write(k, ts)?;
+            }
+            written.put(k, v);
+            trace.write(k);
+            Ok(())
+        };
         for op in ops {
             let step: Result<(), DbError> = match op {
-                OpSpec::Read(k) => self.read(*k, ts, false, &mut trace).map(|_| ()),
-                OpSpec::Write(k, v) => self.write(*k, ts, v.clone()).map(|()| {
-                    if !written.contains(k) {
-                        written.push(*k);
-                    }
-                    trace.write(*k);
+                OpSpec::Read(k) => read(*k, &written, &mut trace).map(drop),
+                OpSpec::Write(k, v) => write(*k, v.clone(), &mut written, &mut trace),
+                OpSpec::Increment(k, d) => read(*k, &written, &mut trace).and_then(|v| {
+                    let next = v.as_u64().unwrap_or(0).wrapping_add(*d);
+                    write(*k, Value::from_u64(next), &mut written, &mut trace)
                 }),
-                OpSpec::Increment(k, d) => match self.read(*k, ts, false, &mut trace) {
-                    Ok((_, v)) => {
-                        let cur = v.as_u64().unwrap_or(0);
-                        self.write(*k, ts, Value::from_u64(cur.wrapping_add(*d)))
-                            .map(|()| {
-                                if !written.contains(k) {
-                                    written.push(*k);
-                                }
-                                trace.write(*k);
-                            })
-                    }
-                    Err(e) => Err(e),
-                },
             };
             if let Err(e) = step {
                 return fail(e, &written, &trace);
             }
         }
-        // Commit: promote every pending version.
-        for &obj in &written {
-            let r = self.store.with(obj, |c| c.promote_pending(TxnId(ts), None));
+        // Commit: install every buffered write, then drop its reservation.
+        for (obj, v) in written.as_slice() {
+            let r = self.store.with(*obj, |c| c.insert_committed(ts, v.clone()));
             if let Err(e) = r {
                 return fail(
-                    DbError::Internal(format!("mvto promote: {e}")),
+                    DbError::Internal(format!("mvto install: {e}")),
                     &written,
                     &trace,
                 );
             }
-            self.store.notify(obj);
         }
+        self.release(ts, &written);
         m.rw_committed.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.tracer {
             t.flush(TxnId(ts), &trace, true);
@@ -351,7 +348,7 @@ mod tests {
             // We drive the primitive calls directly to control timing.
             let rw_ts = e.clock.tick(); // 1
             let ro = e.run_read_only(&[obj(0)]).unwrap(); // ts 2, reads v0, r-ts(v0)=2
-            let err = e.write(obj(0), rw_ts, Value::from_u64(1)).unwrap_err();
+            let err = e.write(obj(0), rw_ts).unwrap_err();
             assert_eq!(err, DbError::Aborted(AbortReason::TimestampConflict));
             ro.sn
         };
@@ -364,15 +361,15 @@ mod tests {
         use std::thread;
         let e = Arc::new(ReedMvto::new());
         let rw_ts = e.clock.tick(); // 1
-        e.write(obj(0), rw_ts, Value::from_u64(5)).unwrap(); // pending
+        e.write(obj(0), rw_ts).unwrap(); // pending
         let e2 = Arc::clone(&e);
         let h = thread::spawn(move || e2.run_read_only(&[obj(0)]).unwrap());
         thread::sleep(Duration::from_millis(40));
-        // commit the writer manually
+        // commit the writer manually: install, then release
         e.store
-            .with(obj(0), |c| c.promote_pending(TxnId(rw_ts), None))
+            .with(obj(0), |c| c.insert_committed(rw_ts, Value::from_u64(5)))
             .unwrap();
-        e.store.notify(obj(0));
+        e.pending.release(obj(0), rw_ts, 0);
         let out = h.join().unwrap();
         assert_eq!(out.reads.len(), 1);
         assert_eq!(out.reads[0].version, 1);
@@ -385,7 +382,7 @@ mod tests {
         let t1 = e.clock.tick();
         // Younger RW reads x
         e.run_read_write(&[OpSpec::Read(obj(0)), w(1, 1)]).unwrap(); // ts 2
-        let err = e.write(obj(0), t1, Value::from_u64(9)).unwrap_err();
+        let err = e.write(obj(0), t1).unwrap_err();
         assert_eq!(err, DbError::Aborted(AbortReason::TimestampConflict));
         // but this one was caused by an RW reader, not an RO
         assert_eq!(e.metrics().aborts_due_to_ro, 0);
@@ -397,14 +394,26 @@ mod tests {
         let t1 = e.clock.tick(); // 1
         e.run_read_write(&[w(0, 20)]).unwrap(); // ts 2 commits version 2
                                                 // T1 writes x "into the past" — nobody read version 0 with ts > 1.
-        e.write(obj(0), t1, Value::from_u64(10)).unwrap();
+        e.write(obj(0), t1).unwrap();
         e.store
-            .with(obj(0), |c| c.promote_pending(TxnId(t1), None))
+            .with(obj(0), |c| c.insert_committed(t1, Value::from_u64(10)))
             .unwrap();
         // Chain now has versions 0, 1, 2; a reader at ts 1 sees version 1.
         let v = e.store.read_at(obj(0), 1).unwrap();
         assert_eq!(v, (1, Value::from_u64(10)));
         assert_eq!(e.store.read_latest(obj(0)).0, 2);
+    }
+
+    #[test]
+    fn reads_materialize_no_chain() {
+        let e = ReedMvto::new();
+        e.seed(obj(0), Value::from_u64(1));
+        let objects = e.store_stats().objects;
+        // obj(1) was never written: neither read creates its chain.
+        e.run_read_only(&[obj(1)]).unwrap();
+        e.run_read_write(&[OpSpec::Read(obj(1)), w(0, 2)]).unwrap();
+        assert_eq!(e.store_stats().objects, objects);
+        assert_eq!(e.pending.entries(), 0, "no reservation outlives its writer");
     }
 
     #[test]

@@ -252,7 +252,6 @@ impl Engine for SingleVersion2pl {
         StoreStats {
             objects: data.len(),
             committed_versions: data.len(),
-            pending_versions: 0,
             payload_bytes: data.values().map(|(_, v)| v.len()).sum(),
         }
     }

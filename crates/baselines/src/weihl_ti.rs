@@ -28,15 +28,15 @@
 //! read-only transactions, no CTL, possible reader/writer waiting.
 
 use crate::clock::LogicalClock;
+use mvcc_cc::pending::{PendingTable, WaitOutcome};
 use mvcc_cc::{LockError, LockManager, LockMode};
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
     AbortReason, DbError, Engine, Metrics, MetricsSnapshot, OpSpec, RoOutcome, RoRead, RwOutcome,
-    Tracer,
+    Tracer, WriteSet,
 };
 use mvcc_model::{ObjectId, TxnId};
-use mvcc_storage::store::WaitOutcome;
-use mvcc_storage::{MvStore, PendingVersion, StoreStats, Value};
+use mvcc_storage::{MvStore, StoreStats, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +47,9 @@ use std::time::Duration;
 pub struct WeihlTi {
     store: Arc<MvStore>,
     locks: LockManager,
+    /// Objects with an uncommitted write, reserved by the writer's token:
+    /// what read-only readers wait on.
+    pending: PendingTable,
     clock: LogicalClock,
     /// Per-object read floors raised by read-only transactions: any
     /// future committed version of the object must carry a timestamp
@@ -89,6 +92,7 @@ impl WeihlTi {
         WeihlTi {
             store: Arc::new(MvStore::new()),
             locks: LockManager::new(),
+            pending: PendingTable::default(),
             clock: LogicalClock::new(),
             floors: Mutex::new(HashMap::new()),
             commit_mu: Mutex::new(()),
@@ -138,21 +142,20 @@ impl Engine for WeihlTi {
         };
         for &k in keys {
             let mut blocked = false;
-            let res = self.store.wait_until(k, self.timeout, |c| {
+            let res = self.pending.wait_until(k, 0, self.timeout, |e| {
                 // Synchronize with concurrent writers: an uncommitted
                 // write's eventual timestamp is unknown — wait it out.
-                if !c.pending().is_empty() {
+                if e.any() {
                     if !blocked {
                         blocked = true;
                         m.ro_blocks.fetch_add(1, Ordering::Relaxed);
                     }
                     return WaitOutcome::Wait;
                 }
-                let v = c.at(ts).expect("initial version present");
-                WaitOutcome::Ready((v.number, v.value.clone()))
+                WaitOutcome::Ready(self.store.read_at(k, ts).expect("initial version present"))
             });
             match res {
-                Ok((n, v)) => {
+                Some((n, v)) => {
                     // Raise the floor so no writer can commit a version
                     // at or below our timestamp for this object.
                     let mut floors = self.floors.lock();
@@ -164,7 +167,7 @@ impl Engine for WeihlTi {
                     trace.read(k, n);
                     out.reads.push(RoRead::new(k, n, v));
                 }
-                Err(_) => {
+                None => {
                     m.ro_aborts.fetch_add(1, Ordering::Relaxed);
                     if let Some(t) = &self.tracer {
                         t.flush(TxnId((1 << 48) | ts), &trace, false);
@@ -186,15 +189,13 @@ impl Engine for WeihlTi {
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut locked: Vec<ObjectId> = Vec::new();
-        let mut written: Vec<ObjectId> = Vec::new();
+        // Buffered writes, each reserved by `token` until commit or abort.
+        let mut written = WriteSet::new();
         let mut trace = TxnTrace::new();
 
-        let fail = |e: DbError, locked: &[ObjectId], written: &[ObjectId], trace: &TxnTrace| {
-            for &k in written {
-                self.store.with(k, |c| {
-                    c.discard_pending(TxnId(token));
-                });
-                self.store.notify(k);
+        let fail = |e: DbError, locked: &[ObjectId], written: &WriteSet, trace: &TxnTrace| {
+            for (k, _) in written.as_slice() {
+                self.pending.release(*k, token, 0);
             }
             self.locks.release_all(token, locked.iter());
             m.rw_aborted.fetch_add(1, Ordering::Relaxed);
@@ -207,26 +208,21 @@ impl Engine for WeihlTi {
             Err(e)
         };
 
-        let read_here = |k: ObjectId, trace: &mut TxnTrace| -> Value {
-            self.store.with(k, |c| {
-                if let Some(p) = c.pending_by(TxnId(token)) {
-                    return p.value.clone();
-                }
-                let v = c.at(u64::MAX).expect("never empty");
-                trace.read(k, v.number);
-                v.value.clone()
-            })
+        let read_here = |k: ObjectId, written: &WriteSet, trace: &mut TxnTrace| {
+            if let Some(v) = written.get(k) {
+                return v.clone();
+            }
+            let (n, v) = self.store.read_latest(k);
+            trace.read(k, n);
+            v
         };
-        let write_here =
-            |k: ObjectId, v: Value, written: &mut Vec<ObjectId>, trace: &mut TxnTrace| {
-                self.store.with(k, |c| {
-                    c.install_pending(PendingVersion::phi(TxnId(token), v));
-                });
-                if !written.contains(&k) {
-                    written.push(k);
-                }
-                trace.write(k);
-            };
+        let write_here = |k: ObjectId, v: Value, written: &mut WriteSet, trace: &mut TxnTrace| {
+            if written.get(k).is_none() {
+                self.pending.reserve(k, token);
+            }
+            written.put(k, v);
+            trace.write(k);
+        };
 
         for op in ops {
             let step: Result<(), DbError> = (|| {
@@ -236,7 +232,7 @@ impl Engine for WeihlTi {
                         if !locked.contains(k) {
                             locked.push(*k);
                         }
-                        let _ = read_here(*k, &mut trace);
+                        let _ = read_here(*k, &written, &mut trace);
                     }
                     OpSpec::Write(k, v) => {
                         self.lock(token, *k, LockMode::Exclusive)?;
@@ -250,7 +246,7 @@ impl Engine for WeihlTi {
                         if !locked.contains(k) {
                             locked.push(*k);
                         }
-                        let cur = read_here(*k, &mut trace).as_u64().unwrap_or(0);
+                        let cur = read_here(*k, &written, &mut trace).as_u64().unwrap_or(0);
                         write_here(
                             *k,
                             Value::from_u64(cur.wrapping_add(*d)),
@@ -276,24 +272,22 @@ impl Engine for WeihlTi {
                 need = need.max(floors.get(k).copied().unwrap_or(0));
                 m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
             }
-            for k in &written {
-                need = need.max(self.store.with(*k, |c| c.write_ts()));
+            for (k, _) in written.as_slice() {
+                need = need.max(self.store.latest_number(*k));
             }
             drop(floors);
             let tn = self.clock.tick_above(need);
-            for k in &written {
-                let r = self
-                    .store
-                    .with(*k, |c| c.promote_pending(TxnId(token), Some(tn)));
+            for (k, v) in written.as_slice() {
+                let r = self.store.with(*k, |c| c.insert_committed(tn, v.clone()));
                 if let Err(e) = r {
                     return fail(
-                        DbError::Internal(format!("weihl promote: {e}")),
+                        DbError::Internal(format!("weihl install: {e}")),
                         &locked,
                         &written,
                         &trace,
                     );
                 }
-                self.store.notify(*k);
+                self.pending.release(*k, token, 0);
             }
             tn
         };
@@ -366,17 +360,12 @@ mod tests {
         let e = Arc::new(WeihlTi::new());
         // a writer holds a pending write on x
         let token = e.next_token.fetch_add(1, Ordering::Relaxed);
-        e.store.with(obj(0), |c| {
-            c.install_pending(PendingVersion::phi(TxnId(token), Value::from_u64(9)))
-        });
+        e.pending.reserve(obj(0), token);
         let e2 = Arc::clone(&e);
         let h = thread::spawn(move || e2.run_read_only(&[obj(0)]).unwrap());
         thread::sleep(Duration::from_millis(40));
         // writer resolves (aborts here): reader proceeds
-        e.store.with(obj(0), |c| {
-            c.discard_pending(TxnId(token));
-        });
-        e.store.notify(obj(0));
+        e.pending.release(obj(0), token, 0);
         let out = h.join().unwrap();
         assert_eq!(out.reads[0].version, 0);
         assert!(e.metrics().ro_blocks >= 1, "RO must have synchronized");

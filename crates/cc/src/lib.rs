@@ -8,11 +8,12 @@
 //!
 //! * [`tpl::TwoPhaseLocking`] — strict 2PL over the [`lock`] manager,
 //!   registering with version control **at the lock point** (reached when
-//!   `end(T)` is invoked); writes install "version φ" pendings that are
-//!   stamped with `tn(T)` at commit.
+//!   `end(T)` is invoked); writes are "version φ"s buffered in the
+//!   transaction until they are installed as `tn(T)` at commit.
 //! * [`to::TimestampOrdering`] — registers **at begin**; reads and writes
-//!   are checked against `r-ts`/`w-ts` and may block behind pending
-//!   writes of older transactions; late writes abort.
+//!   are checked against `r-ts`/`w-ts` in its [`pending`] table and may
+//!   block behind pending writes of older transactions; late writes
+//!   abort.
 //! * [`occ::Optimistic`] — reads run against the latest committed state
 //!   with no synchronization; backward validation at commit registers
 //!   **at the validation point**, making validation order the serial
@@ -22,7 +23,8 @@
 //! None of them touches version control or the log directly: each keeps
 //! its writes in a [`mvcc_core::WriteSet`] and commits through the one
 //! `end(T)`, [`mvcc_core::CcContext::end`], so what this crate holds is
-//! conflict bookkeeping only.
+//! conflict bookkeeping only: locks, validation state, and timestamp
+//! ordering's reservations and `r-ts`. The store never sees any of it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -30,12 +32,14 @@
 pub mod adaptive;
 pub mod lock;
 pub mod occ;
+pub mod pending;
 pub mod to;
 pub mod tpl;
 
 pub use adaptive::{Adaptive, AdaptiveConfig, Mode as AdaptiveMode};
 pub use lock::{LockError, LockManager, LockMode};
 pub use occ::Optimistic;
+pub use pending::PendingTable;
 pub use to::TimestampOrdering;
 pub use tpl::TwoPhaseLocking;
 

@@ -57,7 +57,7 @@ impl ConcurrencyControl for Optimistic {
     fn begin(&self, _ctx: &CcContext) -> Result<OccTxn, DbError> {
         Ok(OccTxn {
             read_set: Vec::new(),
-            writes: WriteSet::buffered(),
+            writes: WriteSet::new(),
         })
     }
 

@@ -9,34 +9,41 @@
 //!   read).
 //! * `write(x)` — rejected (transaction aborted, `VCdiscard`) if
 //!   `r-ts(x) > tn(T)` or `w-ts(x) > tn(T)`; blocked behind an older
-//!   pending write; otherwise installs a pending version stamped `tn(T)`.
-//! * `end(T)` — commit the pending versions ("perform database updates;
-//!   clear pending read actions"), then `VCcomplete(T)`.
+//!   pending write; otherwise reserves `x` at `tn(T)` and buffers the
+//!   value in the transaction's write set.
+//! * `end(T)` — install the buffered writes as versions numbered `tn(T)`
+//!   ("perform database updates"), drop the reservations ("clear pending
+//!   read actions"), then `VCcomplete(T)`.
 //!
-//! Blocking is deadlock-free: a transaction only ever waits on *older*
-//! transactions, so the waits-for relation follows the total order of
-//! transaction numbers.
+//! The reservations and `r-ts` live in the protocol's own
+//! [`PendingTable`], not in the store (see [`crate::pending`] for its
+//! rules). Blocking is deadlock-free: a transaction only ever waits on
+//! *older* transactions, so the waits-for relation follows the total
+//! order of transaction numbers.
 
+use crate::pending::{PendingTable, Reservations, WaitOutcome};
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, EventKind, TxnOptions, TxnPhase,
     WaitPoint, WriteSet,
 };
-use mvcc_model::{ObjectId, TxnId};
-use mvcc_storage::store::WaitOutcome;
-use mvcc_storage::{PendingVersion, Value};
+use mvcc_model::ObjectId;
+use mvcc_storage::Value;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Multiversion timestamp ordering behind the version-control interface.
 #[derive(Default)]
-pub struct TimestampOrdering;
+pub struct TimestampOrdering {
+    /// Figure 3's reservations and `r-ts`, per object.
+    table: PendingTable,
+}
 
 /// Per-transaction TO state.
 pub struct ToTxn {
     /// Transaction number = timestamp, assigned at begin.
     tn: u64,
-    /// Writes, each also staged in the store as a pending version
-    /// reserved at `tn`.
+    /// Writes, buffered until `end`; each object in it is reserved at
+    /// `tn` in the table.
     writes: WriteSet,
     /// Deadline budget, when begun with one: every pending-write wait is
     /// bounded by the remaining budget.
@@ -46,24 +53,72 @@ pub struct ToTxn {
 impl TimestampOrdering {
     /// Fresh protocol instance.
     pub fn new() -> Self {
-        TimestampOrdering
+        Self::default()
     }
 
-    fn clear_phase(ctx: &CcContext, tn: u64) {
+    /// The reservation table, for tests.
+    pub fn table(&self) -> &PendingTable {
+        &self.table
+    }
+
+    /// Drop `txn`'s reservations, after `end` installed its writes or on
+    /// abort, waking whoever waits behind them.
+    fn release(&self, ctx: &CcContext, txn: &ToTxn) {
+        let floor = ctx.vtnc();
+        for (obj, _) in txn.writes.as_slice() {
+            self.table.release(*obj, txn.tn, floor);
+        }
         if let Some(attr) = ctx.obs.attr() {
-            attr.blame().clear_phase(tn);
+            attr.blame().clear_phase(txn.tn);
         }
     }
 
-    /// The oldest in-flight writer blocking `tn` on this chain — the
-    /// transaction a pending-wait should be blamed on. Under TO the
-    /// transaction number doubles as the blame token (`txn_obs_id`).
-    fn oldest_blocker(c: &mvcc_storage::VersionChain, tn: u64) -> u64 {
-        c.pending()
-            .iter()
-            .filter_map(|p| p.reserved_number.filter(|&n| n < tn))
-            .min()
-            .unwrap_or(0)
+    /// Poll `obj`'s table entry with `f` until it returns `Ok`. `f`
+    /// returns `Err(older)` while transaction `older` has a write pending
+    /// on `obj` that the request must wait out (Fig 3: "may be delayed due
+    /// to the pending writes as per TO protocol"); the request then parks
+    /// for up to `timeout`, and the wait is blamed on `older`.
+    fn when_unblocked<R>(
+        &self,
+        ctx: &CcContext,
+        txn: &ToTxn,
+        obj: ObjectId,
+        timeout: Duration,
+        mut f: impl FnMut(&mut Reservations) -> Result<R, u64>,
+    ) -> Result<R, DbError> {
+        let tn = txn.tn;
+        let mut blocker = None;
+        // Attribution clocks the wait from first block, not from entry:
+        // the unblocked fast path must stay free of clock reads.
+        let mut attr_started = None;
+        // Speculative trace leaf, finished only when the request blocked.
+        let span = mvcc_core::obs::trace::leaf("blocked");
+        let result = self.table.wait_until(obj, ctx.vtnc(), timeout, |e| {
+            let older = match f(e) {
+                Ok(r) => return WaitOutcome::Ready(r),
+                Err(older) => older,
+            };
+            if blocker.is_none() {
+                blocker = Some(older);
+                attr_started = ctx.obs.attr_timer();
+                ctx.metrics.rw_blocks.fetch_add(1, Ordering::Relaxed);
+                ctx.obs.emit(EventKind::Blocked, tn, obj.get());
+            }
+            WaitOutcome::Wait
+        });
+        if let Some(blocker) = blocker {
+            if let (Some(attr), Some(started)) = (ctx.obs.attr(), attr_started) {
+                let ns = ctx.obs.since(started).as_nanos() as u64;
+                attr.topk().record_key(obj.get(), ns, result.is_none());
+                attr.blame()
+                    .record(WaitPoint::PendingWait, obj.get(), blocker, ns);
+            }
+            if let Some(mut span) = span {
+                span.attr("object", obj.get());
+                span.finish();
+            }
+        }
+        result.ok_or_else(|| DbError::Aborted(self.timeout_reason(ctx, txn)))
     }
 
     /// The wait bound for `txn`'s blocking reads/writes: the configured
@@ -107,7 +162,7 @@ impl ConcurrencyControl for TimestampOrdering {
         }
         Ok(ToTxn {
             tn,
-            writes: WriteSet::staged(TxnId(tn)),
+            writes: WriteSet::new(),
             deadline: None,
         })
     }
@@ -128,54 +183,25 @@ impl ConcurrencyControl for TimestampOrdering {
     ) -> Result<(u64, Value), DbError> {
         let tn = txn.tn;
         let timeout = self.wait_bound(ctx, txn)?;
-        let m = &ctx.metrics;
-        m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
-        let mut blocked = false;
-        let mut blocker = 0u64;
-        // Attribution clocks the wait from first block, not from entry:
-        // the unblocked fast path must stay free of clock reads.
-        let mut attr_started = None;
-        // Speculative trace leaf, finished only when the read blocked.
-        let span = mvcc_core::obs::trace::leaf("blocked");
-        let result = ctx.store.wait_until(obj, timeout, |c| {
-            // Own pending write shadows everything.
-            if let Some(p) = c.pending_by(TxnId(tn)) {
-                return WaitOutcome::Ready((tn, p.value.clone()));
-            }
-            // Pending write by an older transaction: the version we
-            // must read may still materialize — wait (Fig 3: "may be
-            // delayed due to the pending writes as per TO protocol").
-            if c.has_pending_older_than(tn) {
-                if !blocked {
-                    blocked = true;
-                    blocker = Self::oldest_blocker(c, tn);
-                    attr_started = ctx.obs.attr_timer();
-                    m.rw_blocks.fetch_add(1, Ordering::Relaxed);
-                    ctx.obs.emit(EventKind::Blocked, tn, obj.get());
-                }
-                return WaitOutcome::Wait;
+        ctx.metrics.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        // Own write shadows everything.
+        if let Some(v) = txn.writes.get(obj) {
+            return Ok((tn, v.clone()));
+        }
+        self.when_unblocked(ctx, txn, obj, timeout, |e| {
+            let (n, v) = ctx
+                .store
+                .read_at(obj, tn)
+                .expect("GC keeps the version a live transaction reads");
+            // An older write not installed yet would be the version to
+            // read: wait it out.
+            if let Some(older) = e.oldest_in(n, tn) {
+                return Err(older);
             }
             // r-ts(x) ← MAX(r-ts(x), tn(T))
-            c.update_read_ts(tn);
-            let v = c.at(tn).expect("initial version always present");
-            WaitOutcome::Ready((v.number, v.value.clone()))
-        });
-        if blocked {
-            if let (Some(attr), Some(started)) = (ctx.obs.attr(), attr_started) {
-                let ns = ctx.obs.since(started).as_nanos() as u64;
-                attr.topk().record_key(obj.get(), ns, result.is_err());
-                attr.blame()
-                    .record(WaitPoint::PendingWait, obj.get(), blocker, ns);
-            }
-            if let Some(mut span) = span {
-                span.attr("object", obj.get());
-                span.finish();
-            }
-        }
-        match result {
-            Ok(pair) => Ok(pair),
-            Err(_) => Err(DbError::Aborted(self.timeout_reason(ctx, txn))),
-        }
+            e.mark_read(n, tn);
+            Ok((n, v))
+        })
     }
 
     fn write(
@@ -187,65 +213,34 @@ impl ConcurrencyControl for TimestampOrdering {
     ) -> Result<(), DbError> {
         let tn = txn.tn;
         let timeout = self.wait_bound(ctx, txn)?;
-        let m = &ctx.metrics;
-        m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
-        let mut blocked = false;
-        let mut blocker = 0u64;
-        // Clock reads start at first block — see `read`.
-        let mut attr_started = None;
-        // Speculative trace leaf, finished only when the write blocked.
-        let span = mvcc_core::obs::trace::leaf("blocked");
-        let decision = ctx.store.wait_until(obj, timeout, |c| {
-            // Rewrite of our own pending version: always fine.
-            if c.pending_by(TxnId(tn)).is_some() {
-                c.install_pending(PendingVersion::stamped(TxnId(tn), tn, value.clone()));
-                return WaitOutcome::Ready(Ok(()));
-            }
-            // Blocked behind an older pending write.
-            if c.has_pending_older_than(tn) {
-                if !blocked {
-                    blocked = true;
-                    blocker = Self::oldest_blocker(c, tn);
-                    attr_started = ctx.obs.attr_timer();
-                    m.rw_blocks.fetch_add(1, Ordering::Relaxed);
-                    ctx.obs.emit(EventKind::Blocked, tn, obj.get());
+        ctx.metrics.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        // Rewrite of an object we already reserved: always fine.
+        if txn.writes.get(obj).is_none() {
+            let granted = self.when_unblocked(ctx, txn, obj, timeout, |e| {
+                let newest = ctx.store.latest_number(obj);
+                // Blocked behind an older write not installed yet.
+                if let Some(older) = e.oldest_in(newest, tn) {
+                    return Err(older);
                 }
-                return WaitOutcome::Wait;
-            }
-            // IF r-ts(x) > tn(T) OR w-ts(x) > tn(T) THEN abort(T)
-            if c.read_ts() > tn || c.write_ts() > tn {
-                return WaitOutcome::Ready(Err(DbError::Aborted(AbortReason::TimestampConflict)));
-            }
-            c.install_pending(PendingVersion::stamped(TxnId(tn), tn, value.clone()));
-            WaitOutcome::Ready(Ok(()))
-        });
-        if blocked {
-            if let (Some(attr), Some(started)) = (ctx.obs.attr(), attr_started) {
-                let ns = ctx.obs.since(started).as_nanos() as u64;
-                attr.topk().record_key(obj.get(), ns, decision.is_err());
-                attr.blame()
-                    .record(WaitPoint::PendingWait, obj.get(), blocker, ns);
-            }
-            if let Some(mut span) = span {
-                span.attr("object", obj.get());
-                span.finish();
+                // IF r-ts(x) > tn(T) OR w-ts(x) > tn(T) THEN abort(T), with
+                // w-ts(x) counting a younger writer's reservation.
+                let late = e.read_ts(newest) > tn || newest.max(e.newest()) > tn;
+                if !late {
+                    e.reserve(tn);
+                }
+                Ok(!late)
+            })?;
+            if !granted {
+                // TO-rejection abort, charged to the contended key —
+                // recorded here, after the table shard's lock is gone.
+                if let Some(attr) = ctx.obs.attr() {
+                    attr.topk().record_key(obj.get(), 0, true);
+                }
+                return Err(DbError::Aborted(AbortReason::TimestampConflict));
             }
         }
-        let outcome = match decision {
-            Ok(inner) => inner,
-            Err(_) => Err(DbError::Aborted(self.timeout_reason(ctx, txn))),
-        };
-        // TO-rejection abort, charged to the contended key — recorded
-        // here, after the chain cell's lock is gone.
-        if matches!(
-            outcome,
-            Err(DbError::Aborted(AbortReason::TimestampConflict))
-        ) {
-            if let Some(attr) = ctx.obs.attr() {
-                attr.topk().record_key(obj.get(), 0, true);
-            }
-        }
-        outcome.map(|()| txn.writes.put(obj, value))
+        txn.writes.put(obj, value);
+        Ok(())
     }
 
     fn commit(&self, ctx: &CcContext, txn: ToTxn) -> Result<u64, DbError> {
@@ -255,17 +250,22 @@ impl ConcurrencyControl for TimestampOrdering {
         // Registered at begin. end(T) claims the entry before touching
         // the store, so a transaction the stall reaper force-discarded
         // while it sat between begin and commit aborts instead: its
-        // writes must never become visible.
-        ctx.end(txn.tn, &txn.writes, || Self::clear_phase(ctx, txn.tn))
+        // writes must never become visible. Its reservations go in the
+        // release step, after the install.
+        ctx.end(txn.tn, &txn.writes, || self.release(ctx, &txn))
     }
 
     fn abort(&self, ctx: &CcContext, txn: ToTxn) {
-        ctx.discard(Some(txn.tn), &txn.writes);
-        Self::clear_phase(ctx, txn.tn);
+        ctx.discard(txn.tn);
+        self.release(ctx, &txn);
     }
 
     fn txn_obs_id(&self, txn: &ToTxn) -> u64 {
         txn.tn
+    }
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        vec![("pending_versions", self.table.reservations())]
     }
 }
 
@@ -459,7 +459,7 @@ mod tests {
         assert!(records.is_empty());
         assert!(stats.clean_end(), "torn frame must be truncated away");
         assert_eq!(db.peek_latest(obj(0)), Value::empty());
-        db.store().with(obj(0), |c| assert_eq!(c.pending_len(), 0));
+        assert_eq!(db.cc().table().reservations(), 0);
         assert_eq!(db.metrics().aborts_wal, 1);
     }
 

@@ -294,7 +294,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
             // Room for a typical lock set in one allocation.
             locked: Vec::with_capacity(8),
             last_exclusive: None,
-            writes: WriteSet::buffered(),
+            writes: WriteSet::new(),
             deadline: None,
             pending_attr: Vec::new(),
         })

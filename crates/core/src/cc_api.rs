@@ -18,8 +18,10 @@
 //! install every write as a committed version numbered `tn(T)` (so
 //! version order equals transaction-number order), let the protocol
 //! release what it holds, then `VCcomplete(T)`. A transaction's writes
-//! travel in a [`WriteSet`], which also records whether the protocol
-//! staged them in the store as pending versions or buffered them.
+//! travel in a [`WriteSet`], buffered there until `end` installs them:
+//! no protocol stages an uncommitted version in the store, so the store
+//! holds committed versions only and read-only reads and garbage
+//! collection never touch protocol state.
 //!
 //! The protocol never sees read-only transactions at all.
 
@@ -31,40 +33,26 @@ use crate::metrics::Metrics;
 use crate::obs::{EventKind, Obs, VcView};
 use crate::txn::TxnOptions;
 use crate::vc::VersionControl;
-use mvcc_model::{ObjectId, TxnId};
+use mvcc_model::ObjectId;
 use mvcc_storage::{MvStore, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A read-write transaction's writes: the last value per object, in
-/// first-write order. [`CcContext::end`] logs and installs them;
-/// [`CcContext::discard`] drops whatever the protocol staged for them.
+/// first-write order, held here until [`CcContext::end`] logs and
+/// installs them. Whatever a protocol must publish before commit to make
+/// other transactions wait — locks, timestamp ordering's reservations —
+/// it keeps in its own tables, so an abort has nothing in the store to
+/// undo.
+#[derive(Default)]
 pub struct WriteSet {
-    /// Writer id of the pending versions the protocol staged in the
-    /// store for these writes; `None` when they exist only here.
-    staged_by: Option<TxnId>,
     writes: Vec<(ObjectId, Value)>,
 }
 
 impl WriteSet {
-    /// Writes the protocol also stages in the store as pending versions
-    /// by `writer`: timestamp ordering's reserved versions, which later
-    /// readers wait on. `end` promotes them, `discard` drops them.
-    pub fn staged(writer: TxnId) -> Self {
-        WriteSet {
-            staged_by: Some(writer),
-            writes: Vec::new(),
-        }
-    }
-
-    /// Writes buffered only here until `end` inserts them: the write
-    /// phase of optimistic schemes, and two-phase locking's φ versions,
-    /// which the writer's exclusive locks already hide.
-    pub fn buffered() -> Self {
-        WriteSet {
-            staged_by: None,
-            writes: Vec::new(),
-        }
+    /// An empty write set.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Record `value` as the write of `obj`, replacing an earlier one.
@@ -81,7 +69,7 @@ impl WriteSet {
     }
 
     /// The writes, in first-write order.
-    pub(crate) fn as_slice(&self) -> &[(ObjectId, Value)] {
+    pub fn as_slice(&self) -> &[(ObjectId, Value)] {
         &self.writes
     }
 }
@@ -90,9 +78,8 @@ impl WriteSet {
 /// counters, and the version-control seam.
 #[derive(Clone)]
 pub struct CcContext {
-    /// The multiversion store. Protocols read it and stage pending
-    /// versions in it; committed versions are installed only by
-    /// [`end`](Self::end).
+    /// The multiversion store. Protocols only read it; versions are
+    /// installed only by [`end`](Self::end).
     pub store: Arc<MvStore>,
     /// The version-control module (Figure 1), reached by protocols only
     /// through [`register`](Self::register), [`end`](Self::end) and
@@ -178,19 +165,18 @@ impl CcContext {
     ///    anything is applied (write-before-visible, see
     ///    [`crate::durability`]); a failed append aborts with
     ///    [`AbortReason::LogFailed`];
-    /// 3. install each write as a committed version numbered `tn`, waking
-    ///    waiters on its chain;
+    /// 3. install each write as a committed version numbered `tn`;
     /// 4. `release()`: the protocol frees what it holds (locks, its
-    ///    validation section);
+    ///    validation section, its reservations), so whoever it wakes
+    ///    finds the versions already installed;
     /// 5. `VCcomplete(tn)`.
     ///
-    /// On `Err` nothing became visible: staged versions are dropped,
-    /// `release` has run, and the entry is discarded (unless the reaper
-    /// already did). `release` runs exactly once on every path, so the
-    /// caller's only remaining duty is to return the error.
+    /// On `Err` nothing became visible: `release` has run, and the entry
+    /// is discarded (unless the reaper already did). `release` runs
+    /// exactly once on every path, so the caller's only remaining duty is
+    /// to return the error.
     pub fn end(&self, tn: u64, writes: &WriteSet, release: impl FnOnce()) -> Result<u64, DbError> {
         if !self.vc.start_complete(tn) {
-            self.unstage(writes);
             release();
             return Err(DbError::Aborted(AbortReason::Reaped));
         }
@@ -198,9 +184,8 @@ impl CcContext {
             .log(tn, writes.as_slice())
             .and_then(|()| self.install(tn, writes))
         {
-            self.unstage(writes);
             release();
-            self.vc_discard(tn);
+            self.discard(tn);
             return Err(e);
         }
         release();
@@ -211,14 +196,22 @@ impl CcContext {
         Ok(tn)
     }
 
-    /// Abort: drop the versions staged for `writes` and, if the
-    /// transaction was registered as `tn`, `VCdiscard(tn)`. The protocol
-    /// releases its own resources after this returns.
-    pub fn discard(&self, tn: Option<u64>, writes: &WriteSet) {
-        self.unstage(writes);
-        if let Some(tn) = tn {
-            self.vc_discard(tn);
-        }
+    /// Abort of a transaction registered as `tn`: `VCdiscard(tn)`. Its
+    /// buffered writes never reached the store, so nothing else is
+    /// undone; the protocol releases its own resources after this
+    /// returns.
+    pub fn discard(&self, tn: u64) {
+        self.vc.discard(tn);
+        self.metrics
+            .vc_discard_calls
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `vtnc`, one atomic load. Every transaction numbered at or below it
+    /// has finished; timestamp ordering prunes the `r-ts` entries at or
+    /// below it.
+    pub fn vtnc(&self) -> u64 {
+        self.vc.vtnc()
     }
 
     /// One-shot snapshot of version-control state, for flight-recorder
@@ -227,40 +220,15 @@ impl CcContext {
         self.vc.view()
     }
 
-    fn vc_discard(&self, tn: u64) {
-        self.vc.discard(tn);
-        self.metrics
-            .vc_discard_calls
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Make every write a committed version numbered `tn`.
     fn install(&self, tn: u64, writes: &WriteSet) -> Result<(), DbError> {
         for (obj, value) in writes.as_slice() {
-            let res = self.store.with(*obj, |c| match writes.staged_by {
-                Some(writer) => c.promote_pending(writer, Some(tn)).map(drop),
-                None => c.insert_committed(tn, value.clone()),
-            });
-            // Unreachable while the protocol is correct: its staged
-            // version is its own, and `tn` is fresh.
-            res.map_err(|e| DbError::Internal(format!("installing tn {tn}: {e}")))?;
-            self.store.notify(*obj);
+            self.store
+                .with(*obj, |c| c.insert_committed(tn, value.clone()))
+                // Unreachable while the protocol is correct: `tn` is fresh.
+                .map_err(|e| DbError::Internal(format!("installing tn {tn}: {e}")))?;
         }
         Ok(())
-    }
-
-    /// Drop the pending versions staged for `writes`, waking anyone
-    /// blocked behind them.
-    fn unstage(&self, writes: &WriteSet) {
-        let Some(writer) = writes.staged_by else {
-            return;
-        };
-        for (obj, _) in writes.as_slice() {
-            self.store.with(*obj, |c| {
-                c.discard_pending(writer);
-            });
-            self.store.notify(*obj);
-        }
     }
 
     /// Append `tn`'s writeset to the write-ahead log, if one is attached.
@@ -357,9 +325,9 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
         self.read(ctx, txn, obj)
     }
 
-    /// `write(x)`: perform the protocol's synchronization and record the
-    /// new value in the transaction's [`WriteSet`] (staging a pending
-    /// version in the store first, if the protocol stages). The same
+    /// `write(x)`: perform the protocol's synchronization (a lock, a
+    /// reservation) and record the new value in the transaction's
+    /// [`WriteSet`]; nothing reaches the store before `end`. The same
     /// `Err` contract as [`read`](Self::read) applies.
     fn write(
         &self,
@@ -377,8 +345,8 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
     /// [`abort`](Self::abort) ran).
     fn commit(&self, ctx: &CcContext, txn: Self::Txn) -> Result<u64, DbError>;
 
-    /// `abort(T)`: [`CcContext::discard`] the write set (and the
-    /// registration, if any), then release protocol resources.
+    /// `abort(T)`: [`CcContext::discard`] the registration, if any, then
+    /// release protocol resources.
     fn abort(&self, ctx: &CcContext, txn: Self::Txn);
 
     // ---- observability hooks (all optional) ------------------------------
@@ -434,7 +402,7 @@ pub(crate) mod testing {
         fn begin(&self, ctx: &CcContext) -> Result<SerialTxn, DbError> {
             Ok(SerialTxn {
                 tn: ctx.register(),
-                writes: WriteSet::buffered(),
+                writes: WriteSet::new(),
             })
         }
 
@@ -466,7 +434,7 @@ pub(crate) mod testing {
         }
 
         fn abort(&self, ctx: &CcContext, txn: SerialTxn) {
-            ctx.discard(Some(txn.tn), &txn.writes);
+            ctx.discard(txn.tn);
         }
     }
 }
@@ -477,7 +445,6 @@ mod tests {
     use crate::clock::SimClock;
     use crate::fault::{FaultConfig, FaultyFile};
     use mvcc_storage::wal::{FsyncPolicy, MemWal, WalWriter};
-    use mvcc_storage::PendingVersion;
     use std::cell::Cell;
     use std::time::Duration;
 
@@ -502,19 +469,6 @@ mod tests {
         ctx
     }
 
-    /// Stage `value` for `obj` as a pending φ version by `writer`, which
-    /// `end` numbers, and record it in `ws`.
-    fn stage(ctx: &CcContext, ws: &mut WriteSet, writer: TxnId, o: ObjectId, value: Value) {
-        ctx.store.with(o, |c| {
-            c.install_pending(PendingVersion::phi(writer, value.clone()))
-        });
-        ws.put(o, value);
-    }
-
-    fn pending(ctx: &CcContext, o: ObjectId) -> usize {
-        ctx.store.with(o, |c| c.pending_len())
-    }
-
     /// `register == complete + discard`, and each call counted once.
     fn assert_counts(ctx: &CcContext, register: u64, complete: u64, discard: u64) {
         let m = ctx.metrics.snapshot();
@@ -526,7 +480,7 @@ mod tests {
 
     #[test]
     fn write_set_keeps_last_value_in_first_write_order() {
-        let mut ws = WriteSet::buffered();
+        let mut ws = WriteSet::new();
         ws.put(obj(2), v(1));
         ws.put(obj(1), v(2));
         ws.put(obj(2), v(3));
@@ -539,7 +493,7 @@ mod tests {
     fn end_inserts_buffered_writes_then_completes() {
         let ctx = CcContext::new(DbConfig::default());
         let tn = ctx.register();
-        let mut ws = WriteSet::buffered();
+        let mut ws = WriteSet::new();
         ws.put(obj(0), v(7));
         ws.put(obj(1), v(8));
         let released = Cell::new(0);
@@ -553,35 +507,22 @@ mod tests {
         assert_eq!(res, Ok(tn));
         assert_eq!(released.get(), 1);
         assert_eq!(ctx.store.read_latest(obj(0)), (tn, v(7)));
-        assert_eq!(ctx.vc.vtnc(), tn);
+        assert_eq!(ctx.vtnc(), tn);
         assert_counts(&ctx, 1, 1, 0);
     }
 
     #[test]
-    fn end_promotes_staged_versions_with_the_registered_number() {
-        let ctx = CcContext::new(DbConfig::default());
-        let mut ws = WriteSet::staged(TxnId(41));
-        stage(&ctx, &mut ws, TxnId(41), obj(0), v(5));
-        stage(&ctx, &mut ws, TxnId(41), obj(0), v(6)); // rewrite
-        let tn = ctx.register();
-        assert_eq!(ctx.end(tn, &ws, || ()), Ok(tn));
-        assert_eq!(ctx.store.read_latest(obj(0)), (tn, v(6)));
-        assert_eq!(pending(&ctx, obj(0)), 0);
-        assert_counts(&ctx, 1, 1, 0);
-    }
-
-    #[test]
-    fn failed_log_unstages_releases_and_discards() {
+    fn failed_log_releases_and_discards() {
         let ctx = full_disk_ctx();
-        let mut ws = WriteSet::staged(TxnId(9));
-        stage(&ctx, &mut ws, TxnId(9), obj(0), v(1));
+        let mut ws = WriteSet::new();
+        ws.put(obj(0), v(1));
         let tn = ctx.register();
         let released = Cell::new(0);
         let res = ctx.end(tn, &ws, || released.set(released.get() + 1));
         assert_eq!(res, Err(DbError::Aborted(AbortReason::LogFailed)));
         assert_eq!(released.get(), 1);
-        assert_eq!(pending(&ctx, obj(0)), 0);
         assert_eq!(ctx.store.read_latest(obj(0)).0, 0);
+        assert_eq!(ctx.store.stats().objects, 0);
         // The claimed entry is gone: a later commit becomes visible.
         assert_eq!(ctx.vc.queue_len(), 0);
         assert_counts(&ctx, 1, 0, 1);
@@ -595,8 +536,8 @@ mod tests {
                 .with_clock(clock.clone())
                 .with_register_ttl(Duration::from_millis(1)),
         );
-        let mut ws = WriteSet::staged(TxnId(3));
-        stage(&ctx, &mut ws, TxnId(3), obj(0), v(1));
+        let mut ws = WriteSet::new();
+        ws.put(obj(0), v(1));
         let tn = ctx.register();
         clock.advance(Duration::from_millis(5));
         assert_eq!(ctx.vc.reap(), vec![tn]);
@@ -604,21 +545,15 @@ mod tests {
         let res = ctx.end(tn, &ws, || released.set(released.get() + 1));
         assert_eq!(res, Err(DbError::Aborted(AbortReason::Reaped)));
         assert_eq!(released.get(), 1);
-        assert_eq!(pending(&ctx, obj(0)), 0);
         assert_eq!(ctx.store.read_latest(obj(0)).0, 0);
         assert_counts(&ctx, 1, 0, 0);
     }
 
     #[test]
-    fn discard_unstages_and_discards_only_a_registered_number() {
+    fn discard_drops_the_registration() {
         let ctx = CcContext::new(DbConfig::default());
-        let mut ws = WriteSet::staged(TxnId(5));
-        stage(&ctx, &mut ws, TxnId(5), obj(0), v(1));
-        ctx.discard(None, &ws);
-        assert_eq!(pending(&ctx, obj(0)), 0);
-        assert_counts(&ctx, 0, 0, 0);
         let tn = ctx.register();
-        ctx.discard(Some(tn), &WriteSet::buffered());
+        ctx.discard(tn);
         assert_eq!(ctx.vc.queue_len(), 0);
         assert_counts(&ctx, 1, 0, 1);
     }

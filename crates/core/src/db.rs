@@ -549,18 +549,18 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     }
 
     /// Take one gauge sample across every layer: version-control counters
-    /// and queue state, live/pending version counts, WAL durability
-    /// backlog, and whatever protocol-specific gauges `C` exposes
-    /// (lock-shard occupancy under 2PL, adaptive mode, …). The well-known
-    /// protocol gauges `locked_objects` / `occupied_lock_shards` are
-    /// lifted into their first-class fields; the rest ride in
-    /// [`GaugeSample::extra`].
+    /// and queue state, live version count, WAL durability backlog, and
+    /// whatever protocol-specific gauges `C` exposes (lock-shard
+    /// occupancy under 2PL, pending writes under TO, adaptive mode, …).
+    /// The well-known protocol gauges `pending_versions`,
+    /// `locked_objects` and `occupied_lock_shards` are lifted into their
+    /// first-class fields; the rest ride in [`GaugeSample::extra`].
     pub fn sample_gauges(&self) -> GaugeSample {
         let st = self.core.ctx.store.stats();
         let mut sample = GaugeSample {
             vc: self.core.ctx.vc.view(),
             live_versions: st.committed_versions as u64,
-            pending_versions: st.pending_versions as u64,
+            pending_versions: 0,
             locked_objects: 0,
             occupied_lock_shards: 0,
             wal_backlog_bytes: self
@@ -573,6 +573,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         };
         for (name, value) in self.cc.gauges() {
             match name {
+                "pending_versions" => sample.pending_versions = value,
                 "locked_objects" => sample.locked_objects = value,
                 "occupied_lock_shards" => sample.occupied_lock_shards = value,
                 _ => sample.extra.push((name, value)),

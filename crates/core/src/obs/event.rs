@@ -50,7 +50,7 @@ pub enum EventKind {
     Register = 1,
     /// A lock acquisition had to wait (`id` = lock token, `aux` = object).
     LockWait = 2,
-    /// A read/write blocked on a pending version or wound wait
+    /// A read/write blocked on a pending write or wound wait
     /// (`id` = tn or token, `aux` = object).
     Blocked = 3,
     /// OCC validation ran (`id` = actor, `aux` = 1 pass / 0 fail).

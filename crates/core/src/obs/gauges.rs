@@ -43,7 +43,9 @@ pub struct GaugeSample {
     pub vc: VcView,
     /// Committed versions resident in the store.
     pub live_versions: u64,
-    /// Pending (uncommitted) versions resident in the store.
+    /// Writes pending under timestamp ordering: reservations that later
+    /// readers and writers wait on (0 for protocols that buffer writes
+    /// out of sight, like 2PL and OCC).
     pub pending_versions: u64,
     /// Objects currently holding at least one lock (0 for lock-free CC).
     pub locked_objects: u64,

@@ -376,7 +376,7 @@ impl VersionControl {
     ///
     /// Note this only removes the *version-control* entry. The caller
     /// (e.g. [`crate::MvDatabase::reap_stalled`]) is responsible for
-    /// accounting; the stalled transaction's pending versions and locks,
+    /// accounting; the stalled transaction's pending writes and locks,
     /// if any, are reclaimed separately by read/lock wait timeouts.
     pub fn reap(&self) -> Vec<u64> {
         let now = self.now();

@@ -47,7 +47,7 @@ impl ConcurrencyControl for SerialCc {
     fn begin(&self, ctx: &CcContext) -> Result<SerialTxn, DbError> {
         Ok(SerialTxn {
             tn: ctx.register(),
-            writes: WriteSet::buffered(),
+            writes: WriteSet::new(),
         })
     }
 
@@ -79,7 +79,7 @@ impl ConcurrencyControl for SerialCc {
     }
 
     fn abort(&self, ctx: &CcContext, txn: SerialTxn) {
-        ctx.discard(Some(txn.tn), &txn.writes);
+        ctx.discard(txn.tn);
     }
 }
 

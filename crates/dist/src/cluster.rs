@@ -26,6 +26,7 @@ use mvcc_core::obs::{SpanRegistry, TraceCtx, TraceSnapshot};
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
     AbortReason, DbError, Deadline, FaultConfig, FaultInjector, FaultPoint, Tracer, TxnOptions,
+    WriteSet,
 };
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::Value;
@@ -493,7 +494,7 @@ impl Cluster {
         stats
     }
 
-    /// Crash a site: its volatile state (locks, pendings, in-doubt 2PC
+    /// Crash a site: its volatile state (locks, buffered writes, in-doubt 2PC
     /// records, version-control queue) vanishes.
     pub fn crash_site(&self, id: SiteId) {
         self.site(id).crash();
@@ -519,7 +520,8 @@ impl Cluster {
 #[derive(Default)]
 struct Participant {
     locked: Vec<ObjectId>,
-    written: Vec<ObjectId>,
+    /// Writes buffered for this site, handed over at `prepare`.
+    writes: WriteSet,
 }
 
 /// A distributed read-write transaction (per-site strict 2PL + 2PC).
@@ -563,9 +565,11 @@ impl DistRwTxn<'_> {
                 if !part.locked.contains(&obj) {
                     part.locked.push(obj);
                 }
-                if version != u64::MAX {
-                    self.trace.read(Cluster::global_obj(site, obj), version);
+                // Own writes shadow the committed version.
+                if let Some(own) = part.writes.get(obj) {
+                    return Ok(own.clone());
                 }
+                self.trace.read(Cluster::global_obj(site, obj), version);
                 Ok(value)
             }
             Err(e) => {
@@ -580,15 +584,13 @@ impl DistRwTxn<'_> {
         self.check_deadline()?;
         self.cluster.msg_reliable();
         let s = self.cluster.site(site);
-        match s.rw_write(self.token, obj, value) {
+        match s.rw_write(self.token, obj) {
             Ok(()) => {
                 let part = self.parts.entry(site).or_default();
                 if !part.locked.contains(&obj) {
                     part.locked.push(obj);
                 }
-                if !part.written.contains(&obj) {
-                    part.written.push(obj);
-                }
+                part.writes.put(obj, value);
                 self.trace.write(Cluster::global_obj(site, obj));
                 Ok(())
             }
@@ -624,13 +626,14 @@ impl DistRwTxn<'_> {
         let spans = &self.cluster.spans;
         let prepare_start = self.trace_id.map(|_| spans.now_ns());
         let mut proposals: BTreeMap<SiteId, Gtn> = BTreeMap::new();
-        for (&site, part) in &self.parts {
+        for (&site, part) in &mut self.parts {
             self.cluster.msg_reliable();
+            let writes = std::mem::take(&mut part.writes);
             proposals.insert(
                 site,
                 self.cluster
                     .site(site)
-                    .prepare(self.token, &part.locked, &part.written),
+                    .prepare(self.token, &part.locked, writes),
             );
         }
         // The single global number dominates every proposal (it *is* the
@@ -638,7 +641,9 @@ impl DistRwTxn<'_> {
         let fin = proposals.values().copied().max().unwrap_or_else(|| {
             // Empty transaction: synthesize a number from site 1.
             self.cluster.msg_reliable();
-            self.cluster.site(SiteId(1)).prepare(self.token, &[], &[])
+            self.cluster
+                .site(SiteId(1))
+                .prepare(self.token, &[], WriteSet::new())
         });
         if let (Some(id), Some(start)) = (self.trace_id, prepare_start) {
             spans.record_root_span(
@@ -667,7 +672,7 @@ impl DistRwTxn<'_> {
             for _ in 0..self.cluster.msg_one_way() {
                 self.cluster
                     .site(SiteId(1))
-                    .commit(self.token, fin, fin, &[], &[])?;
+                    .commit(self.token, fin, fin, &[])?;
                 deliveries += 1;
             }
             if let (Some(id), Some(start)) = (self.trace_id, leg_start) {
@@ -692,7 +697,7 @@ impl DistRwTxn<'_> {
             for _ in 0..self.cluster.msg_one_way() {
                 self.cluster
                     .site(site)
-                    .commit(self.token, p, fin, &part.locked, &part.written)?;
+                    .commit(self.token, p, fin, &part.locked)?;
                 deliveries += 1;
             }
             // `deliveries = 0` in the exported trace is exactly the
@@ -732,7 +737,7 @@ impl DistRwTxn<'_> {
             self.cluster.msg_reliable();
             self.cluster
                 .site(site)
-                .rollback(self.token, None, &part.locked, &part.written);
+                .rollback(self.token, None, &part.locked);
         }
         if let (Some(id), Some(start)) = (self.trace_id, abort_start) {
             self.cluster.spans.record_root_span(
@@ -1097,8 +1102,10 @@ mod tests {
         // are left alone; past the threshold the resolver presumes abort.
         let c = Cluster::new(1);
         let s = c.site(SiteId(1));
-        s.rw_write(999, obj(0), Value::from_u64(9)).unwrap();
-        let _p = s.prepare(999, &[obj(0)], &[obj(0)]);
+        s.rw_write(999, obj(0)).unwrap();
+        let mut ws = WriteSet::new();
+        ws.put(obj(0), Value::from_u64(9));
+        let _p = s.prepare(999, &[obj(0)], ws);
         let stats = c.resolve_in_doubt(Duration::from_secs(60));
         assert_eq!(stats.still_in_doubt, 1);
         let stats = c.resolve_in_doubt(Duration::ZERO);

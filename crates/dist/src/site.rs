@@ -7,9 +7,9 @@ use crate::gtn::Gtn;
 use crate::vc::DistVc;
 use mvcc_cc::{LockError, LockManager, LockMode};
 use mvcc_core::clock::{real_clock, SharedClock};
-use mvcc_core::{AbortReason, DbError, Metrics};
-use mvcc_model::{ObjectId, TxnId};
-use mvcc_storage::{MvStore, PendingVersion, StoreStats, Value};
+use mvcc_core::{AbortReason, DbError, Metrics, WriteSet};
+use mvcc_model::ObjectId;
+use mvcc_storage::{MvStore, StoreStats, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -26,7 +26,11 @@ pub struct SiteId(pub u16);
 struct Prepared {
     proposal: Gtn,
     locked: Vec<ObjectId>,
-    written: Vec<ObjectId>,
+    /// The transaction's writes here ("version φ", Figure 4), installed
+    /// with the final number in phase 2. Its exclusive locks hide them
+    /// from other RW transactions, and RO reads see committed versions
+    /// only.
+    writes: WriteSet,
     since: Instant,
 }
 
@@ -108,32 +112,24 @@ impl Site {
 
     // ---- read-write transaction handlers (per-site strict 2PL) ----------
 
-    /// `read(x)` under a shared lock; own pending writes shadow.
+    /// `read(x)` under a shared lock: the newest committed version. The
+    /// coordinator answers reads of the transaction's own writes.
     pub fn rw_read(&self, token: u64, obj: ObjectId) -> Result<(u64, Value), DbError> {
         self.lock(token, obj, LockMode::Shared)?;
-        Ok(self.store.with(obj, |c| {
-            if let Some(p) = c.pending_by(TxnId(token)) {
-                return (u64::MAX, p.value.clone());
-            }
-            let v = c.at(u64::MAX).expect("chain never empty");
-            (v.number, v.value.clone())
-        }))
+        Ok(self.store.read_latest(obj))
     }
 
-    /// `write(x)` under an exclusive lock; installs a φ pending version.
-    pub fn rw_write(&self, token: u64, obj: ObjectId, value: Value) -> Result<(), DbError> {
-        self.lock(token, obj, LockMode::Exclusive)?;
-        self.store.with(obj, |c| {
-            c.install_pending(PendingVersion::phi(TxnId(token), value));
-        });
-        Ok(())
+    /// `write(x)`: take the exclusive lock. The coordinator buffers the
+    /// value and hands it over at [`prepare`](Self::prepare).
+    pub fn rw_write(&self, token: u64, obj: ObjectId) -> Result<(), DbError> {
+        self.lock(token, obj, LockMode::Exclusive)
     }
 
     /// Two-phase commit, phase 1: this participant is past its lock
     /// point; register a proposal with distributed version control and
     /// record the in-doubt state needed to resolve the transaction if
-    /// the decision message never arrives.
-    pub fn prepare(&self, token: u64, locked: &[ObjectId], written: &[ObjectId]) -> Gtn {
+    /// the decision message never arrives, `writes` included.
+    pub fn prepare(&self, token: u64, locked: &[ObjectId], writes: WriteSet) -> Gtn {
         self.metrics
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);
@@ -143,30 +139,29 @@ impl Site {
             Prepared {
                 proposal: p,
                 locked: locked.to_vec(),
-                written: written.to_vec(),
+                writes,
                 since: self.clock.now(),
             },
         );
         p
     }
 
-    /// Two-phase commit, phase 2: stamp pendings with the final global
-    /// number, release locks, complete version control. **Idempotent**:
-    /// only the delivery that removes the in-doubt record applies; a
-    /// duplicated decision message (or one arriving after peer-query
-    /// resolution) is a no-op.
+    /// Two-phase commit, phase 2: install the prepared writes with the
+    /// final global number, release locks, complete version control.
+    /// **Idempotent**: only the delivery that removes the in-doubt record
+    /// applies; a duplicated decision message (or one arriving after
+    /// peer-query resolution) is a no-op.
     pub fn commit(
         &self,
         token: u64,
         proposal: Gtn,
         fin: Gtn,
         locked: &[ObjectId],
-        written: &[ObjectId],
     ) -> Result<(), DbError> {
-        if self.in_doubt.lock().remove(&token).is_none() {
+        let Some(e) = self.in_doubt.lock().remove(&token) else {
             return Ok(());
-        }
-        self.apply_commit(token, proposal, fin, locked, written)
+        };
+        self.apply_commit(token, proposal, fin, locked, &e.writes)
     }
 
     fn apply_commit(
@@ -175,16 +170,12 @@ impl Site {
         proposal: Gtn,
         fin: Gtn,
         locked: &[ObjectId],
-        written: &[ObjectId],
+        writes: &WriteSet,
     ) -> Result<(), DbError> {
-        for &obj in written {
-            let r = self.store.with(obj, |c| {
-                c.promote_pending(TxnId(token), Some(fin.encoded()))
-            });
-            if let Err(e) = r {
-                return Err(DbError::Internal(format!("site {} commit: {e}", self.id.0)));
-            }
-            self.store.notify(obj);
+        for (obj, value) in writes.as_slice() {
+            self.store
+                .with(*obj, |c| c.insert_committed(fin.encoded(), value.clone()))
+                .map_err(|e| DbError::Internal(format!("site {} commit: {e}", self.id.0)))?;
         }
         self.locks.release_all(token, locked.iter());
         self.vc.complete(proposal, fin);
@@ -197,35 +188,17 @@ impl Site {
     /// Abort/rollback at this participant. If the transaction was
     /// prepared here, its in-doubt record supplies the proposal to
     /// discard (and the record's removal makes duplicates no-ops).
-    pub fn rollback(
-        &self,
-        token: u64,
-        proposal: Option<Gtn>,
-        locked: &[ObjectId],
-        written: &[ObjectId],
-    ) {
+    pub fn rollback(&self, token: u64, proposal: Option<Gtn>, locked: &[ObjectId]) {
         let p = self
             .in_doubt
             .lock()
             .remove(&token)
             .map(|e| e.proposal)
             .or(proposal);
-        self.apply_abort(token, p, locked, written);
+        self.apply_abort(token, p, locked);
     }
 
-    fn apply_abort(
-        &self,
-        token: u64,
-        proposal: Option<Gtn>,
-        locked: &[ObjectId],
-        written: &[ObjectId],
-    ) {
-        for &obj in written {
-            self.store.with(obj, |c| {
-                c.discard_pending(TxnId(token));
-            });
-            self.store.notify(obj);
-        }
+    fn apply_abort(&self, token: u64, proposal: Option<Gtn>, locked: &[ObjectId]) {
         self.locks.release_all(token, locked.iter());
         if let Some(p) = proposal {
             self.vc.discard(p);
@@ -260,7 +233,7 @@ impl Site {
         let Some(e) = self.in_doubt.lock().remove(&token) else {
             return Ok(false);
         };
-        self.apply_commit(token, e.proposal, fin, &e.locked, &e.written)?;
+        self.apply_commit(token, e.proposal, fin, &e.locked, &e.writes)?;
         Ok(true)
     }
 
@@ -273,12 +246,12 @@ impl Site {
         let Some(e) = self.in_doubt.lock().remove(&token) else {
             return false;
         };
-        self.apply_abort(token, Some(e.proposal), &e.locked, &e.written);
+        self.apply_abort(token, Some(e.proposal), &e.locked);
         true
     }
 
     /// Simulate a site crash: every piece of volatile state vanishes —
-    /// locks, in-doubt 2PC records, pending versions, and the
+    /// locks, in-doubt 2PC records with their writes, and the
     /// version-control queue. Committed versions are durable and survive.
     ///
     /// **Limitation (documented in DESIGN.md):** prepared state is
@@ -289,15 +262,6 @@ impl Site {
     pub fn crash(&self) {
         self.in_doubt.lock().clear();
         self.locks.clear_all();
-        for obj in self.store.objects() {
-            self.store.with(obj, |c| {
-                let writers: Vec<TxnId> = c.pending().iter().map(|p| p.writer).collect();
-                for w in writers {
-                    c.discard_pending(w);
-                }
-            });
-            self.store.notify(obj);
-        }
     }
 
     /// Recover after a [`crash`](Self::crash): rebuild the distributed
@@ -376,12 +340,21 @@ mod tests {
         ObjectId(n)
     }
 
+    /// Write `x := v` at `s` under `token`'s lock; returns the write set
+    /// the coordinator would hand to `prepare`.
+    fn write(s: &Site, token: u64, x: ObjectId, v: u64) -> WriteSet {
+        s.rw_write(token, x).unwrap();
+        let mut ws = WriteSet::new();
+        ws.put(x, Value::from_u64(v));
+        ws
+    }
+
     #[test]
     fn single_site_rw_lifecycle() {
         let s = Site::new(SiteId(1));
-        s.rw_write(7, obj(0), Value::from_u64(5)).unwrap();
-        let p = s.prepare(7, &[obj(0)], &[obj(0)]);
-        s.commit(7, p, p, &[obj(0)], &[obj(0)]).unwrap();
+        let ws = write(&s, 7, obj(0), 5);
+        let p = s.prepare(7, &[obj(0)], ws);
+        s.commit(7, p, p, &[obj(0)]).unwrap();
         assert_eq!(s.vc().vtnc(), p);
         assert_eq!(s.in_doubt_len(), 0);
         let (n, v) = s.ro_read(obj(0), s.ro_start()).unwrap();
@@ -392,25 +365,25 @@ mod tests {
     #[test]
     fn rollback_leaves_clean_state() {
         let s = Site::new(SiteId(1));
-        s.rw_write(7, obj(0), Value::from_u64(5)).unwrap();
-        let p = s.prepare(7, &[obj(0)], &[obj(0)]);
-        s.rollback(7, Some(p), &[obj(0)], &[obj(0)]);
+        let ws = write(&s, 7, obj(0), 5);
+        let p = s.prepare(7, &[obj(0)], ws);
+        s.rollback(7, Some(p), &[obj(0)]);
         assert_eq!(s.ro_read(obj(0), s.ro_start()).unwrap().0, 0);
         // locks free again
-        s.rw_write(8, obj(0), Value::from_u64(6)).unwrap();
-        s.rollback(8, None, &[obj(0)], &[obj(0)]);
+        s.rw_write(8, obj(0)).unwrap();
+        s.rollback(8, None, &[obj(0)]);
     }
 
     #[test]
     fn ro_read_ignores_in_doubt_commit() {
-        // Version staged and even promoted with a final number, but the
+        // Version installed with a final number, but the
         // site's vtnc has not advanced past an older in-doubt proposal:
         // the RO snapshot (taken at vtnc) must not include it.
         let s = Site::new(SiteId(1));
-        let _blocker = s.prepare(98, &[], &[]); // older in-doubt proposal
-        s.rw_write(99, obj(0), Value::from_u64(9)).unwrap();
-        let p = s.prepare(99, &[obj(0)], &[obj(0)]);
-        s.commit(99, p, p, &[obj(0)], &[obj(0)]).unwrap();
+        let _blocker = s.prepare(98, &[], WriteSet::new()); // older in-doubt proposal
+        let ws = write(&s, 99, obj(0), 9);
+        let p = s.prepare(99, &[obj(0)], ws);
+        s.commit(99, p, p, &[obj(0)]).unwrap();
         let sn = s.ro_start();
         assert_eq!(sn, Gtn::ZERO, "in-doubt blocker must pin visibility");
         assert_eq!(s.ro_read(obj(0), sn).unwrap().0, 0);
@@ -419,19 +392,19 @@ mod tests {
     #[test]
     fn catch_up_immediate_when_visible() {
         let s = Site::new(SiteId(1));
-        let p = s.prepare(1, &[], &[]);
-        s.commit(1, p, p, &[], &[]).unwrap();
+        let p = s.prepare(1, &[], WriteSet::new());
+        s.commit(1, p, p, &[]).unwrap();
         assert_eq!(s.ro_catch_up(p, Duration::from_millis(5)).unwrap(), p);
     }
 
     #[test]
     fn duplicate_commit_delivery_is_a_no_op() {
         let s = Site::new(SiteId(1));
-        s.rw_write(7, obj(0), Value::from_u64(5)).unwrap();
-        let p = s.prepare(7, &[obj(0)], &[obj(0)]);
-        s.commit(7, p, p, &[obj(0)], &[obj(0)]).unwrap();
+        let ws = write(&s, 7, obj(0), 5);
+        let p = s.prepare(7, &[obj(0)], ws);
+        s.commit(7, p, p, &[obj(0)]).unwrap();
         // the duplicate must not re-promote or double-complete
-        s.commit(7, p, p, &[obj(0)], &[obj(0)]).unwrap();
+        s.commit(7, p, p, &[obj(0)]).unwrap();
         assert_eq!(s.vc().vtnc(), p);
         assert_eq!(s.metrics().vc_complete_calls.load(Ordering::Relaxed), 1);
     }
@@ -439,8 +412,8 @@ mod tests {
     #[test]
     fn resolve_commit_finishes_in_doubt_txn() {
         let s = Site::new(SiteId(1));
-        s.rw_write(7, obj(0), Value::from_u64(5)).unwrap();
-        let p = s.prepare(7, &[obj(0)], &[obj(0)]);
+        let ws = write(&s, 7, obj(0), 5);
+        let p = s.prepare(7, &[obj(0)], ws);
         // decision message lost; resolver learns Commit(fin) from the log
         assert!(s.resolve_commit(7, p).unwrap());
         assert_eq!(s.vc().vtnc(), p);
@@ -452,37 +425,37 @@ mod tests {
     #[test]
     fn resolve_abort_presumes_abort_for_undecided() {
         let s = Site::new(SiteId(1));
-        s.rw_write(7, obj(0), Value::from_u64(5)).unwrap();
-        let _p = s.prepare(7, &[obj(0)], &[obj(0)]);
+        let ws = write(&s, 7, obj(0), 5);
+        let _p = s.prepare(7, &[obj(0)], ws);
         assert_eq!(s.in_doubt_len(), 1);
         assert!(s.resolve_abort(7));
         assert_eq!(s.in_doubt_len(), 0);
-        // pending discarded, visibility unpinned, locks released
+        // buffered write dropped, visibility unpinned, locks released
         assert_eq!(s.ro_read(obj(0), s.ro_start()).unwrap().0, 0);
-        s.rw_write(8, obj(0), Value::from_u64(6)).unwrap();
-        s.rollback(8, None, &[obj(0)], &[obj(0)]);
+        s.rw_write(8, obj(0)).unwrap();
+        s.rollback(8, None, &[obj(0)]);
     }
 
     #[test]
     fn crash_recover_rebuilds_watermark_from_store() {
         let s = Site::new(SiteId(1));
-        s.rw_write(1, obj(0), Value::from_u64(5)).unwrap();
-        let p1 = s.prepare(1, &[obj(0)], &[obj(0)]);
-        s.commit(1, p1, p1, &[obj(0)], &[obj(0)]).unwrap();
+        let ws = write(&s, 1, obj(0), 5);
+        let p1 = s.prepare(1, &[obj(0)], ws);
+        s.commit(1, p1, p1, &[obj(0)]).unwrap();
         // a second txn crashes the site while prepared
-        s.rw_write(2, obj(1), Value::from_u64(9)).unwrap();
-        let _p2 = s.prepare(2, &[obj(1)], &[obj(1)]);
+        let ws = write(&s, 2, obj(1), 9);
+        let _p2 = s.prepare(2, &[obj(1)], ws);
         s.crash();
         assert_eq!(s.in_doubt_len(), 0);
         let watermark = s.recover();
         assert_eq!(watermark, p1, "watermark = largest committed version");
         assert_eq!(s.vc().vtnc(), p1);
         s.vc().validate().unwrap();
-        // the crashed txn's pending write is gone; its lock is free
+        // the crashed txn's buffered write is gone; its lock is free
         assert_eq!(s.ro_read(obj(1), s.ro_start()).unwrap().0, 0);
-        s.rw_write(3, obj(1), Value::from_u64(7)).unwrap();
-        let p3 = s.prepare(3, &[obj(1)], &[obj(1)]);
-        s.commit(3, p3, p3, &[obj(1)], &[obj(1)]).unwrap();
+        let ws = write(&s, 3, obj(1), 7);
+        let p3 = s.prepare(3, &[obj(1)], ws);
+        s.commit(3, p3, p3, &[obj(1)]).unwrap();
         assert!(
             s.vc().vtnc() > watermark,
             "visibility advances past recovery"

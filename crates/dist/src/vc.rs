@@ -32,7 +32,7 @@ use std::time::Duration;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
-    /// Prepared (in doubt): locks held, pending versions staged.
+    /// Prepared (in doubt): locks held, writes buffered at the site.
     InDoubt,
     /// Committed with this final global number, awaiting the barrier.
     Final(Gtn),

@@ -6,17 +6,17 @@
 //!
 //! * [`value`] — cheaply-cloneable values (small payloads inline, longer
 //!   ones [`bytes::Bytes`]-backed).
-//! * [`version`] — committed and *pending* versions. A pending version is
-//!   timestamp ordering's reserved write (Figure 3), which younger
-//!   readers wait on, or a "version φ" (Figure 4) with no number until
-//!   commit.
+//! * [`version`] — committed versions: a number and a payload.
 //! * [`chain`] — per-object version chains ordered by version number
 //!   (= creator transaction number), with snapshot reads
-//!   (`largest version ≤ sn`, Figure 2), read/write timestamps for the
-//!   timestamp-ordering protocol, and pruning.
-//! * [`store`] — a sharded concurrent map of chains with condition-variable
-//!   waiting, used by protocols that must *block* a read on a pending
-//!   write (Figure 3's "may be delayed due to the pending writes").
+//!   (`largest version ≤ sn`, Figure 2) and pruning.
+//! * [`store`] — a sharded concurrent map of chains.
+//!
+//! The store holds committed versions only and knows nothing of
+//! concurrency control, as the paper's split asks: an uncommitted write
+//! stays with the protocol that made it (a write set, or timestamp
+//! ordering's reservation table in `mvcc-cc`), so read-only reads and
+//! garbage collection touch nothing a protocol owns.
 //! * [`gc`] — watermark garbage collection. The only rule version control
 //!   imposes (paper Section 6): never discard versions "as young as or
 //!   younger than `vtnc`"; additionally a registry of live read-only start
@@ -47,9 +47,9 @@ pub use histogram::{AtomicHistogram, Histogram};
 pub use persist::CheckpointStats;
 pub use sketch::{SketchEntry, TopKSketch};
 pub use stats::StoreStats;
-pub use store::{MvStore, WaitOutcome, WaitTimeout};
+pub use store::MvStore;
 pub use value::Value;
-pub use version::{CommittedVersion, PendingVersion};
+pub use version::CommittedVersion;
 pub use wal::{
     crc32, scan, AppendInfo, CommitRecord, Crc32, FileSink, FsyncPolicy, MemWal, ScanStats,
     WalSink, WalWriter,

@@ -339,21 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_versions_never_checkpointed() {
-        use crate::version::PendingVersion;
-        use mvcc_model::TxnId;
-        let store = MvStore::new();
-        store.with(obj(1), |c| {
-            c.install_pending(PendingVersion::stamped(TxnId(2), 2, Value::from_u64(2)))
-        });
-        let mut buf = Vec::new();
-        let stats = store.checkpoint(&mut buf, 10).unwrap();
-        assert_eq!(stats.versions, 1); // just the initial version
-        let (restored, _) = MvStore::restore(&mut buf.as_slice()).unwrap();
-        restored.with(obj(1), |c| assert_eq!(c.pending_len(), 0));
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let bytes = b"NOTADUMPxxxxxxxxxxxxxxxx".to_vec();
         let err = MvStore::restore(&mut bytes.as_slice()).unwrap_err();

@@ -11,8 +11,6 @@ pub struct StoreStats {
     pub objects: usize,
     /// Total committed versions across chains.
     pub committed_versions: usize,
-    /// Total pending (uncommitted) versions across chains.
-    pub pending_versions: usize,
     /// Total payload bytes across all versions.
     pub payload_bytes: usize,
 }
@@ -32,11 +30,10 @@ impl fmt::Display for StoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} objects, {} committed versions ({:.2}/object), {} pending, {} payload bytes",
+            "{} objects, {} committed versions ({:.2}/object), {} payload bytes",
             self.objects,
             self.committed_versions,
             self.versions_per_object(),
-            self.pending_versions,
             self.payload_bytes
         )
     }
@@ -66,11 +63,10 @@ mod tests {
         let s = StoreStats {
             objects: 1,
             committed_versions: 2,
-            pending_versions: 3,
             payload_bytes: 4,
         };
         let out = s.to_string();
-        for needle in ["1 objects", "2 committed", "3 pending", "4 payload"] {
+        for needle in ["1 objects", "2 committed", "4 payload"] {
             assert!(out.contains(needle), "missing {needle} in {out}");
         }
     }

@@ -1,12 +1,14 @@
 //! Sharded concurrent multiversion store.
 //!
-//! [`MvStore`] maps objects to [`VersionChain`]s behind per-shard mutexes,
-//! with a per-shard condition variable so protocols can *block* on chain
-//! state — e.g. a timestamp-ordering read waiting out a pending write by
-//! an older transaction (paper Figure 3). Read-only snapshot reads
-//! ([`MvStore::read_at`]) never block: they look only at committed
-//! versions, which is the structural basis of the paper's "read requests
-//! of read-only transactions are never rejected" claim.
+//! [`MvStore`] maps objects to [`VersionChain`]s behind per-shard
+//! mutexes. It holds committed versions only and knows nothing of
+//! concurrency control: no pending version, no read timestamp, no
+//! condition variable. A protocol that must *block* on another
+//! transaction's uncommitted write (timestamp ordering, paper Figure 3)
+//! waits in its own table, not here. Snapshot reads
+//! ([`MvStore::read_at`]) therefore never block: they look only at
+//! committed versions, which is the structural basis of the paper's
+//! "read requests of read-only transactions are never rejected" claim.
 
 use crate::chain::VersionChain;
 use crate::gc::GcStats;
@@ -15,45 +17,13 @@ use crate::stats::StoreStats;
 use crate::value::Value;
 use crate::{VersionNo, INITIAL_VERSION};
 use mvcc_model::ObjectId;
-use parking_lot::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use parking_lot::Mutex;
 
-/// Result of one poll inside [`MvStore::wait_until`].
-pub enum WaitOutcome<R> {
-    /// Done; return this value.
-    Ready(R),
-    /// Condition not met; sleep until the chain's shard changes.
-    Wait,
-}
-
-/// A blocking wait exceeded its deadline.
-///
-/// The paper's protocols never deadlock through these waits (TO blocks
-/// only behind *older* transactions, which cannot in turn wait on younger
-/// ones), so a timeout indicates either a protocol bug or an aborted
-/// waitee whose wake-up was lost; callers surface it as a transaction
-/// abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeout {
-    /// How long the caller waited.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for WaitTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "storage wait timed out after {:?}", self.waited)
-    }
-}
-
-impl std::error::Error for WaitTimeout {}
-
-/// One cache line per shard. Unaligned, a 48-byte shard straddles two
-/// lines, and a snapshot scan locking its neighbours steals the line a
-/// writer is about to lock.
+/// One cache line per shard, so a snapshot scan locking its neighbours
+/// never steals the line a writer is about to lock.
 #[repr(align(64))]
 struct Shard {
     map: Mutex<ObjectMap<VersionChain>>,
-    cv: Condvar,
 }
 
 /// Sharded map of object → version chain.
@@ -103,7 +73,6 @@ impl MvStore {
         let shards = (0..n)
             .map(|_| Shard {
                 map: Mutex::new(ObjectMap::default()),
-                cv: Condvar::new(),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -120,52 +89,6 @@ impl MvStore {
     pub fn with<R>(&self, obj: ObjectId, f: impl FnOnce(&mut VersionChain) -> R) -> R {
         let shard = self.shard(obj);
         f(shard.map.lock().entry(obj).or_default())
-    }
-
-    /// Repeatedly run `f` until it returns [`WaitOutcome::Ready`], sleeping
-    /// on the shard's condition variable between polls. Wakes on any
-    /// [`notify`](Self::notify) for an object in the same shard.
-    pub fn wait_until<R>(
-        &self,
-        obj: ObjectId,
-        timeout: Duration,
-        mut f: impl FnMut(&mut VersionChain) -> WaitOutcome<R>,
-    ) -> Result<R, WaitTimeout> {
-        let shard = self.shard(obj);
-        let mut poll = |map: &mut ObjectMap<VersionChain>| f(map.entry(obj).or_default());
-        let mut map = shard.map.lock();
-        if let WaitOutcome::Ready(r) = poll(&mut map) {
-            return Ok(r);
-        }
-        // Zero-timeout fail-fast: never park. Deterministic simulation
-        // configures every wait bound as zero so virtual deadlines are
-        // never handed to a real condvar.
-        if timeout.is_zero() {
-            return Err(WaitTimeout { waited: timeout });
-        }
-        // Only a wait that parks reads the clock.
-        let deadline = Instant::now() + timeout;
-        loop {
-            let timed_out = shard.cv.wait_until(&mut map, deadline).timed_out();
-            // After a timeout this is the final re-check: the condition
-            // may have become true in the race between the last poll and
-            // the timeout.
-            if let WaitOutcome::Ready(r) = poll(&mut map) {
-                return Ok(r);
-            }
-            if timed_out {
-                return Err(WaitTimeout { waited: timeout });
-            }
-        }
-    }
-
-    /// Wake every waiter that could be blocked on `obj`'s chain. Call
-    /// after commits, aborts, and pending-version changes. With no
-    /// waiter parked on the shard this is one load, no system call; no
-    /// wake-up is lost, because every chain change happens under the
-    /// shard mutex the waiter polls under.
-    pub fn notify(&self, obj: ObjectId) {
-        self.shard(obj).cv.notify_all();
     }
 
     // ---- convenience wrappers ---------------------------------------------
@@ -192,6 +115,16 @@ impl MvStore {
             .expect("GC never prunes a chain's latest version")
     }
 
+    /// The number of `obj`'s latest committed version (`w-ts(x)` of
+    /// Figure 3, before reservations): a probe that clones no payload.
+    pub fn latest_number(&self, obj: ObjectId) -> VersionNo {
+        self.shard(obj)
+            .map
+            .lock()
+            .get(&obj)
+            .map_or(INITIAL_VERSION, |c| c.latest().number)
+    }
+
     /// Set the initial version's payload (bulk loading).
     pub fn seed(&self, obj: ObjectId, value: Value) {
         self.with(obj, |c| c.seed(value));
@@ -215,7 +148,6 @@ impl MvStore {
             s.objects += map.len();
             for chain in map.values() {
                 s.committed_versions += chain.committed_len();
-                s.pending_versions += chain.pending_len();
                 s.payload_bytes += chain.payload_bytes();
             }
         }
@@ -250,8 +182,6 @@ impl MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::PendingVersion;
-    use mvcc_model::TxnId;
     use std::sync::Arc;
     use std::thread;
 
@@ -299,12 +229,11 @@ mod tests {
             c.insert_committed(1, Value::from_u64(1)).unwrap()
         });
         s.with(obj(2), |c| {
-            c.install_pending(PendingVersion::phi(TxnId(9), Value::from_str("abc")))
+            c.insert_committed(2, Value::from_str("abc")).unwrap()
         });
         let st = s.stats();
         assert_eq!(st.objects, 2);
-        assert_eq!(st.committed_versions, 3); // two initials + one insert
-        assert_eq!(st.pending_versions, 1);
+        assert_eq!(st.committed_versions, 4); // two initials + two inserts
         assert_eq!(st.payload_bytes, 11);
     }
 
@@ -317,45 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_ready_immediately() {
+    fn latest_number_probes_without_materializing() {
         let s = MvStore::new();
-        let r = s
-            .wait_until(obj(1), Duration::from_millis(10), |c| {
-                WaitOutcome::Ready(c.latest().number)
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-    }
-
-    #[test]
-    fn wait_until_times_out() {
-        let s = MvStore::new();
-        let err = s
-            .wait_until::<()>(obj(1), Duration::from_millis(20), |_| WaitOutcome::Wait)
-            .unwrap_err();
-        assert_eq!(err.waited, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn wait_until_wakes_on_notify() {
-        let s = Arc::new(MvStore::new());
-        let s2 = Arc::clone(&s);
-        let waiter = thread::spawn(move || {
-            s2.wait_until(obj(7), Duration::from_secs(5), |c| {
-                if c.latest().number >= 3 {
-                    WaitOutcome::Ready(c.latest().value.as_u64())
-                } else {
-                    WaitOutcome::Wait
-                }
-            })
-        });
-        thread::sleep(Duration::from_millis(20));
+        assert_eq!(s.latest_number(obj(7)), INITIAL_VERSION);
+        assert_eq!(s.stats().objects, 0);
         s.with(obj(7), |c| {
             c.insert_committed(3, Value::from_u64(33)).unwrap()
         });
-        s.notify(obj(7));
-        let got = waiter.join().unwrap().unwrap();
-        assert_eq!(got, Some(33));
+        assert_eq!(s.latest_number(obj(7)), 3);
     }
 
     #[test]

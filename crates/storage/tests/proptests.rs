@@ -4,9 +4,8 @@
 //! length either side of the inline capacity survive the log and
 //! checkpoint formats.
 
-use mvcc_model::{ObjectId, TxnId};
+use mvcc_model::ObjectId;
 use mvcc_storage::chain::VersionChain;
-use mvcc_storage::version::PendingVersion;
 use mvcc_storage::{scan, FsyncPolicy, MemWal, MvStore, Value, WalSink, WalWriter};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -63,68 +62,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Chain reads agree with a BTreeMap reference model under arbitrary
-    /// interleavings of inserts, pending installs, promotes, discards,
-    /// pruning, seeding and `r-ts` updates. Numbers are drawn in any
-    /// order, so inserts and promotions land both above and below the
-    /// inline newest version; pruning keeps 1–4 versions at a watermark
-    /// both above and below it.
+    /// interleavings of inserts, pruning and seeding. Numbers are drawn
+    /// in any order, so inserts land both above and below the inline
+    /// newest version; pruning keeps 1–4 versions at a watermark both
+    /// above and below it.
     #[test]
     fn chain_matches_reference(
-        steps in proptest::collection::vec((0u8..7, 1u64..64, 0u64..1000), 1..80),
+        steps in proptest::collection::vec((0u8..4, 1u64..64, 0u64..1000), 1..80),
         probes in proptest::collection::vec(0u64..70, 1..20),
     ) {
         let mut chain = VersionChain::new();
         // number → payload; the initial version's empty payload reads as 0.
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         model.insert(0, 0);
-        let mut read_ts = 0u64; // r-ts of the newest version
-        let mut next_writer = 1u64;
-        let mut pendings: Vec<(TxnId, u64, u64)> = Vec::new(); // writer, number, payload
-        let commit = |model: &mut BTreeMap<u64, u64>, read_ts: &mut u64, n: u64, p: u64| {
-            if model.keys().next_back().is_some_and(|&newest| n > newest) {
-                *read_ts = 0;
-            }
-            model.insert(n, p);
-        };
 
         for (kind, num, payload) in steps {
-            let fresh = !model.contains_key(&num) && !pendings.iter().any(|&(_, n, _)| n == num);
             match kind {
-                0 => {
-                    // direct committed insert (unique number only)
-                    if fresh {
-                        chain.insert_committed(num, Value::from_u64(payload)).unwrap();
-                        commit(&mut model, &mut read_ts, num, payload);
-                    } else if model.contains_key(&num) {
-                        prop_assert!(chain.insert_committed(num, Value::from_u64(payload)).is_err());
-                    }
-                }
-                1 => {
-                    // install stamped pending
-                    if fresh {
-                        let w = TxnId(next_writer);
-                        next_writer += 1;
-                        chain.install_pending(PendingVersion::stamped(
-                            w, num, Value::from_u64(payload),
-                        ));
-                        pendings.push((w, num, payload));
-                    }
+                0 | 1 => {
+                    // committed insert: a fresh number succeeds, a held one is refused
+                    let res = chain.insert_committed(num, Value::from_u64(payload));
+                    prop_assert_eq!(res.is_ok(), !model.contains_key(&num));
+                    model.entry(num).or_insert(payload);
                 }
                 2 => {
-                    // promote oldest pending
-                    if !pendings.is_empty() {
-                        let (w, n, p) = pendings.remove(0);
-                        chain.promote_pending(w, None).unwrap();
-                        commit(&mut model, &mut read_ts, n, p);
-                    }
-                }
-                3 => {
-                    // discard newest pending
-                    if let Some((w, _, _)) = pendings.pop() {
-                        prop_assert!(chain.discard_pending(w));
-                    }
-                }
-                4 => {
                     // keep the newest `keep` versions at or below `num`
                     let keep = (payload % 4 + 1) as usize;
                     let visible: Vec<u64> = model.range(..=num).map(|(&n, _)| n).collect();
@@ -134,16 +94,11 @@ proptest! {
                     }
                     prop_assert_eq!(chain.prune_keep_recent(num, keep), doomed);
                 }
-                5 => {
+                _ => {
                     // seed: replaces the initial payload, or restores a
                     // pruned initial version below the rest
                     chain.seed(Value::from_u64(payload));
                     model.insert(0, payload);
-                }
-                _ => {
-                    // raise r-ts of the newest version
-                    chain.update_read_ts(payload);
-                    read_ts = read_ts.max(payload);
                 }
             }
             // invariant: committed versions are exactly the model's
@@ -154,16 +109,13 @@ proptest! {
             let want: Vec<(u64, u64)> = model.iter().map(|(&n, &p)| (n, p)).collect();
             prop_assert_eq!(&held, &want);
             prop_assert_eq!(chain.committed_len(), model.len());
-            let newest = *model.keys().next_back().unwrap();
-            prop_assert_eq!((chain.latest().number, chain.read_ts()), (newest, read_ts));
-            prop_assert_eq!(chain.pending_len(), pendings.len());
+            prop_assert_eq!(chain.latest().number, *model.keys().next_back().unwrap());
         }
 
         for sn in probes {
             let got = chain.at(sn).map(|v| (v.number, v.value.as_u64().unwrap_or(0)));
             let want = model.range(..=sn).next_back().map(|(&n, &p)| (n, p));
             prop_assert_eq!(got, want);
-            prop_assert_eq!(chain.exact(sn).map(|v| v.number), model.get(&sn).map(|_| sn));
         }
     }
 
@@ -201,20 +153,6 @@ proptest! {
         }
         // idempotent
         prop_assert_eq!(chain.prune_below(watermark), 0);
-    }
-
-    /// Values survive promotion: whatever payload went in pending comes
-    /// out of the committed read.
-    #[test]
-    fn promote_preserves_payload(n in 1u64..1000, payload in any::<u64>()) {
-        let mut chain = VersionChain::new();
-        chain.install_pending(PendingVersion::stamped(
-            TxnId(n), n, Value::from_u64(payload),
-        ));
-        // pending invisible to snapshot reads
-        prop_assert_eq!(chain.at(n).unwrap().number, 0);
-        chain.promote_pending(TxnId(n), None).unwrap();
-        prop_assert_eq!(chain.at(n).unwrap().value.as_u64(), Some(payload));
     }
 
     /// WAL `append_commit` → `scan` returns every value byte for byte.

@@ -123,8 +123,8 @@ impl WaitTimeoutResult {
 ///
 /// - `cc::lock` `LockManager::release` and `clear_all`: the lock table,
 ///   under the shard's `table` mutex;
-/// - `storage::store` `MvStore::notify`: the version chain, under the
-///   shard's `map` mutex (every chain change goes through it);
+/// - `cc::pending` `PendingTable::release`: the reservations, under the
+///   shard's `entries` mutex (every reservation change goes through it);
 /// - `core::vc` `VersionControl::notify_visible`: `vtnc` is stored
 ///   before the notifier takes `visible_mu`, and the waiter loads it
 ///   under `visible_mu`;

@@ -149,11 +149,18 @@ fn gc_never_breaks_live_snapshots() {
 }
 
 /// After a run mixing commits, aborts, and handle drops, all shared
-/// structures are clean: no pendings, no queue entries, no lag, and the
-/// data equals the number of successful increments.
+/// structures are clean under every protocol: no pending write (TO's
+/// reservations), no held lock, no queue entry, and the data equals the
+/// number of successful increments.
 #[test]
 fn chaos_then_clean_state() {
-    let db = presets::vc_2pl(DbConfig::default());
+    chaos(presets::vc_2pl(DbConfig::default()));
+    chaos(presets::vc_to(DbConfig::default()));
+    chaos(presets::vc_occ(DbConfig::default()));
+}
+
+fn chaos<C: ConcurrencyControl>(db: MvDatabase<C>) {
+    let name = db.cc().name();
     let obj = ObjectId(0);
     db.seed(obj, Value::from_u64(0));
     let committed = std::sync::atomic::AtomicU64::new(0);
@@ -200,12 +207,13 @@ fn chaos_then_clean_state() {
     assert_eq!(
         db.peek_latest(obj).as_u64(),
         Some(committed.load(Ordering::Relaxed)),
-        "aborted/dropped transactions must leave no effect"
+        "{name}: aborted/dropped transactions must leave no effect"
     );
-    assert_eq!(db.vc().queue_len(), 0, "VCQueue must drain");
-    let stats = db.store_stats();
-    assert_eq!(stats.pending_versions, 0, "no pending versions may leak");
-    // all locks free: an immediate exclusive writer succeeds without waiting
+    assert_eq!(db.vc().queue_len(), 0, "{name}: VCQueue must drain");
+    let g = db.sample_gauges();
+    assert_eq!(g.pending_versions, 0, "{name}: no pending write may leak");
+    assert_eq!(g.locked_objects, 0, "{name}: no lock may leak");
+    // all clear: an immediate writer succeeds without waiting
     let mut t = db.begin_read_write().unwrap();
     t.write(obj, Value::from_u64(0)).unwrap();
     t.commit().unwrap();

@@ -1,8 +1,11 @@
-//! The read-write path is lock grants plus a buffered write set.
+//! The read-write path is lock grants (or TO reservations) plus a
+//! buffered write set.
 //!
-//! Two-phase locking keeps its φ versions (paper Figure 4) in the
-//! transaction's write set, as OCC does, and inserts them only at
-//! `end(T)`; a grant on a free object allocates nothing. A counting
+//! Every protocol keeps its writes in the transaction's write set and
+//! inserts them only at `end(T)`: two-phase locking's φ versions (paper
+//! Figure 4), OCC's write phase, and timestamp ordering's writes, whose
+//! reservations live in the protocol's own table. No staged version ever
+//! reaches the store, and a grant on a free object allocates nothing. A counting
 //! global allocator (per thread, so parallel tests do not interfere)
 //! pins the allocations of a warmed RW transaction shaped like the
 //! benchmark's `uniform_mix` one — 4 reads and 4 read-for-update +
@@ -11,8 +14,9 @@
 //! optimised build.
 //!
 //! The rest pins what buffering must keep: a 2PL writer reads its own
-//! write, the last write to an object wins, and nothing a transaction
-//! wrote reaches the store unless it commits.
+//! write, the last write to an object wins, nothing a transaction wrote
+//! reaches the store unless it commits, and reads of a never-written
+//! object materialize no chain.
 
 use mvdb::cc::{presets, TwoPhaseLocking};
 use mvdb::core::prelude::*;
@@ -118,7 +122,7 @@ fn warm_2pl_rw_txn_allocates_at_most_twice() {
 #[test]
 fn warm_to_rw_txn_allocates_at_most_once() {
     let n = warmed_allocs(presets::vc_to(DbConfig::default()));
-    // Its write set; the pending slots its chains keep are reused.
+    // Its write set; a reservation lives inline in its table entry.
     assert!(n <= 1, "a warmed TO RW transaction allocated {n} times");
 }
 
@@ -144,15 +148,30 @@ fn occ_validation_materializes_no_chain() {
 }
 
 #[test]
+fn to_read_materializes_no_chain() {
+    let db = presets::vc_to(DbConfig::default());
+    db.seed(obj(0), v(5));
+    let objects = db.store_stats().objects;
+    let mut t = db.begin_read_write().unwrap();
+    // obj(1) was never written: the read records its r-ts in the
+    // protocol's table, not in a store chain.
+    assert_eq!(t.read(obj(1)).unwrap(), Value::empty());
+    t.write(obj(0), v(6)).unwrap();
+    let tn = t.commit().unwrap();
+    assert_eq!(db.store().read_latest(obj(0)), (tn, v(6)));
+    assert_eq!(db.store_stats().objects, objects);
+}
+
+#[test]
 fn tpl_write_is_buffered_read_back_and_last_write_wins() {
     let db = presets::vc_2pl(DbConfig::default());
     db.seed(obj(0), v(1));
     let mut t = db.begin_read_write().unwrap();
     t.write(obj(0), v(2)).unwrap();
     t.write(obj(1), v(3)).unwrap();
-    // Nothing is staged: the store holds no pending version, and the
-    // committed state is unchanged.
-    assert_eq!(db.store_stats().pending_versions, 0);
+    // Nothing is staged: obj(1) has no chain, and the committed state is
+    // unchanged.
+    assert_eq!(db.store_stats().objects, 1);
     assert_eq!(db.store().read_latest(obj(0)), (0, v(1)));
     // The writer reads its own φ versions, with no number yet.
     assert_eq!(t.read_u64(obj(0)).unwrap(), Some(2));
@@ -205,7 +224,7 @@ fn deadlock_victims_writes_never_reach_the_store() {
     seen.extend(history(&db, obj(1)));
     seen.sort_unstable();
     assert_eq!(seen, vec![0, 0, winner + 1, winner + 2]);
-    assert_eq!(db.store_stats().pending_versions, 0);
+    assert_eq!(db.sample_gauges().locked_objects, 0);
 }
 
 #[test]
@@ -223,10 +242,7 @@ fn failed_log_commits_writes_never_reach_the_store() {
     assert_eq!(history(&db, obj(0)), vec![5]);
     assert_eq!(db.store().read_latest(obj(1)), (0, Value::empty()));
     let stats = db.store_stats();
-    assert_eq!(
-        (stats.committed_versions, stats.pending_versions),
-        (stats.objects, 0)
-    );
+    assert_eq!(stats.committed_versions, stats.objects);
     // Its locks are gone too: the objects are free for the next writer.
     let mut t = db.begin_read_write().unwrap();
     t.write(obj(0), v(8)).unwrap();

@@ -86,45 +86,97 @@ fn exclusive_lock_ping_pong_loses_no_wakeup() {
     assert_eq!(lm.locked_objects(), 0);
 }
 
-/// A TO read behind an older pending write parks in `MvStore::wait_until`;
-/// the writer's commit wakes it through `MvStore::notify`.
+/// A TO read behind an older pending write parks in the protocol's
+/// `PendingTable::wait_until`; the writer's commit wakes it through
+/// `PendingTable::release`, which `end(T)` calls after the install.
 #[test]
 fn to_read_wakes_when_older_writer_commits() {
+    to_wakes_behind_older_writer(Resolve::Commit, Op::Read);
+}
+
+/// The same read, woken when the older writer aborts instead: it then
+/// reads the version the aborted write would have superseded.
+#[test]
+fn to_read_wakes_when_older_writer_aborts() {
+    to_wakes_behind_older_writer(Resolve::Abort, Op::Read);
+}
+
+/// A TO write behind an older reservation parks at the same site and is
+/// woken by the older writer's abort; it then reserves and commits.
+#[test]
+fn to_write_wakes_when_older_writer_aborts() {
+    to_wakes_behind_older_writer(Resolve::Abort, Op::Write);
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Resolve {
+    Commit,
+    Abort,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Op {
+    Read,
+    Write,
+}
+
+/// Each round an older transaction reserves `x`, a younger one reads or
+/// writes `x` and parks behind it, and the older one commits or aborts.
+fn to_wakes_behind_older_writer(resolve: Resolve, op: Op) {
     const ROUNDS: u64 = 2_000;
     let db = presets::vc_to(DbConfig::default().with_read_wait_timeout(BOUND));
     let x = ObjectId(7);
     db.seed(x, Value::from_u64(0));
+    let mut latest = 0;
     for round in 1..=ROUNDS {
         let mut older = db.begin_read_write().unwrap();
         older.write(x, Value::from_u64(round)).unwrap();
         let blocks = db.metrics().rw_blocks;
         let started = AtomicBool::new(false);
         thread::scope(|s| {
-            let reader = s.spawn(|| {
+            let younger = s.spawn(|| {
                 // Registers after `older`, so it must wait out its write.
                 let mut younger = db.begin_read_write().unwrap();
                 started.store(true, Ordering::Release);
                 let t0 = Instant::now();
-                let v = younger.read_u64(x).unwrap();
+                let v = match op {
+                    Op::Read => younger.read_u64(x).unwrap(),
+                    Op::Write => younger
+                        .write(x, Value::from_u64(ROUNDS + round))
+                        .map(|()| None)
+                        .unwrap(),
+                };
                 let waited = t0.elapsed();
                 younger.commit().unwrap();
                 (v, waited)
             });
-            spin_until("reader start", || started.load(Ordering::Acquire));
+            spin_until("younger start", || started.load(Ordering::Acquire));
             if round.is_multiple_of(2) {
-                // The reader counts its block under the shard lock just
-                // before parking, and the commit needs that lock: waiting
-                // for the count makes this round a park-then-notify.
-                spin_until("reader block", || db.metrics().rw_blocks > blocks);
+                // The younger transaction counts its block under the
+                // table shard's lock just before parking, and the release
+                // needs that lock: waiting for the count makes this round
+                // a park-then-notify.
+                spin_until("younger block", || db.metrics().rw_blocks > blocks);
             }
-            older.commit().unwrap();
-            let (v, waited) = reader.join().unwrap();
-            assert!(waited < SLOW, "round {round}: read waited {waited:?}");
-            assert_eq!(v, Some(round));
+            match resolve {
+                Resolve::Commit => {
+                    older.commit().unwrap();
+                    latest = round;
+                }
+                Resolve::Abort => older.abort(),
+            }
+            let (v, waited) = younger.join().unwrap();
+            assert!(waited < SLOW, "round {round}: waited {waited:?}");
+            match op {
+                Op::Read => assert_eq!(v, Some(latest), "round {round}"),
+                Op::Write => latest = ROUNDS + round,
+            }
+            assert_eq!(db.peek_latest(x).as_u64(), Some(latest), "round {round}");
         });
     }
     assert!(db.metrics().rw_blocks >= ROUNDS / 2);
     assert_eq!(db.metrics().aborts_timeout, 0);
+    assert_eq!(db.sample_gauges().pending_versions, 0);
 }
 
 /// `VersionControl::wait_visible` parks on the visibility condvar;
