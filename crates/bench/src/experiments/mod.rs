@@ -11,7 +11,7 @@ pub mod e08_visibility;
 pub mod e09_gc;
 pub mod e10_distributed;
 pub mod e11_modularity;
-pub mod e12_adaptive;
+pub mod e12_recovery;
 
 /// An experiment: id, title, and runner.
 pub struct Experiment {
@@ -83,8 +83,8 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "e12",
-            title: "Extensions — adaptive concurrency control and version-based recovery",
-            run: e12_adaptive::run,
+            title: "Extensions — version-based recovery: checkpoint, restore, resume",
+            run: e12_recovery::run,
         },
     ]
 }

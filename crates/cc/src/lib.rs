@@ -29,14 +29,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod lock;
 pub mod occ;
 pub mod pending;
 pub mod to;
 pub mod tpl;
 
-pub use adaptive::{Adaptive, AdaptiveConfig, Mode as AdaptiveMode};
 pub use lock::{LockError, LockManager, LockMode};
 pub use occ::Optimistic;
 pub use pending::PendingTable;
@@ -63,13 +61,5 @@ pub mod presets {
     /// Version control + optimistic concurrency control (paper refs \[1,2\]).
     pub fn vc_occ(config: DbConfig) -> MvDatabase<Optimistic> {
         MvDatabase::with_config(Optimistic::new(), config)
-    }
-
-    /// Version control + adaptive concurrency control (OCC under low
-    /// contention, 2PL under high — the extensibility showcase of the
-    /// paper's introduction).
-    pub fn vc_adaptive(config: DbConfig) -> MvDatabase<Adaptive> {
-        let cc = Adaptive::with_config_and_shards(AdaptiveConfig::default(), config.lock_shards);
-        MvDatabase::with_config(cc, config)
     }
 }

@@ -365,9 +365,9 @@ pub trait ConcurrencyControl: Send + Sync + 'static {
         None
     }
 
-    /// Protocol-specific gauges, appended to
-    /// [`GaugeSample::extra`](crate::obs::GaugeSample) by the collector
-    /// (e.g. locked objects, occupied lock shards, adaptive mode).
+    /// Protocol-specific gauges (e.g. locked objects, occupied lock
+    /// shards), read by
+    /// [`MvDatabase::sample_gauges`](crate::MvDatabase::sample_gauges).
     fn gauges(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }

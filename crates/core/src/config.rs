@@ -40,7 +40,7 @@ pub struct DbConfig {
     pub wal_fsync: FsyncPolicy,
     /// Observability: structured events, phase latencies, flight
     /// recorder. All off by default — the disabled hot-path cost is one
-    /// relaxed load per instrumentation point.
+    /// load per instrumentation point.
     pub obs: ObsConfig,
     /// The time source for every deadline, TTL, backoff sleep, and event
     /// timestamp in this engine. [`crate::RealClock`] by default; the

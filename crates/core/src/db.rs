@@ -9,8 +9,8 @@ use crate::error::{AbortReason, DbError};
 use crate::fault::{FaultInjector, FaultyFile};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::obs::{
-    json_snapshot, prometheus_text, DumpContext, EventKind, FlightTrigger, GaugeCollector,
-    GaugeSample, Obs, PhaseSnapshot,
+    json_snapshot, prometheus_text, DumpContext, EventKind, FlightTrigger, GaugeSample, Obs,
+    PhaseSnapshot,
 };
 use crate::retry::RetryPolicy;
 use crate::trace::{Tracer, TxnTrace};
@@ -551,7 +551,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// Take one gauge sample across every layer: version-control counters
     /// and queue state, live version count, WAL durability backlog, and
     /// whatever protocol-specific gauges `C` exposes (lock-shard
-    /// occupancy under 2PL, pending writes under TO, adaptive mode, …).
+    /// occupancy under 2PL, pending writes under TO, …).
     /// The well-known protocol gauges `pending_versions`,
     /// `locked_objects` and `occupied_lock_shards` are lifted into their
     /// first-class fields; the rest ride in [`GaugeSample::extra`].
@@ -580,15 +580,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
             }
         }
         sample
-    }
-
-    /// Spawn a background thread sampling [`sample_gauges`](Self::sample_gauges)
-    /// every `interval` until the returned collector is stopped or
-    /// dropped. Requires the engine behind an `Arc` so the sampler can
-    /// outlive the caller's borrow.
-    pub fn spawn_gauge_collector(self: &Arc<Self>, interval: Duration) -> GaugeCollector {
-        let db = Arc::clone(self);
-        GaugeCollector::spawn(interval, Arc::new(move || db.sample_gauges()))
     }
 
     /// Render counters, a fresh gauge sample, phase latency histograms,
@@ -626,8 +617,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// Start an explicit end-to-end trace. Pass the returned context via
     /// [`TxnOptions::with_trace`] (every attempt, wait, WAL append, and
     /// VCQueue residency lands in one span tree), then export it with
-    /// [`trace_chrome_json`](Self::trace_chrome_json) or
-    /// [`trace_otlp_json`](Self::trace_otlp_json).
+    /// [`trace_chrome_json`](Self::trace_chrome_json).
     pub fn start_trace(&self) -> crate::obs::TraceCtx {
         self.core.ctx.obs.tracer().start()
     }
@@ -643,13 +633,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     pub fn trace_chrome_json(&self, trace_id: u64) -> Option<String> {
         self.trace_snapshot(trace_id)
             .map(|t| crate::obs::chrome_trace_json(&t))
-    }
-
-    /// Render a trace as compact OTLP-like JSON. `None` if the trace is
-    /// unknown.
-    pub fn trace_otlp_json(&self, trace_id: u64) -> Option<String> {
-        self.trace_snapshot(trace_id)
-            .map(|t| crate::obs::otlp_trace_json(&t))
     }
 
     /// The fault injector (for experiments and tests).
@@ -951,27 +934,6 @@ mod tests {
         let json = db.metrics_json();
         assert!(json.contains("\"rw_committed\": 2"));
         assert!(json.contains("\"vtnc\": 2"));
-    }
-
-    #[test]
-    fn gauge_collector_samples_engine() {
-        let db = Arc::new(db());
-        db.run_rw(1, |t| t.write(ObjectId(1), Value::from_u64(1)))
-            .unwrap();
-        let mut collector = db.spawn_gauge_collector(Duration::from_millis(1));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let sample = loop {
-            if let Some(s) = collector.latest() {
-                break s;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "collector never sampled"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(sample.vc.vtnc, 1);
-        collector.stop();
     }
 
     #[test]

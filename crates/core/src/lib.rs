@@ -70,8 +70,8 @@ pub use fault::{FaultConfig, FaultInjector, FaultPoint, FaultyFile};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use mvcc_storage::wal::FsyncPolicy;
 pub use obs::{
-    Attribution, DumpContext, EventKind, FlightTrigger, GaugeCollector, GaugeSample, Obs,
-    ObsConfig, PhaseSnapshot, TxnPhase, VcView, WaitPoint,
+    Attribution, DumpContext, EventKind, FlightTrigger, GaugeSample, Obs, ObsConfig, PhaseSnapshot,
+    TxnPhase, VcView, WaitPoint,
 };
 pub use retry::RetryPolicy;
 pub use trace::Tracer;

@@ -36,8 +36,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-/// Default per-thread ring capacity (slots).
-pub(crate) const DEFAULT_THREAD_BUFFER: usize = 1024;
+/// Per-thread ring capacity (slots) of every engine's registry.
+pub(crate) const THREAD_RING_SLOTS: usize = 1024;
 
 /// One SPSC slot: plain payload words, ordered by the ring's head/tail.
 #[derive(Default)]
@@ -243,11 +243,7 @@ impl BufferRegistry {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Arc::new(BufferRegistry {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            thread_capacity: if thread_capacity == 0 {
-                DEFAULT_THREAD_BUFFER
-            } else {
-                thread_capacity
-            },
+            thread_capacity,
             rings: Mutex::new(Vec::new()),
             drain: Mutex::new(()),
             pruned_counts: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -481,15 +477,19 @@ mod tests {
     fn retired_ring_is_flushed_then_pruned() {
         let reg = BufferRegistry::new(64);
         let bus = bus_with(&reg, 256);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let ring = ring_for(&reg);
-                for i in 0..5u64 {
-                    assert!(ring.push(i, EventKind::Abort, i, 0));
-                }
-                // Thread exits with 5 undrained events in its buffer.
-            });
-        });
+        // A plain join, not a scope: a scoped thread counts as finished
+        // before its thread-locals drop, so the ring might not be retired
+        // yet when the drain below runs.
+        let r = reg.clone();
+        std::thread::spawn(move || {
+            let ring = ring_for(&r);
+            for i in 0..5u64 {
+                assert!(ring.push(i, EventKind::Abort, i, 0));
+            }
+            // Thread exits with 5 undrained events in its buffer.
+        })
+        .join()
+        .unwrap();
         assert_eq!(reg.ring_count(), 1);
         let evs = bus.recent(64);
         assert_eq!(evs.len(), 5, "exit did not lose buffered events");

@@ -13,11 +13,12 @@
 //! best-effort by design, so this is documented rather than prevented.
 //!
 //! The disabled path — the common case, and the one the tentpole budget
-//! is written against — is a single relaxed load of `enabled`.
+//! is written against — is a single load of the `enabled` flag, fixed
+//! when the bus is built.
 
 use crate::clock::{real_clock, SharedClock};
 use crate::error::AbortReason;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -240,7 +241,7 @@ pub(crate) fn thread_ordinal() -> u64 {
 
 /// The ring-buffer event bus. See the module docs for the protocol.
 pub struct EventBus {
-    enabled: AtomicBool,
+    enabled: bool,
     head: AtomicU64,
     mask: u64,
     slots: Box<[Slot]>,
@@ -258,7 +259,7 @@ pub struct EventBus {
 impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus")
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
+            .field("enabled", &self.enabled)
             .field("capacity", &self.slots.len())
             .field("head", &self.head.load(Ordering::Relaxed))
             .finish()
@@ -278,7 +279,7 @@ impl EventBus {
         let mut slots = Vec::with_capacity(cap);
         slots.resize_with(cap, Slot::default);
         EventBus {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             head: AtomicU64::new(0),
             mask: (cap - 1) as u64,
             slots: slots.into_boxed_slice(),
@@ -311,21 +312,11 @@ impl EventBus {
         }
     }
 
-    /// Whether events are being recorded. One relaxed load — this is the
+    /// Whether events are being recorded. One load — this is the
     /// entire cost of every instrumentation point when tracing is off.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn event recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Ring capacity in slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.enabled
     }
 
     /// Total events ever published into the ring (including overwritten

@@ -586,51 +586,6 @@ pub fn chrome_trace_json(trace: &TraceSnapshot) -> String {
     out
 }
 
-/// Render a trace as compact OTLP-like JSON (the shape of an OTLP/HTTP
-/// `ExportTraceServiceRequest` body, with hex-encoded ids and int
-/// attributes).
-pub fn otlp_trace_json(trace: &TraceSnapshot) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str(
-        "{\"resourceSpans\":[{\"resource\":{\"attributes\":[{\"key\":\"service.name\",\
-         \"value\":{\"stringValue\":\"mvdb\"}}]},\"scopeSpans\":[{\"scope\":\
-         {\"name\":\"mvdb.obs\"},\"spans\":[\n",
-    );
-    for (i, s) in trace.spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let parent = if s.parent == 0 {
-            String::new()
-        } else {
-            format!("{:016x}", s.parent)
-        };
-        out.push_str(&format!(
-            "{{\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"parentSpanId\":\"{parent}\",\
-             \"name\":\"{}\",\"kind\":1,\"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\
-             \"attributes\":[",
-            trace.trace_id,
-            s.span_id,
-            json_escape(s.name),
-            s.start_ns,
-            s.end_ns
-        ));
-        out.push_str(&format!(
-            "{{\"key\":\"thread\",\"value\":{{\"intValue\":\"{}\"}}}}",
-            s.thread
-        ));
-        for (k, v) in &s.attrs {
-            out.push_str(&format!(
-                ",{{\"key\":\"{}\",\"value\":{{\"intValue\":\"{v}\"}}}}",
-                json_escape(k)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n]}]}]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,16 +803,5 @@ mod tests {
         assert!(text.contains("\"object\":7"));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
-    }
-
-    #[test]
-    fn otlp_trace_json_encodes_ids_as_hex() {
-        let text = otlp_trace_json(&sample_trace());
-        assert!(text.contains("\"resourceSpans\""));
-        assert!(text.contains(&format!("\"traceId\":\"{:032x}\"", 5)));
-        assert!(text.contains(&format!("\"spanId\":\"{:016x}\"", 3)));
-        assert!(text.contains("\"parentSpanId\":\"\""), "root has no parent");
-        assert!(text.contains("{\"key\":\"object\",\"value\":{\"intValue\":\"7\"}}"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
     }
 }

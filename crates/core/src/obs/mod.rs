@@ -4,10 +4,10 @@
 //! The paper's claims are quantitative, and flat end-of-run counters
 //! cannot show *when* vtnc lags, *which* transaction stalled the VCQueue,
 //! or *why* a deadlock ring formed. This layer adds that visibility while
-//! keeping the disabled hot path to a single relaxed load per
-//! instrumentation point, and the *enabled* hot path cheap enough to
-//! leave on in production (the benchmark's `driver.trace_overhead_share`
-//! row prices it):
+//! keeping the disabled hot path to a single load per instrumentation
+//! point, and the *enabled* hot path cheap enough to leave on in
+//! production (the benchmark's `driver.trace_overhead_share` row prices
+//! it):
 //!
 //! * [`event`] — the event taxonomy and the global seqlock ring every
 //!   reader consumes, fed by the buffer drainer.
@@ -23,11 +23,11 @@
 //!   retries, lock waits, VCQueue residency, WAL appends, and 2PC legs.
 //! * [`phases`] — engine-side latency histograms on the lock-free
 //!   [`mvcc_storage::AtomicHistogram`].
-//! * [`gauges`] — point-in-time state plus a background collector.
+//! * [`gauges`] — point-in-time state.
 //! * [`recorder`] — post-mortem JSON dumps on deadlock victimization,
 //!   reaper fire, recovery, and invariant violations.
-//! * [`export`] — Prometheus-text, JSON, Chrome `trace_event`, and
-//!   OTLP-like emitters over all of the above.
+//! * [`export`] — Prometheus-text, JSON and Chrome `trace_event`
+//!   emitters over all of the above.
 
 pub mod blame;
 pub mod event;
@@ -46,10 +46,10 @@ pub use event::{
     abort_reason_code, abort_reason_name, Event, EventBus, EventKind, Tier, KIND_COUNT,
 };
 pub use export::{
-    chrome_trace_json, json_snapshot, otlp_trace_json, parse_exposition, profile_json,
-    prometheus_text, EventCounts, SCHEMA_VERSION,
+    chrome_trace_json, json_snapshot, parse_exposition, profile_json, prometheus_text, EventCounts,
+    SCHEMA_VERSION,
 };
-pub use gauges::{GaugeCollector, GaugeSample, VcView};
+pub use gauges::{GaugeSample, VcView};
 pub use phases::{PhaseHistograms, PhaseSnapshot};
 pub use recorder::{DumpContext, FlightRecorder, FlightTrigger};
 pub use topk::ContentionTopK;
@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Record lifecycle events (and phase latencies). Off by default:
-    /// the disabled path is one relaxed load per instrumentation point.
+    /// the disabled path is one load per instrumentation point.
     pub events: bool,
     /// Global event ring capacity (rounded up to a power of two, min
     /// 64). Zero selects the default (4096).
@@ -81,9 +81,6 @@ pub struct ObsConfig {
     /// `2^span_sample_shift` transactions is auto-traced end to end.
     /// Default 10 (1 in 1024). Zero traces every transaction.
     pub span_sample_shift: u8,
-    /// Per-thread event buffer capacity in slots (rounded up to a power
-    /// of two, min 64). Zero selects the default (1024).
-    pub thread_buffer: usize,
     /// Contention attribution: hot-key/hot-shard top-K tables (64 slots
     /// each) plus the blocking-blame ledger (256 rows). Off by default;
     /// when off, attribution state is never allocated and feed sites see
@@ -108,7 +105,6 @@ impl Default for ObsConfig {
             flight_dir: None,
             event_sample_shift: 4,
             span_sample_shift: 10,
-            thread_buffer: 0,
             attribution: false,
         }
     }
@@ -136,12 +132,6 @@ impl ObsConfig {
     /// Auto-trace 1 in `2^shift` transactions (0 = trace all).
     pub fn with_span_sample_shift(mut self, shift: u8) -> Self {
         self.span_sample_shift = shift;
-        self
-    }
-
-    /// Per-thread buffer capacity in slots.
-    pub fn with_thread_buffer(mut self, slots: usize) -> Self {
-        self.thread_buffer = slots;
         self
     }
 
@@ -262,7 +252,7 @@ impl Obs {
         } else {
             cfg.event_capacity
         };
-        let registry = buffer::BufferRegistry::new(cfg.thread_buffer);
+        let registry = buffer::BufferRegistry::new(buffer::THREAD_RING_SLOTS);
         let mut events = EventBus::with_clock(cap, cfg.events, clock.clone());
         events.attach_buffers(registry.clone());
         Obs {
@@ -279,17 +269,12 @@ impl Obs {
         }
     }
 
-    /// Whether recording is on. One relaxed load — every instrumentation
-    /// point checks this (or calls a method that does) before paying
+    /// Whether recording is on. One load — every instrumentation point
+    /// checks this (or calls a method that does) before paying
     /// anything else.
     #[inline]
     pub fn on(&self) -> bool {
         self.events.enabled()
-    }
-
-    /// Turn event + phase recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.events.set_enabled(on);
     }
 
     /// Emit an event on its kind's default tier (no-op when disabled):
@@ -421,11 +406,6 @@ impl Obs {
         self.registry.counts()
     }
 
-    /// Total instrumentation points recorded (sum over kinds).
-    pub fn points(&self) -> u64 {
-        self.counts().iter().sum()
-    }
-
     /// Events lost to per-thread buffer overflow (exact).
     pub fn dropped(&self) -> u64 {
         self.registry.dropped()
@@ -544,7 +524,11 @@ mod tests {
         assert!(obs.phase_timer(EventKind::LockWait).is_none());
         obs.emit(EventKind::Begin, 1, 0);
         assert_eq!(obs.events().emitted(), 0);
-        assert_eq!(obs.points(), 0, "disabled emits do not even count");
+        assert_eq!(
+            obs.count(EventKind::Begin),
+            0,
+            "disabled emits do not even count"
+        );
         assert!(!obs.recorder().armed());
     }
 
@@ -610,29 +594,23 @@ mod tests {
 
     #[test]
     fn exact_drop_accounting_under_paused_drain() {
-        let obs = Obs::new(
-            &ObsConfig::default()
-                .with_events(true)
-                .with_sample_shift(0)
-                .with_thread_buffer(64),
-        );
+        let obs = Obs::new(&ObsConfig::default().with_events(true).with_sample_shift(0));
+        let ring = buffer::THREAD_RING_SLOTS;
         let pause = obs.pause_drain();
-        for i in 0..100u64 {
+        for i in 0..ring as u64 + 36 {
             obs.emit(EventKind::Begin, i, 0);
         }
-        assert_eq!(obs.dropped(), 36, "64 buffered, 36 dropped, exactly");
-        assert_eq!(obs.count(EventKind::Begin), 100, "counter tier unharmed");
+        assert_eq!(
+            obs.dropped(),
+            36,
+            "a ring full buffered, 36 dropped, exactly"
+        );
+        assert_eq!(
+            obs.count(EventKind::Begin),
+            ring as u64 + 36,
+            "counter tier unharmed"
+        );
         drop(pause);
-        assert_eq!(obs.events().recent(256).len(), 64);
-    }
-
-    #[test]
-    fn runtime_toggle() {
-        let obs = Obs::default();
-        obs.set_enabled(true);
-        obs.emit(EventKind::Begin, 1, 0);
-        obs.set_enabled(false);
-        obs.emit(EventKind::Begin, 2, 0);
-        assert_eq!(obs.events().recent(8).len(), 1);
+        assert_eq!(obs.events().recent(4 * ring).len(), ring);
     }
 }

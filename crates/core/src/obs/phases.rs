@@ -3,7 +3,7 @@
 //! The driver already measures *client-visible* latency; these measure the
 //! engine's own phases — the spans the paper's modularity argument is
 //! about. Recording is gated by the same enabled flag as the event bus
-//! (one relaxed load when off), and uses the lock-free
+//! (one load when off), and uses the lock-free
 //! [`AtomicHistogram`] from `mvcc-storage`.
 
 use mvcc_storage::{AtomicHistogram, Histogram};
@@ -14,7 +14,7 @@ pub struct PhaseHistograms {
     /// `VCregister` → `VCcomplete`/`VCdiscard`: how long a transaction
     /// number sits in the VCQueue (the vtnc-lag driver).
     pub register_to_complete: AtomicHistogram,
-    /// Time spent waiting for a contended lock (2PL / adaptive).
+    /// Time spent waiting for a contended lock (2PL).
     pub lock_wait: AtomicHistogram,
     /// Write-ahead-log append + fsync inside commit.
     pub wal_append: AtomicHistogram,

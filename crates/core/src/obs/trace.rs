@@ -5,8 +5,8 @@
 //! queue residency (`VCregister` → `VCcomplete`), WAL appends, backoff
 //! sleeps, and in `mvcc-dist` the 2PC prepare/decide/commit legs. The
 //! result is a tree of [`Span`]s under one implicit root (span id 1,
-//! named `txn`), exportable as Chrome `trace_event` JSON or a compact
-//! OTLP-like JSON (see [`super::export`]).
+//! named `txn`), exportable as Chrome `trace_event` JSON (see
+//! [`super::export`]).
 //!
 //! **Propagation rules.**
 //!

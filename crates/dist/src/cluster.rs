@@ -325,13 +325,6 @@ impl Cluster {
         ))
     }
 
-    /// A trace as compact OTLP-style JSON.
-    pub fn trace_otlp_json(&self, trace_id: u64) -> Option<String> {
-        Some(mvcc_core::obs::otlp_trace_json(
-            &self.spans.snapshot(trace_id)?,
-        ))
-    }
-
     /// Sample every site's visibility watermark and the Lamport-time skew
     /// between the fastest and slowest site. Purely local (no simulated
     /// messages): this models an operator's dashboard scrape, not a

@@ -128,8 +128,6 @@ impl WaitTimeoutResult {
 /// - `core::vc` `VersionControl::notify_visible`: `vtnc` is stored
 ///   before the notifier takes `visible_mu`, and the waiter loads it
 ///   under `visible_mu`;
-/// - `cc::adaptive` `Adaptive::switch_to` and `exit`: the gate, under
-///   `gate`;
 /// - `dist::vc` `DistVc::drain` and `resume`: `vtnc` is stored before
 ///   the notifier takes `visible_mu`, as in `core::vc`.
 pub struct Condvar {

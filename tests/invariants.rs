@@ -435,12 +435,10 @@ proptest::proptest! {
 fn ring_overflow_dropped_counter_is_exact() {
     use mvdb::core::clock::real_clock;
     use mvdb::core::obs::{EventKind, Obs, ObsConfig};
-    const EMITS: u64 = 200;
+    // Twice the fixed 1,024-slot per-thread ring.
+    const EMITS: u64 = 2_048;
     let obs = Obs::with_clock(
-        &ObsConfig::default()
-            .with_events(true)
-            .with_sample_shift(0)
-            .with_thread_buffer(64),
+        &ObsConfig::default().with_events(true).with_sample_shift(0),
         real_clock(),
     );
     {
@@ -449,7 +447,7 @@ fn ring_overflow_dropped_counter_is_exact() {
             obs.emit(EventKind::Begin, i, 0);
         }
         let dropped = obs.dropped();
-        assert!(dropped > 0, "64-slot ring cannot hold {EMITS} events");
+        assert!(dropped > 0, "1,024-slot ring cannot hold {EMITS} events");
         assert_eq!(obs.count(EventKind::Begin), EMITS, "counter stays exact");
         // Everything still buffered + everything dropped = every emit.
         let ec = obs.event_counts();

@@ -16,7 +16,7 @@
 //! Run it in release too (`cargo test --release --test wakeups`): the
 //! benchmark measures the optimised build, where the races are tighter.
 
-use mvdb::cc::{presets, Adaptive, AdaptiveConfig, LockManager, LockMode};
+use mvdb::cc::{presets, LockManager, LockMode};
 use mvdb::core::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
@@ -204,48 +204,5 @@ fn wait_visible_wakes_on_complete() {
             );
             assert_eq!(visible, Some(tn), "round {round}");
         });
-    }
-}
-
-/// The adaptive protocol's `enter` parks on its gate while a mode switch
-/// is pending; the last in-flight transaction's exit flips the switch and
-/// wakes it.
-#[test]
-fn adaptive_enter_wakes_when_last_exit_flips_the_switch() {
-    const ROUNDS: u64 = 2_000;
-    // A one-transaction window with thresholds every abort rate crosses:
-    // each finished transaction requests a switch to the other mode.
-    let cfg = AdaptiveConfig {
-        window: 1,
-        to_locking_above: -1.0,
-        to_optimistic_below: 2.0,
-        drain_timeout: BOUND,
-    };
-    let db = MvDatabase::with_config(Adaptive::with_config(cfg), DbConfig::default());
-    for round in 0..ROUNDS {
-        let straggler = db.begin_read_write().unwrap();
-        let mode = db.cc().mode();
-        // Finishing another transaction requests a switch, which stays
-        // pending behind the straggler.
-        db.begin_read_write().unwrap().commit().unwrap();
-        assert_eq!(db.cc().mode(), mode, "switch must wait for the straggler");
-        let switches = db.cc().switch_count();
-        let started = AtomicBool::new(false);
-        thread::scope(|s| {
-            let entrant = s.spawn(|| {
-                started.store(true, Ordering::Release);
-                let t0 = Instant::now();
-                let t = db.begin_read_write().unwrap();
-                let waited = t0.elapsed();
-                t.commit().unwrap();
-                waited
-            });
-            spin_until("entrant start", || started.load(Ordering::Acquire));
-            maybe_let_park(round);
-            straggler.commit().unwrap(); // last one out flips the gate
-            let waited = entrant.join().unwrap();
-            assert!(waited < SLOW, "round {round}: entrant waited {waited:?}");
-        });
-        assert!(db.cc().switch_count() > switches);
     }
 }
