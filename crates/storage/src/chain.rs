@@ -8,10 +8,12 @@
 //! payload unless seeded), written by the pseudo-transaction `T_0` —
 //! matching the model crate's convention.
 //!
-//! The newest committed version is stored inline, so it lives in the
-//! store map's bucket; only older versions sit in a heap `Vec`. A read
-//! at or above the newest number — every read-only read at `vtnc` and
-//! every protocol read of the latest version — touches no heap memory.
+//! The newest committed version and the one below it are stored inline,
+//! in the store's slot next to the key (see [`crate::store`]); older ones
+//! sit in a heap history that exists only while a third version is live.
+//! A read at or above the newest number — every read-only read at `vtnc`
+//! and every protocol read of the latest version — touches no heap
+//! memory, and neither does an install onto a one-version chain.
 //!
 //! Chains are plain data: all locking lives in [`crate::store::MvStore`].
 
@@ -42,10 +44,18 @@ pub struct VersionChain {
     /// The committed version with the largest number. GC never prunes
     /// it, so a chain always has one.
     newest: CommittedVersion,
-    /// Every other committed version, sorted by `number` ascending, all
-    /// below `newest.number`. GC drains it but keeps its allocation.
-    older: Vec<CommittedVersion>,
+    /// The committed version just below `newest`, if any.
+    prev: Option<CommittedVersion>,
+    /// Every version below `prev`, ascending; empty while `prev` is
+    /// `None`. Boxed for an 8-byte pointer: a bare `Vec` (24 bytes) would
+    /// not fit beside the key in one 64-byte slot.
+    #[allow(clippy::box_collection)]
+    history: Option<Box<Vec<CommittedVersion>>>,
 }
+
+/// GC keeps a drained history with more slots than this (a hot chain's);
+/// a cold chain's next install lands in `prev` and allocates nothing.
+const HOT_HISTORY: usize = 4;
 
 impl Default for VersionChain {
     fn default() -> Self {
@@ -56,29 +66,30 @@ impl Default for VersionChain {
 impl VersionChain {
     /// A chain holding only the (empty-payload) initial version.
     pub fn new() -> Self {
-        Self::seeded(Value::empty())
-    }
-
-    /// A chain whose initial version carries `value`.
-    pub fn seeded(value: Value) -> Self {
         VersionChain {
-            newest: CommittedVersion::new(INITIAL_VERSION, value),
-            older: Vec::new(),
+            newest: CommittedVersion::new(INITIAL_VERSION, Value::empty()),
+            prev: None,
+            history: None,
         }
     }
 
     /// Replace the initial version's payload (used when loading data).
     pub fn seed(&mut self, value: Value) {
-        if self.newest.number == INITIAL_VERSION {
-            self.newest.value = value;
-            return;
+        let oldest = match self.history.as_deref_mut().and_then(|h| h.first_mut()) {
+            Some(v) => v,
+            None => self.prev.as_mut().unwrap_or(&mut self.newest),
+        };
+        if oldest.number == INITIAL_VERSION {
+            oldest.value = value;
+        } else {
+            self.insert_committed(INITIAL_VERSION, value)
+                .expect("every held version is above the initial one");
         }
-        match self.older.first_mut() {
-            Some(first) if first.number == INITIAL_VERSION => first.value = value,
-            _ => self
-                .older
-                .insert(0, CommittedVersion::new(INITIAL_VERSION, value)),
-        }
+    }
+
+    /// The versions below `prev`, oldest first.
+    fn history(&self) -> &[CommittedVersion] {
+        self.history.as_deref().map_or(&[], Vec::as_slice)
     }
 
     // ---- reads -----------------------------------------------------------
@@ -97,13 +108,22 @@ impl VersionChain {
         if sn >= self.newest.number {
             return Some(&self.newest);
         }
-        let idx = self.older.partition_point(|v| v.number <= sn);
-        idx.checked_sub(1).map(|i| &self.older[i])
+        match &self.prev {
+            Some(prev) if sn >= prev.number => Some(prev),
+            _ => {
+                let history = self.history();
+                let idx = history.partition_point(|v| v.number <= sn);
+                idx.checked_sub(1).map(|i| &history[i])
+            }
+        }
     }
 
     /// All committed versions, oldest first.
     pub fn committed(&self) -> impl DoubleEndedIterator<Item = &CommittedVersion> {
-        self.older.iter().chain(std::iter::once(&self.newest))
+        self.history()
+            .iter()
+            .chain(&self.prev)
+            .chain(std::iter::once(&self.newest))
     }
 
     // ---- writes ----------------------------------------------------------
@@ -111,21 +131,37 @@ impl VersionChain {
     /// Insert a committed version: `end(T)`'s install, a baseline's
     /// commit, log replay and checkpoint restore. A number above the
     /// newest — the only case when versions are installed in `tn` order —
-    /// costs one comparison; any other is binary-searched into `older`.
+    /// moves `newest` into `prev` and `prev` onto the heap history; a
+    /// lower number is swapped down to its place.
     pub fn insert_committed(&mut self, number: VersionNo, value: Value) -> Result<(), ChainError> {
-        let version = CommittedVersion::new(number, value);
-        if number > self.newest.number {
-            let old = std::mem::replace(&mut self.newest, version);
-            self.older.push(old);
-            return Ok(());
+        let mut version = CommittedVersion::new(number, value);
+        let dup = Err(ChainError::DuplicateVersion(number));
+        if number == self.newest.number || self.prev.as_ref().is_some_and(|p| p.number == number) {
+            return dup;
+        } else if number > self.newest.number {
+            std::mem::swap(&mut self.newest, &mut version);
         }
-        match self.older.binary_search_by_key(&number, |v| v.number) {
-            Err(i) if number != self.newest.number => {
-                self.older.insert(i, version);
-                Ok(())
+        match &mut self.prev {
+            None => self.prev = Some(version),
+            Some(prev) => {
+                if version.number > prev.number {
+                    std::mem::swap(prev, &mut version);
+                }
+                let history = self.history.get_or_insert_with(Box::default);
+                if history
+                    .last()
+                    .is_none_or(|last| last.number < version.number)
+                {
+                    history.push(version);
+                    return Ok(());
+                }
+                let Err(i) = history.binary_search_by_key(&version.number, |v| v.number) else {
+                    return dup;
+                };
+                history.insert(i, version);
             }
-            _ => Err(ChainError::DuplicateVersion(number)),
         }
+        Ok(())
     }
 
     // ---- garbage collection ---------------------------------------------
@@ -146,24 +182,30 @@ impl VersionChain {
     /// watermark, one of the garbage-collection policies Section 6
     /// invites experimentation with.
     ///
-    /// The newest version is never pruned, and `older` keeps its
-    /// allocation: a chain written again after a sweep would otherwise
-    /// go back to the allocator for its next version.
+    /// The newest version is never pruned. A drained history buffer is
+    /// freed unless it holds more than four slots (a hot chain's).
     pub fn prune_keep_recent(&mut self, watermark: VersionNo, keep: usize) -> usize {
-        let keep = keep.max(1);
-        let visible_end = if watermark >= self.newest.number {
-            self.older.len() + 1
-        } else {
-            self.older.partition_point(|v| v.number <= watermark)
-        };
-        let keep_from = visible_end.saturating_sub(keep);
-        self.older.drain(..keep_from);
-        keep_from
+        let history = self.history().len();
+        let visible = self
+            .committed()
+            .take_while(|v| v.number <= watermark)
+            .count();
+        let doomed = visible.saturating_sub(keep.max(1));
+        if let Some(h) = &mut self.history {
+            h.drain(..doomed.min(history));
+            if h.is_empty() && h.capacity() <= HOT_HISTORY {
+                self.history = None;
+            }
+        }
+        if doomed > history {
+            self.prev = None;
+        }
+        doomed
     }
 
     /// Number of committed versions currently held.
     pub fn committed_len(&self) -> usize {
-        self.older.len() + 1
+        self.history().len() + usize::from(self.prev.is_some()) + 1
     }
 
     /// Payload bytes held by this chain: a walk over its versions, for
@@ -311,43 +353,95 @@ mod tests {
         assert_eq!(c.at(10).unwrap().number, 5);
     }
 
-    /// The chain is the store map's bucket value: its newest version (32
-    /// bytes) and the `older` vector (24). With the 8-byte key a bucket
-    /// is 64 bytes, one cache line; growing it is a decision.
+    /// The chain is the store slot's value: its newest version (24
+    /// bytes), `prev` (24, the version's niche holds `None`) and the
+    /// history pointer (8). With the 8-byte key a slot is 64 bytes, one
+    /// cache line; growing it is a decision.
     #[test]
     fn chain_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<CommittedVersion>(), 32);
+        assert_eq!(std::mem::size_of::<CommittedVersion>(), 24);
         assert_eq!(std::mem::size_of::<VersionChain>(), 56);
     }
 
-    /// Materializing a chain allocates nothing; the first write moves the
-    /// initial version into `older`.
+    /// Materializing a chain allocates nothing, and neither do its first
+    /// write, which moves the initial version into `prev`, or a chain of
+    /// two versions; the third version starts the heap history.
     #[test]
-    fn fresh_chain_owns_no_heap_memory() {
+    fn chain_spills_to_the_heap_only_past_two_versions() {
         let mut c = VersionChain::new();
-        assert_eq!(c.older.capacity(), 0);
         c.insert_committed(1, v(1)).unwrap();
-        assert_eq!(c.older.len(), 1);
+        assert!(c.history.is_none());
         assert_eq!(c.at(1).unwrap().value.as_u64(), Some(1));
+        assert_eq!(c.at(0).unwrap().number, 0);
+        c.insert_committed(2, v(2)).unwrap();
+        assert_eq!(c.history().len(), 1);
+        assert_eq!(c.history()[0].number, 0);
+        assert_eq!(c.at(1).unwrap().number, 1);
         assert_eq!(c.at(0).unwrap().number, 0);
     }
 
+    /// The retention rule: a cold chain's drained history is freed, so its
+    /// next install lands in `prev`; a hot chain's (more than
+    /// [`HOT_HISTORY`] slots) is kept, and its next writes reuse it.
     #[test]
-    fn prune_keeps_older_allocation() {
+    fn gc_frees_a_cold_drained_history_and_keeps_a_hot_one() {
+        let mut cold = VersionChain::new();
+        for n in 1..=3 {
+            cold.insert_committed(n, v(n)).unwrap();
+        }
+        assert!(cold.history.as_ref().unwrap().capacity() <= HOT_HISTORY);
+        assert_eq!(cold.prune_below(10), 3);
+        assert!(cold.history.is_none() && cold.prev.is_none());
+        cold.insert_committed(4, v(4)).unwrap();
+        assert!(cold.history.is_none());
+
+        let mut hot = VersionChain::new();
+        for n in 1..=8 {
+            hot.insert_committed(n, v(n)).unwrap();
+        }
+        let cap = hot.history.as_ref().unwrap().capacity();
+        assert!(cap > HOT_HISTORY);
+        assert_eq!(hot.prune_below(10), 8);
+        assert!(hot.history().is_empty() && hot.prev.is_none());
+        assert_eq!(hot.history.as_ref().unwrap().capacity(), cap);
+        for n in 9..=16 {
+            hot.insert_committed(n, v(n)).unwrap();
+        }
+        assert_eq!(hot.history.as_ref().unwrap().capacity(), cap);
+        assert_eq!(hot.latest().number, 16);
+        assert_eq!(hot.at(9).unwrap().number, 9);
+    }
+
+    /// Pruning that keeps history below the watermark keeps the tiers
+    /// consistent: `prev` goes only with the whole history.
+    #[test]
+    fn prune_keeps_prev_until_the_history_is_gone() {
         let mut c = VersionChain::new();
-        for n in 1..=4 {
+        for n in 1..=5 {
             c.insert_committed(n, v(n)).unwrap();
         }
-        let cap = c.older.capacity();
-        assert_eq!(c.prune_below(10), 4);
-        assert!(c.older.is_empty());
-        assert_eq!(c.older.capacity(), cap);
-        // The next writes reuse it.
-        for n in 5..=8 {
+        assert_eq!(c.prune_keep_recent(10, 2), 4);
+        assert!(c.history.is_none());
+        assert_eq!(c.prev.as_ref().unwrap().number, 4);
+        assert_eq!(c.prune_keep_recent(4, 1), 0);
+        assert_eq!(c.prune_below(5), 1);
+        assert_eq!(c.committed_len(), 1);
+    }
+
+    #[test]
+    fn seed_after_pruning_restores_the_initial_version() {
+        let mut c = VersionChain::new();
+        for n in 1..=3 {
             c.insert_committed(n, v(n)).unwrap();
         }
-        assert_eq!(c.older.capacity(), cap);
-        assert_eq!(c.latest().number, 8);
+        c.prune_below(10);
+        c.seed(v(7));
+        let nums: Vec<u64> = c.committed().map(|x| x.number).collect();
+        assert_eq!(nums, vec![0, 3]);
+        assert_eq!(c.at(0).unwrap().value.as_u64(), Some(7));
+        c.seed(v(8));
+        assert_eq!(c.at(0).unwrap().value.as_u64(), Some(8));
+        assert_eq!(c.committed_len(), 2);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! list of associated versions" (Section 3.2) and leaves the storage layer
 //! abstract. This crate is that substrate, built from scratch:
 //!
-//! * [`value`] — cheaply-cloneable values (small payloads inline, longer
-//!   ones [`bytes::Bytes`]-backed).
+//! * [`value`] — cheaply-cloneable 16-byte values (payloads of up to 14
+//!   bytes inline, longer ones behind a shared [`bytes::Bytes`]).
 //! * [`version`] — committed versions: a number and a payload.
 //! * [`chain`] — per-object version chains ordered by version number
 //!   (= creator transaction number), with snapshot reads
 //!   (`largest version ≤ sn`, Figure 2) and pruning.
-//! * [`store`] — a sharded concurrent map of chains.
+//! * [`store`] — a sharded concurrent map of chains, one cache line each.
 //!
 //! The store holds committed versions only and knows nothing of
 //! concurrency control, as the paper's split asks: an uncommitted write

@@ -1,6 +1,6 @@
 //! Shard-count, shard-index and hashing helpers shared by every sharded
-//! structure in the engine (the store's chain map, the 2PL lock table, the
-//! GC snapshot slots).
+//! structure in the engine (the store's chain tables, the 2PL lock table,
+//! the GC snapshot slots).
 //!
 //! Shard counts are always rounded **up** to a power of two so the index
 //! computation is a multiply + shift + mask — no division on the hot
@@ -10,8 +10,8 @@
 //! where the Fibonacci multiply concentrates its mixing.
 //!
 //! The same product is the hash of every `ObjectId`-keyed map
-//! ([`FibBuildHasher`], [`ObjectMap`]), so one multiply
-//! picks the shard *and* the bucket.
+//! ([`FibBuildHasher`], [`ObjectMap`]) and picks the store's home slots,
+//! so one multiply picks the shard *and* the bucket.
 
 use mvcc_model::ObjectId;
 use std::collections::HashMap;
@@ -31,7 +31,7 @@ pub fn pow2_shards(n: usize) -> usize {
 }
 
 /// Multiplicative constant: ⌊2⁶⁴ / φ⌋, the Fibonacci hashing multiplier.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Map `key` to a shard index in `[0, n_shards)`.
 ///

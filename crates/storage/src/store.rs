@@ -12,7 +12,7 @@
 
 use crate::chain::VersionChain;
 use crate::gc::GcStats;
-use crate::shard::ObjectMap;
+use crate::shard::FIB;
 use crate::stats::StoreStats;
 use crate::value::Value;
 use crate::{VersionNo, INITIAL_VERSION};
@@ -23,7 +23,103 @@ use parking_lot::Mutex;
 /// never steals the line a writer is about to lock.
 #[repr(align(64))]
 struct Shard {
-    map: Mutex<ObjectMap<VersionChain>>,
+    map: Mutex<ChainMap>,
+}
+
+/// One object's key and chain, on one 64-byte cache line. The chain
+/// starts 8 bytes in, so its inline newest version never straddles two
+/// lines. Public only so its layout can be pinned.
+#[repr(C, align(64))]
+pub struct Slot {
+    key: ObjectId,
+    chain: VersionChain,
+}
+
+/// The chains of one shard: an insert-only Robin Hood table. A key's home
+/// is the top `log2(slots)` bits of its Fibonacci product; an insert
+/// probes linearly and displaces any occupant closer to its own home, so
+/// every run of slots is sorted by home and a lookup stops at the first
+/// occupant whose home lies past its key's. It quadruples at 7/8 load.
+#[derive(Default)]
+struct ChainMap {
+    /// Empty, or a power of four of at least 16 slots.
+    slots: Vec<Option<Slot>>,
+    len: usize,
+}
+
+impl ChainMap {
+    /// `key`'s home slot in a table of `n` slots (a power of two ≥ 2).
+    fn home(key: ObjectId, n: usize) -> usize {
+        (key.get().wrapping_mul(FIB) >> (64 - n.trailing_zeros())) as usize
+    }
+
+    /// `Ok(i)`: `key` is in slot `i`. `Err(i)`: an insert of `key` takes
+    /// slot `i`, the first that is empty or whose occupant's home lies
+    /// past `key`'s.
+    #[inline]
+    fn probe(&self, key: ObjectId) -> Result<usize, usize> {
+        let n = self.slots.len();
+        let mut i = Self::home(key, n.max(2));
+        for dist in 0..n {
+            match &self.slots[i] {
+                None => return Err(i),
+                Some(s) if s.key == key => return Ok(i),
+                Some(s) if i.wrapping_sub(Self::home(s.key, n)) & (n - 1) < dist => return Err(i),
+                Some(_) => i = (i + 1) & (n - 1),
+            }
+        }
+        Err(i)
+    }
+
+    fn get(&self, key: ObjectId) -> Option<&VersionChain> {
+        self.slots[self.probe(key).ok()?].as_ref().map(|s| &s.chain)
+    }
+
+    /// `key`'s chain, created with only the initial version on first touch.
+    fn get_or_insert(&mut self, key: ObjectId) -> &mut VersionChain {
+        let i = self.probe(key).unwrap_or_else(|mut i| {
+            if (self.len + 1) * 8 > self.slots.len() * 7 {
+                self.grow();
+                i = self.probe(key).unwrap_err();
+            }
+            let chain = VersionChain::new();
+            self.insert_at(i, Slot { key, chain });
+            i
+        });
+        &mut self.slots[i].as_mut().expect("an occupied slot").chain
+    }
+
+    /// Put `slot` in slot `i` and shift the run from `i` up by one.
+    fn insert_at(&mut self, mut i: usize, slot: Slot) {
+        let mut carried = Some(slot);
+        while carried.is_some() {
+            carried = std::mem::replace(&mut self.slots[i], carried);
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        self.len += 1;
+    }
+
+    /// Quadruple the table. Safe Rust initializes every slot of the new
+    /// table, so each growth writes all of it: over a table's life,
+    /// quadrupling writes 4/3 of its final size, doubling twice it (see
+    /// DESIGN §19). Most keys land in their empty home slot.
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 4).max(16);
+        let old = std::mem::replace(&mut self.slots, (0..n).map(|_| None).collect());
+        self.len = 0;
+        for slot in old.into_iter().flatten() {
+            match &mut self.slots[Self::home(slot.key, n)] {
+                empty @ None => {
+                    *empty = Some(slot);
+                    self.len += 1;
+                }
+                Some(_) => {
+                    let i = self.probe(slot.key).unwrap_err();
+                    self.insert_at(i, slot);
+                }
+            }
+        }
+    }
 }
 
 /// Sharded map of object → version chain.
@@ -72,7 +168,7 @@ impl MvStore {
         let n = crate::shard::pow2_shards(n);
         let shards = (0..n)
             .map(|_| Shard {
-                map: Mutex::new(ObjectMap::default()),
+                map: Mutex::new(ChainMap::default()),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -88,7 +184,7 @@ impl MvStore {
     /// touch, holding the implicit initial version).
     pub fn with<R>(&self, obj: ObjectId, f: impl FnOnce(&mut VersionChain) -> R) -> R {
         let shard = self.shard(obj);
-        f(shard.map.lock().entry(obj).or_default())
+        f(shard.map.lock().get_or_insert(obj))
     }
 
     // ---- convenience wrappers ---------------------------------------------
@@ -98,12 +194,12 @@ impl MvStore {
     /// pruned the needed version.
     ///
     /// A read mutates nothing, so it bypasses [`with`](Self::with): one
-    /// shard lock and one map probe. A read at or above the chain's newest
-    /// version finds it inline in the map's bucket; an older snapshot
-    /// binary-searches the chain's heap part. An object never written
-    /// holds only its initial version and is not materialized.
+    /// shard lock and one table probe. The newest version and the one
+    /// below it are in the key's slot; an older snapshot binary-searches
+    /// the chain's heap history. An object never written holds only its
+    /// initial version and is not materialized.
     pub fn read_at(&self, obj: ObjectId, sn: VersionNo) -> Option<(VersionNo, Value)> {
-        match self.shard(obj).map.lock().get(&obj) {
+        match self.shard(obj).map.lock().get(obj) {
             Some(c) => c.at(sn).map(|v| (v.number, v.value.clone())),
             None => Some((INITIAL_VERSION, Value::empty())),
         }
@@ -121,7 +217,7 @@ impl MvStore {
         self.shard(obj)
             .map
             .lock()
-            .get(&obj)
+            .get(obj)
             .map_or(INITIAL_VERSION, |c| c.latest().number)
     }
 
@@ -134,7 +230,7 @@ impl MvStore {
     pub fn objects(&self) -> Vec<ObjectId> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            out.extend(shard.map.lock().keys().copied());
+            out.extend(shard.map.lock().slots.iter().flatten().map(|s| s.key));
         }
         out.sort_unstable();
         out
@@ -145,10 +241,10 @@ impl MvStore {
         let mut s = StoreStats::default();
         for shard in self.shards.iter() {
             let map = shard.map.lock();
-            s.objects += map.len();
-            for chain in map.values() {
-                s.committed_versions += chain.committed_len();
-                s.payload_bytes += chain.payload_bytes();
+            s.objects += map.len;
+            for slot in map.slots.iter().flatten() {
+                s.committed_versions += slot.chain.committed_len();
+                s.payload_bytes += slot.chain.payload_bytes();
             }
         }
         s
@@ -168,7 +264,7 @@ impl MvStore {
         let mut stats = GcStats::default();
         for shard in self.shards.iter() {
             let mut map = shard.map.lock();
-            for chain in map.values_mut() {
+            for chain in map.slots.iter_mut().flatten().map(|s| &mut s.chain) {
                 stats.chains_examined += 1;
                 stats.versions_pruned += chain.prune_keep_recent(watermark, keep);
                 stats.versions_retained += chain.committed_len();
@@ -182,6 +278,8 @@ impl MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
     use std::thread;
 
@@ -235,6 +333,124 @@ mod tests {
         assert_eq!(st.objects, 2);
         assert_eq!(st.committed_versions, 4); // two initials + two inserts
         assert_eq!(st.payload_bytes, 11);
+    }
+
+    /// How far slot `i` of a table of `n` slots lies past `key`'s home.
+    fn displacement(key: ObjectId, i: usize, n: usize) -> usize {
+        i.wrapping_sub(ChainMap::home(key, n)) & (n - 1)
+    }
+
+    /// Every occupied slot sits at or past its home with no empty slot
+    /// in between, and each run is sorted by home: what `find`'s early
+    /// stop relies on.
+    fn assert_robin_hood(map: &ChainMap) {
+        let n = map.slots.len();
+        assert_eq!(map.slots.iter().flatten().count(), map.len);
+        assert!(map.len * 8 <= n * 7);
+        for (i, slot) in map.slots.iter().enumerate() {
+            let Some(s) = slot else { continue };
+            let d = displacement(s.key, i, n);
+            for back in 1..=d {
+                assert!(map.slots[(i + n - back) % n].is_some(), "gap before {i}");
+            }
+            if let Some(next) = &map.slots[(i + 1) % n] {
+                assert!(displacement(next.key, (i + 1) % n, n) <= d + 1);
+            }
+        }
+    }
+
+    /// Dense, random and strided keys, with repeats.
+    fn keys() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            prop_oneof![
+                0..400u64,
+                any::<u64>(),
+                (0..400u64).prop_map(|k| k << 12),
+                (0..400u64).prop_map(|k| k << 32),
+            ],
+            0..1500,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table against a `BTreeMap` model over inserts, lookups,
+        /// iteration and growth from empty through up to four growths.
+        #[test]
+        fn chain_map_matches_a_btreemap(keys in keys()) {
+            let mut map = ChainMap::default();
+            let mut model = BTreeMap::new();
+            for (step, &k) in keys.iter().enumerate() {
+                let chain = map.get_or_insert(obj(k));
+                let first = *model.entry(k).or_insert(step as u64);
+                prop_assert_eq!(chain.latest().value.as_u64(), (first != step as u64).then_some(first));
+                chain.seed(Value::from_u64(first));
+                prop_assert_eq!(map.len, model.len());
+            }
+            assert_robin_hood(&map);
+            for (&k, &v) in &model {
+                prop_assert_eq!(map.get(obj(k)).and_then(|c| c.latest().value.as_u64()), Some(v));
+            }
+            for k in keys.iter().map(|k| k ^ 0x5555) {
+                prop_assert_eq!(map.get(obj(k)).is_some(), model.contains_key(&k));
+            }
+            let mut seen: Vec<u64> = map.slots.iter().flatten().map(|s| s.key.get()).collect();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, model.keys().copied().collect::<Vec<_>>());
+        }
+    }
+
+    /// Mean and max displacement of a table filled from `keys` up to
+    /// its 7/8 growth point at 2^18 slots.
+    fn probe_lengths(keys: &mut dyn Iterator<Item = u64>) -> (f64, usize) {
+        let full = (1 << 18) / 8 * 7;
+        let mut map = ChainMap::default();
+        for k in keys.take(full) {
+            map.get_or_insert(obj(k));
+        }
+        assert_eq!((map.len, map.slots.len()), (full, 1 << 18));
+        assert_robin_hood(&map);
+        let n = map.slots.len();
+        let d: Vec<usize> = (map.slots.iter().enumerate())
+            .filter_map(|(i, s)| s.as_ref().map(|s| displacement(s.key, i, n)))
+            .collect();
+        let mean = d.iter().sum::<usize>() as f64 / d.len() as f64;
+        (mean, d.into_iter().max().unwrap())
+    }
+
+    /// Probe lengths at the growth point stay short for dense, random
+    /// and strided ids. Measured: dense mean 0.14 / max 1, random 3.50 /
+    /// 36, `k<<12` 0.54 / 2, `k<<32` 0.12 / 1. Robin Hood leaves the
+    /// mean of linear probing (3.5 at 7/8 load) but bounds the max: plain
+    /// linear probing of the same random ids reaches 424.
+    #[test]
+    fn probe_lengths_are_bounded_at_the_growth_point() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut random = std::iter::repeat_with(move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        });
+        let check = |name: &str, keys: &mut dyn Iterator<Item = u64>, mean_bound, max_bound| {
+            let (mean, max) = probe_lengths(keys);
+            assert!(mean <= mean_bound, "{name}: mean displacement {mean:.2}");
+            assert!(max <= max_bound, "{name}: max displacement {max}");
+        };
+        check("dense", &mut (0..), 0.5, 4);
+        check("random", &mut random, 4.0, 48);
+        check("k<<12", &mut (0..).map(|k| k << 12), 1.0, 4);
+        check("k<<32", &mut (0..).map(|k| k << 32), 0.5, 4);
+    }
+
+    /// A slot is one cache line, and the chain starts 8 bytes into it.
+    #[test]
+    fn slot_is_one_cache_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!((size_of::<Slot>(), align_of::<Slot>()), (64, 64));
+        assert_eq!(size_of::<Option<Slot>>(), 64);
+        assert_eq!(offset_of!(Slot, chain), 8);
     }
 
     /// No two shards share a cache line.

@@ -1,32 +1,32 @@
-//! Cheaply-cloneable opaque values.
+//! Cheaply-cloneable 16-byte values.
 //!
-//! A payload of up to [`Value::INLINE_CAPACITY`] bytes — every `u64`/`i64`
-//! counter the engine, workloads and examples write — is stored inline in
-//! the `Value` itself: building one allocates nothing, and cloning one (a
-//! snapshot read handing a version's payload to the reader) is a 24-byte
-//! copy with no pointer chase. Only longer payloads live on the heap in a
-//! shared [`Bytes`], where cloning is an atomic refcount bump, so version
-//! chains never deep-copy payloads of any size.
+//! A payload of up to [`Value::INLINE_CAPACITY`] (14) bytes — every
+//! `u64`/`i64` counter the engine, workloads and examples write — is
+//! stored inline: building one allocates nothing, and cloning one (a
+//! snapshot read handing a version's payload to the reader) is a 16-byte
+//! copy with no pointer chase. Longer payloads sit behind one shared
+//! pointer to a [`Bytes`]: cloning is a refcount bump, never a deep copy.
 
 use bytes::Bytes;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Inline payload capacity: what fits beside the enum tag and length byte
-/// in 24 bytes, the size of a tagged heap [`Bytes`] handle.
-const INLINE: usize = 22;
+/// in 16 bytes, the size of a tagged thin heap pointer.
+const INLINE: usize = 14;
 
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, buf: [u8; INLINE] },
-    Heap(Bytes),
+    Heap(Arc<Bytes>),
 }
 
 /// An opaque database value.
 ///
 /// Payloads of at most [`INLINE_CAPACITY`](Self::INLINE_CAPACITY) bytes
-/// are stored inline (clone = copy); longer ones are backed by [`Bytes`]
-/// (clone = refcount bump). The representation is invisible: equality and
+/// are stored inline (clone = copy); longer ones are backed by a shared
+/// [`Bytes`] (clone = refcount bump). The representation is invisible: equality and
 /// hashing are by content. Helper constructors cover the encodings the
 /// examples and workloads use.
 #[derive(Clone)]
@@ -51,7 +51,7 @@ impl Value {
         if b.len() <= INLINE {
             Self::from_slice(&b)
         } else {
-            Value(Repr::Heap(b))
+            Value(Repr::Heap(Arc::new(b)))
         }
     }
 
@@ -66,7 +66,7 @@ impl Value {
                 buf,
             })
         } else {
-            Value(Repr::Heap(Bytes::copy_from_slice(b)))
+            Value(Repr::Heap(Arc::new(Bytes::copy_from_slice(b))))
         }
     }
 
@@ -220,8 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn fits_in_three_words_and_holds_a_u64() {
-        assert!(std::mem::size_of::<Value>() <= 24);
+    fn fits_in_two_words_and_holds_a_u64() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
         assert!(matches!(Value::from_u64(u64::MAX).0, Repr::Inline { .. }));
     }
 
@@ -244,7 +244,7 @@ mod tests {
         for len in [0, 8, Value::INLINE_CAPACITY] {
             let bytes = vec![0xab; len];
             let inline = Value::from_slice(&bytes);
-            let heap = Value(Repr::Heap(Bytes::from(bytes)));
+            let heap = Value(Repr::Heap(Arc::new(Bytes::from(bytes))));
             assert_eq!(inline, heap);
             assert_eq!(hash_of(&inline), hash_of(&heap));
         }

@@ -39,6 +39,6 @@ mod tests {
         let v = CommittedVersion::new(7, Value::from_u64(9));
         assert_eq!(v.number, 7);
         assert_eq!(v.value.as_u64(), Some(9));
-        assert_eq!(std::mem::size_of::<CommittedVersion>(), 32);
+        assert_eq!(std::mem::size_of::<CommittedVersion>(), 24);
     }
 }

@@ -5,7 +5,9 @@
 //! interfere) pins the cheapest observable consequence: a warmed-up
 //! 512-read snapshot scan over `u64` values allocates nothing — no trace
 //! buffer without `DbConfig::trace`, no chain materialized by a read, no
-//! heap payload for a small value. Run it in release too
+//! heap payload for a small value — whether the snapshot selects each
+//! chain's newest version, the inline one below it, or one in the heap
+//! history. Run it in release too
 //! (`cargo test --release --test ro_path`): the benchmark measures the
 //! optimised build.
 
@@ -90,6 +92,42 @@ fn warm_snapshot_scan_allocates_nothing() {
     let n = allocs() - before;
     assert_eq!(sum, want);
     assert_eq!(n, 0, "a {KEYS}-read RO scan allocated {n} times");
+}
+
+/// A warmed scan by a snapshot taken before `later` more committed
+/// writes of every key still reads the loaded versions: with one later
+/// write each is the chain's `prev`, with two it sits in the heap
+/// history. Neither allocates.
+#[test]
+fn warm_scan_of_older_versions_allocates_nothing() {
+    for later in [1, 2] {
+        let db = loaded_db();
+        let want = KEYS * (KEYS + 1) / 2;
+        assert_eq!(scan(&db), want);
+        let mut ro = db.begin_read_only();
+        for round in 0..later {
+            db.run_rw(1, |t| {
+                (0..KEYS).try_for_each(|k| t.write(ObjectId(k), Value::from_u64(k + 2 + round)))
+            })
+            .unwrap();
+        }
+        assert_eq!(
+            db.store().with(ObjectId(0), |c| c.committed_len()),
+            2 + later as usize
+        );
+        let before = allocs();
+        let mut sum = 0;
+        for k in 0..KEYS {
+            sum += ro.read_u64(ObjectId(k)).unwrap().unwrap();
+        }
+        let n = allocs() - before;
+        ro.finish();
+        assert_eq!(sum, want);
+        assert_eq!(
+            n, 0,
+            "a {KEYS}-read scan {later} version(s) back allocated {n} times"
+        );
+    }
 }
 
 #[test]

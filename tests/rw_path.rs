@@ -90,26 +90,48 @@ fn increment<C: ConcurrencyControl>(db: &MvDatabase<C>) -> u64 {
     sum
 }
 
-/// Allocations of one warmed [`increment`]. The warm-up runs give every
-/// touched chain, lock-table slot and thread-local its steady-state
-/// capacity; garbage collection then trims the chains back to their
-/// latest version, as a running engine's sweeps do. A sweep keeps each
-/// chain's allocation for older versions, so the measured transaction's
-/// installs reuse it: a sweep that freed it would cost one allocation
-/// per written key here.
-fn warmed_allocs<C: ConcurrencyControl>(db: MvDatabase<C>) -> u64 {
+/// Allocations of each of `measured` consecutive warmed [`increment`]s.
+/// The `warm` warm-up runs, each followed by a GC sweep if `sweep_each`,
+/// give every touched lock-table slot and thread-local its steady-state
+/// capacity; a final sweep then trims the chains back to their latest
+/// version, as a running engine's sweeps do. A sweep may free a chain's
+/// heap history, because the next install lands in the chain's inline
+/// `prev` slot and allocates nothing; only a chain's third version needs
+/// the heap.
+fn allocs_after_sweep<C: ConcurrencyControl>(
+    db: MvDatabase<C>,
+    warm: u64,
+    sweep_each: bool,
+    measured: usize,
+) -> Vec<u64> {
     for k in 0..8 {
         db.seed(obj(k), v(0));
     }
-    for _ in 0..8 {
+    for _ in 0..warm {
         increment(&db);
+        if sweep_each {
+            db.collect_garbage();
+        }
     }
     db.collect_garbage();
-    let before = allocs();
-    increment(&db);
-    let n = allocs() - before;
-    assert_eq!(db.peek_latest(obj(7)).as_u64(), Some(9));
-    n
+    let counts = (0..measured)
+        .map(|_| {
+            let before = allocs();
+            increment(&db);
+            allocs() - before
+        })
+        .collect();
+    assert_eq!(
+        db.peek_latest(obj(7)).as_u64(),
+        Some(warm + measured as u64)
+    );
+    counts
+}
+
+/// Allocations of one warmed [`increment`] after a sweep, warmed by 8
+/// back-to-back increments.
+fn warmed_allocs<C: ConcurrencyControl>(db: MvDatabase<C>) -> u64 {
+    allocs_after_sweep(db, 8, false, 1)[0]
 }
 
 #[test]
@@ -131,6 +153,64 @@ fn warm_occ_rw_txn_allocates_at_most_three_times() {
     let n = warmed_allocs(presets::vc_occ(DbConfig::default()));
     // Its read set (grown twice for 8 reads) and its write set.
     assert!(n <= 3, "a warmed OCC RW transaction allocated {n} times");
+}
+
+/// Two consecutive warmed transactions write the same four keys after
+/// a sweep. The first install of each key lands in `prev`. The second
+/// pushes `prev` onto the chain's heap history. The chains here were hot
+/// before the sweep (9 versions each, a history of 8 slots), so the sweep
+/// kept their drained history and the second transaction allocates no
+/// more than the first. Had they been cold, it would allocate that
+/// history: see [`cold_chains_allocate_their_history_on_the_third_version`].
+#[test]
+fn second_write_after_a_sweep_reuses_a_hot_chains_history() {
+    for (name, counts, bound) in [
+        (
+            "2PL",
+            allocs_after_sweep(presets::vc_2pl(DbConfig::default()), 8, false, 2),
+            2,
+        ),
+        (
+            "TO",
+            allocs_after_sweep(presets::vc_to(DbConfig::default()), 8, false, 2),
+            1,
+        ),
+        (
+            "OCC",
+            allocs_after_sweep(presets::vc_occ(DbConfig::default()), 8, false, 2),
+            3,
+        ),
+    ] {
+        assert!(
+            counts.iter().all(|&n| n <= bound),
+            "{name}: warmed RW transactions after a sweep allocated {counts:?} times"
+        );
+    }
+}
+
+/// Chains swept after every write never hold more than two versions, so
+/// they own no heap history. After a sweep, the first of two consecutive
+/// transactions writing the same four keys allocates nothing in the
+/// store; the second starts a history for each key: two allocations
+/// per key, the boxed `Vec` and its buffer.
+#[test]
+fn cold_chains_allocate_their_history_on_the_third_version() {
+    for (name, counts) in [
+        (
+            "2PL",
+            allocs_after_sweep(presets::vc_2pl(DbConfig::default()), 8, true, 2),
+        ),
+        (
+            "TO",
+            allocs_after_sweep(presets::vc_to(DbConfig::default()), 8, true, 2),
+        ),
+        (
+            "OCC",
+            allocs_after_sweep(presets::vc_occ(DbConfig::default()), 8, true, 2),
+        ),
+    ] {
+        assert_eq!(counts[1], counts[0] + 8, "{name}: {counts:?}");
+    }
 }
 
 #[test]
