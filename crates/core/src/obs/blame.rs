@@ -2,14 +2,18 @@
 //!
 //! Every blocking point in the engine — the `LockManager` slow path,
 //! timestamp-ordering pending-write waits and `wait_visible` visibility
-//! stalls — reports each
-//! completed wait here with the *blocker's identity* captured at wait
-//! start. The ledger folds those edges into a bounded pprof-style
-//! profile: `wait-point → blocker-phase → target`, each row carrying a
-//! sample count and total waited nanoseconds, plus a space-saving top-K
-//! of the worst individual blockers.
+//! stalls — reports each completed wait here with the *blocker's
+//! identity* captured at wait start. The ledger folds those edges into a
+//! bounded pprof-style profile: `wait-point → blocker-phase → target`,
+//! each row carrying a sample count and total waited nanoseconds, plus a
+//! space-saving top-K of the worst individual blockers.
 //!
-//! Blocker *phase* comes from a tiny lossy [`PhaseTable`]: transactions
+//! The rows, the per-wait-point totals and the blocker table sit behind
+//! one leaf `Mutex`: a record reads the blocker's phase first, then takes
+//! the lock once, updates a map and a table, and releases it, acquiring
+//! nothing else.
+//!
+//! Blocker *phase* comes from a tiny lossy `PhaseTable`: transactions
 //! publish their current phase (execute / lock-wait / validate / commit)
 //! with one relaxed store at each transition, and a waiter reads the
 //! blocker's published phase at attribution time. Hash collisions read
@@ -20,8 +24,9 @@
 //! the blocked sleep itself; the fast path never reaches this module
 //! ([`crate::obs::Obs::attr`] is `None` unless attribution is enabled).
 
-use crate::obs::topk::StripedTopK;
-use mvcc_storage::SketchEntry;
+use super::topk::{SketchEntry, SpaceSaving};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a wait happened.
@@ -260,122 +265,46 @@ fn pack(wait: WaitPoint, phase: TxnPhase, target: u64) -> u64 {
     ((wait as u64) << 62) | ((phase as u64) << TARGET_BITS) | target
 }
 
-/// Slot key meaning "row unclaimed". A packed key can never be
-/// `u64::MAX` (the phase field tops out at `Commit = 4`, so the three
-/// phase bits are never all ones).
-const ROW_EMPTY: u64 = u64::MAX;
-
-/// How far a row probes from its hash before giving up and folding into
-/// the per-(wait, phase) overflow row.
-const ROW_PROBE: usize = 16;
-
-/// Distinct phases (overflow-row cache sizing).
-const PHASES: usize = 5;
+/// Everything the ledger's lock guards.
+struct Ledger {
+    /// Folded rows by packed key: `(samples, wait_ns)`.
+    rows: HashMap<u64, (u64, u64)>,
+    /// Rows naming a target (the rest are overflow rows).
+    named: usize,
+    attributed_ns: [u64; WAIT_POINTS],
+    unattributed_ns: [u64; WAIT_POINTS],
+    samples: [u64; WAIT_POINTS],
+    blockers: SpaceSaving,
+}
 
 /// The ledger. See the module docs.
 ///
-/// The row table is open-addressed over *split* arrays: the dense key
-/// array is read-mostly after claims (a probe touches two cache lines
-/// for a 16-step neighborhood and they stay in Shared state across
-/// cores), while the per-row counters live in their own array so their
-/// constant `fetch_add` traffic never invalidates the lines a probe
-/// scans. Overflow rows additionally cache their claimed slot index, so
-/// folding into "other" is one indexed bump even when the table is
-/// full — a full workload (more live targets than rows) costs each
-/// record one bounded probe plus one indexed bump, never a table scan.
+/// At most `max_rows` rows name a target; once they are all taken, a
+/// wait on any other target folds into its `(wait, phase)` overflow row,
+/// so the profile holds at most `max_rows` plus one overflow row per
+/// `(wait, phase)` pair, and no waited nanosecond is lost.
 pub struct BlameLedger {
-    row_keys: Box<[AtomicU64]>,
-    row_samples: Box<[AtomicU64]>,
-    row_ns: Box<[AtomicU64]>,
-    /// Claimed row slots. Named rows stop claiming when the table is
-    /// nearly full so the overflow rows can always materialize.
-    fills: AtomicU64,
-    /// Slot index + 1 of each claimed `(wait, phase)` overflow row
-    /// (0 = not yet claimed).
-    overflow_slots: [AtomicU64; WAIT_POINTS * PHASES],
-    attributed_ns: [AtomicU64; WAIT_POINTS],
-    unattributed_ns: [AtomicU64; WAIT_POINTS],
-    samples: [AtomicU64; WAIT_POINTS],
-    blockers: StripedTopK,
+    max_rows: usize,
+    ledger: Mutex<Ledger>,
     phases: PhaseTable,
 }
 
 impl BlameLedger {
-    /// A ledger folding into at most `max_rows` profile rows and
+    /// A ledger folding into at most `max_rows` named profile rows and
     /// monitoring `blocker_capacity` worst blockers.
     pub fn new(max_rows: usize, blocker_capacity: usize) -> Self {
-        let rows = max_rows.max(WAIT_POINTS);
         BlameLedger {
-            row_keys: (0..rows).map(|_| AtomicU64::new(ROW_EMPTY)).collect(),
-            row_samples: (0..rows).map(|_| AtomicU64::new(0)).collect(),
-            row_ns: (0..rows).map(|_| AtomicU64::new(0)).collect(),
-            fills: AtomicU64::new(0),
-            overflow_slots: std::array::from_fn(|_| AtomicU64::new(0)),
-            attributed_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            unattributed_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            samples: std::array::from_fn(|_| AtomicU64::new(0)),
-            blockers: StripedTopK::new(blocker_capacity),
+            max_rows,
+            ledger: Mutex::new(Ledger {
+                rows: HashMap::with_capacity(max_rows),
+                named: 0,
+                attributed_ns: [0; WAIT_POINTS],
+                unattributed_ns: [0; WAIT_POINTS],
+                samples: [0; WAIT_POINTS],
+                blockers: SpaceSaving::new(blocker_capacity),
+            }),
             phases: PhaseTable::new(),
         }
-    }
-
-    #[inline]
-    fn bump_cell(&self, i: usize, wait_ns: u64) {
-        self.row_samples[i].fetch_add(1, Ordering::Relaxed);
-        self.row_ns[i].fetch_add(wait_ns, Ordering::Relaxed);
-    }
-
-    /// Find or claim the slot for `key`, probing `probe` steps from its
-    /// hash; named rows keep `reserve` slots unclaimed so overflow rows
-    /// can always materialize. Returns the slot index bumped, if any.
-    fn bump_row(&self, key: u64, wait_ns: u64, probe: usize, reserve: u64) -> Option<usize> {
-        let len = self.row_keys.len();
-        let start = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % len;
-        for i in 0..probe.min(len) {
-            let idx = (start + i) % len;
-            let slot = &self.row_keys[idx];
-            let mut k = slot.load(Ordering::Acquire);
-            if k == ROW_EMPTY {
-                if self.fills.load(Ordering::Relaxed) + reserve >= len as u64 {
-                    // Reserve hit: no-deletion linear probing means the
-                    // key cannot live past this empty slot — fold.
-                    return None;
-                }
-                match slot.compare_exchange(ROW_EMPTY, key, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        self.fills.fetch_add(1, Ordering::Relaxed);
-                        k = key;
-                    }
-                    Err(winner) => k = winner,
-                }
-            }
-            if k == key {
-                self.bump_cell(idx, wait_ns);
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    /// Fold into the `(wait, phase)` overflow row: one indexed bump
-    /// after the first claim.
-    fn bump_overflow(&self, wait: WaitPoint, phase: TxnPhase, wait_ns: u64) {
-        let cache = &self.overflow_slots[wait as usize * PHASES + phase as usize];
-        let cached = cache.load(Ordering::Acquire);
-        if cached != 0 {
-            self.bump_cell(cached as usize - 1, wait_ns);
-            return;
-        }
-        if let Some(idx) = self.bump_row(
-            pack(wait, phase, OTHER_TARGET),
-            wait_ns,
-            self.row_keys.len(),
-            0,
-        ) {
-            cache.store(idx as u64 + 1, Ordering::Release);
-        }
-        // If even the full-table probe found no slot, the aggregate
-        // counters still carry the time.
     }
 
     /// Publish `token`'s current phase (one relaxed store).
@@ -402,50 +331,42 @@ impl BlameLedger {
     /// commit/abort release, so that is the phase to blame.
     pub fn record(&self, wait: WaitPoint, target: u64, blocker: u64, wait_ns: u64) {
         let w = wait as usize;
-        self.samples[w].fetch_add(1, Ordering::Relaxed);
-        let phase = if blocker != 0 {
-            self.attributed_ns[w].fetch_add(wait_ns, Ordering::Relaxed);
-            self.blockers.record(blocker, wait_ns, false);
-            match self.phases.get(blocker) {
-                TxnPhase::Unknown => TxnPhase::Commit,
-                p => p,
-            }
-        } else {
-            self.unattributed_ns[w].fetch_add(wait_ns, Ordering::Relaxed);
-            TxnPhase::Unknown
+        let phase = match (blocker, self.phases.get(blocker)) {
+            (0, _) => TxnPhase::Unknown,
+            (_, TxnPhase::Unknown) => TxnPhase::Commit,
+            (_, p) => p,
         };
-        // Per-target row first; when its neighborhood is full, fold into
-        // the per-(wait, phase) overflow row; if even that can't claim a
-        // slot the aggregate counters above still carry the time.
-        let key = pack(wait, phase, target.min(OTHER_TARGET - 1));
-        let reserve = (self.row_keys.len() as u64 / 4).clamp(1, 8);
-        if self.bump_row(key, wait_ns, ROW_PROBE, reserve).is_none() {
-            self.bump_overflow(wait, phase, wait_ns);
+        let mut l = self.ledger.lock();
+        l.samples[w] += 1;
+        if blocker != 0 {
+            l.attributed_ns[w] += wait_ns;
+            l.blockers.record(blocker, wait_ns, false);
+        } else {
+            l.unattributed_ns[w] += wait_ns;
         }
+        let mut key = pack(wait, phase, target.min(OTHER_TARGET - 1));
+        if !l.rows.contains_key(&key) {
+            if l.named < self.max_rows {
+                l.named += 1;
+            } else {
+                key = pack(wait, phase, OTHER_TARGET);
+            }
+        }
+        let row = l.rows.entry(key).or_default();
+        row.0 += 1;
+        row.1 += wait_ns;
     }
 
     /// Copy out the folded profile, heaviest row first (ties broken by
     /// the packed key — a total order, so identical ledgers snapshot
     /// identically).
     pub fn snapshot(&self) -> BlameSnapshot {
-        let mut out: Vec<(u64, u64, u64)> = self
-            .row_keys
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let k = s.load(Ordering::Acquire);
-                (k != ROW_EMPTY).then(|| {
-                    (
-                        k,
-                        self.row_samples[i].load(Ordering::Relaxed),
-                        self.row_ns[i].load(Ordering::Relaxed),
-                    )
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
+        let l = self.ledger.lock();
+        let mut rows: Vec<(u64, u64, u64)> =
+            l.rows.iter().map(|(&k, &(n, ns))| (k, n, ns)).collect();
+        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         BlameSnapshot {
-            rows: out
+            rows: rows
                 .into_iter()
                 .map(|(k, samples, wait_ns)| {
                     let target = k & TARGET_MASK;
@@ -458,32 +379,23 @@ impl BlameLedger {
                     }
                 })
                 .collect(),
-            attributed_ns: std::array::from_fn(|i| self.attributed_ns[i].load(Ordering::Relaxed)),
-            unattributed_ns: std::array::from_fn(|i| {
-                self.unattributed_ns[i].load(Ordering::Relaxed)
-            }),
-            samples: std::array::from_fn(|i| self.samples[i].load(Ordering::Relaxed)),
-            top_blockers: self.blockers.merged().snapshot(),
+            attributed_ns: l.attributed_ns,
+            unattributed_ns: l.unattributed_ns,
+            samples: l.samples,
+            top_blockers: l.blockers.top(usize::MAX),
         }
     }
 
     /// Clear everything (between experiment phases).
     pub fn reset(&self) {
-        for i in 0..self.row_keys.len() {
-            self.row_keys[i].store(ROW_EMPTY, Ordering::Relaxed);
-            self.row_samples[i].store(0, Ordering::Relaxed);
-            self.row_ns[i].store(0, Ordering::Relaxed);
-        }
-        self.fills.store(0, Ordering::Relaxed);
-        for s in self.overflow_slots.iter() {
-            s.store(0, Ordering::Relaxed);
-        }
-        for i in 0..WAIT_POINTS {
-            self.attributed_ns[i].store(0, Ordering::Relaxed);
-            self.unattributed_ns[i].store(0, Ordering::Relaxed);
-            self.samples[i].store(0, Ordering::Relaxed);
-        }
-        self.blockers.reset();
+        let mut l = self.ledger.lock();
+        l.rows.clear();
+        l.named = 0;
+        l.attributed_ns = [0; WAIT_POINTS];
+        l.unattributed_ns = [0; WAIT_POINTS];
+        l.samples = [0; WAIT_POINTS];
+        l.blockers.reset();
+        drop(l);
         self.phases.reset();
     }
 }
@@ -532,11 +444,9 @@ mod tests {
             l.record(WaitPoint::LockWait, t, 0, 10);
         }
         let s = l.snapshot();
-        assert!(s.rows.len() <= 5, "4 named + 1 other");
+        assert_eq!(s.rows.len(), 5, "4 named + 1 other");
         let other = s.rows.iter().find(|r| r.target.is_none()).expect("other");
-        // The atomic row table keeps a small claim reserve for the
-        // overflow row, so fewer named rows fit than `max_rows`.
-        assert!(other.samples >= 16, "folded {} < 16", other.samples);
+        assert_eq!(other.samples, 16);
         assert_eq!(s.total_ns(), 200, "no time lost to folding");
         assert!(other.folded().contains(";other "));
     }

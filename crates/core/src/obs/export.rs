@@ -18,24 +18,23 @@ use super::blame::WaitPoint;
 use super::event::{EventKind, KIND_COUNT};
 use super::gauges::GaugeSample;
 use super::phases::PhaseSnapshot;
+use super::topk::SketchEntry;
 use super::trace::TraceSnapshot;
 use super::AttrSnapshot;
 use crate::metrics::MetricsSnapshot;
-use mvcc_storage::{Histogram, SketchEntry};
+use mvcc_storage::Histogram;
 
 /// Version of the JSON shapes emitted by [`json_snapshot`] and
 /// [`profile_json`]. Bumped whenever a key is added, removed, or
 /// renamed, so downstream scrapers can detect shape changes.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
-/// Per-kind event counters plus buffer accounting, for exporters.
+/// Per-kind event counters plus the published total, for exporters.
 #[derive(Debug, Clone, Default)]
 pub struct EventCounts {
-    /// Exact emit count per kind (counter tier, sampling-independent).
+    /// Exact emit count per kind (sampling-independent).
     pub counts: [u64; KIND_COUNT],
-    /// Events lost to per-thread buffer overflow (exact).
-    pub dropped: u64,
-    /// Events published into the global ring (post-sampling).
+    /// Events published into the ring (post-sampling).
     pub published: u64,
 }
 
@@ -119,12 +118,6 @@ pub fn prometheus_text(
              # TYPE mvdb_events_published_total counter\n\
              mvdb_events_published_total {}\n",
             e.published
-        ));
-        out.push_str(&format!(
-            "# HELP mvdb_events_dropped_total events lost to buffer overflow (exact)\n\
-             # TYPE mvdb_events_dropped_total counter\n\
-             mvdb_events_dropped_total {}\n",
-            e.dropped
         ));
     }
     if let Some(p) = phases {
@@ -452,8 +445,8 @@ pub fn json_snapshot(
                 ));
             }
             out.push_str(&format!(
-                "\n    }},\n    \"published\": {},\n    \"dropped\": {}\n  }}",
-                e.published, e.dropped
+                "\n    }},\n    \"published\": {}\n  }}",
+                e.published
             ));
         }
         None => out.push_str("null"),
@@ -606,7 +599,6 @@ mod tests {
         e.counts[EventKind::Begin as usize] = 12;
         e.counts[EventKind::Abort as usize] = 3;
         e.published = 7;
-        e.dropped = 1;
         e
     }
 
@@ -636,7 +628,7 @@ mod tests {
         assert!(text.contains("mvdb_phase_wal_append_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("mvdb_phase_wal_append_ns_count 2"));
         assert!(text.contains("mvdb_events_total{kind=\"begin\"} 12"));
-        assert!(text.contains("mvdb_events_dropped_total 1"));
+        assert!(text.contains("mvdb_events_published_total 7"));
         let samples = parse_exposition(&text).expect("conformant exposition");
         assert!(samples > 10);
         // Every non-comment line is `name{labels}? value`.
@@ -750,7 +742,7 @@ mod tests {
         assert!(text.contains("\"gauges\": null"));
         assert!(text.contains("\"phases\": null"));
         assert!(text.contains("\"begin\": 12"));
-        assert!(text.contains("\"dropped\": 1"));
+        assert!(text.contains("\"published\": 7"));
         // Balanced braces (cheap well-formedness check without serde).
         let opens = text.matches('{').count();
         let closes = text.matches('}').count();

@@ -1,29 +1,34 @@
 //! Engine observability: structured events, per-phase latency, gauges,
-//! transaction traces, flight recorder, exporters.
+//! transaction traces, contention attribution, flight recorder,
+//! exporters.
 //!
 //! The paper's claims are quantitative, and flat end-of-run counters
 //! cannot show *when* vtnc lags, *which* transaction stalled the VCQueue,
 //! or *why* a deadlock ring formed. This layer adds that visibility while
 //! keeping the disabled hot path to a single load per instrumentation
-//! point, and the *enabled* hot path cheap enough to leave on in
-//! production (the benchmark's `driver.trace_overhead_share` row prices
-//! it):
+//! point.
 //!
-//! * [`event`] — the event taxonomy and the global seqlock ring every
-//!   reader consumes, fed by the buffer drainer.
-//! * [`buffer`] (internal) — per-thread SPSC rings: emits touch only
-//!   thread-owned cache lines; a drainer batch-publishes to the global
-//!   ring.
-//! * Three-tier sampling ladder (see [`event::Tier`]): per-kind counters
-//!   always; events published 1 in `2^event_sample_shift`; spans
-//!   (traces) started 1 in `2^span_sample_shift`. Decisions come from
-//!   per-thread counters, or from the injected [`SharedRng`] when one is
-//!   configured — which is what keeps `mvcc-sim` replays byte-stable.
+//! One recording discipline holds throughout: numbers are relaxed
+//! atomics (per-kind counters, sampling sequences, histogram buckets, the
+//! blame ledger's phase table), and anything that holds records sits
+//! behind one `Mutex` — the event ring, the top-K tables, the blame
+//! rows, the span registry. Every such mutex is a leaf: while it is held
+//! nothing else is locked and nothing is emitted, so recording can never
+//! join a lock cycle with the engine.
+//!
+//! * [`event`] — the event taxonomy and the [`EventBus`]: striped exact
+//!   counters, the sampling ladder (see [`event::Tier`]: events published
+//!   1 in `2^event_sample_shift`, spans started 1 in
+//!   `2^span_sample_shift`, drawn from the injected [`SharedRng`] when
+//!   one is configured — which keeps `mvcc-sim` replays byte-stable),
+//!   and the bounded ring readers consume.
 //! * [`trace`] — end-to-end transaction tracing: span trees across
 //!   retries, lock waits, VCQueue residency, WAL appends, and 2PC legs.
-//! * [`phases`] — engine-side latency histograms on the lock-free
+//! * [`phases`] — engine-side latency histograms on
 //!   [`mvcc_storage::AtomicHistogram`].
 //! * [`gauges`] — point-in-time state.
+//! * [`topk`] and [`blame`] — contention attribution: hot keys and
+//!   shards, and who made whom wait.
 //! * [`recorder`] — post-mortem JSON dumps on deadlock victimization,
 //!   reaper fire, recovery, and invariant violations.
 //! * [`export`] — Prometheus-text, JSON and Chrome `trace_event`
@@ -38,10 +43,7 @@ pub mod recorder;
 pub mod topk;
 pub mod trace;
 
-mod buffer;
-
 pub use blame::{BlameLedger, BlameRow, BlameSnapshot, TxnPhase, WaitPoint, WAIT_POINTS};
-pub use buffer::DrainPause;
 pub use event::{
     abort_reason_code, abort_reason_name, Event, EventBus, EventKind, Tier, KIND_COUNT,
 };
@@ -52,7 +54,7 @@ pub use export::{
 pub use gauges::{GaugeSample, VcView};
 pub use phases::{PhaseHistograms, PhaseSnapshot};
 pub use recorder::{DumpContext, FlightRecorder, FlightTrigger};
-pub use topk::ContentionTopK;
+pub use topk::{ContentionTopK, SketchEntry, SpaceSaving};
 pub use trace::{Span, SpanRegistry, TraceCtx, TraceSnapshot};
 
 use crate::clock::{real_clock, SharedClock, SharedRng};
@@ -67,15 +69,16 @@ pub struct ObsConfig {
     /// Record lifecycle events (and phase latencies). Off by default:
     /// the disabled path is one load per instrumentation point.
     pub events: bool,
-    /// Global event ring capacity (rounded up to a power of two, min
-    /// 64). Zero selects the default (4096).
+    /// Event ring capacity (rounded up to a power of two, min 64). Zero
+    /// selects the default (4096).
     pub event_capacity: usize,
     /// Directory for flight-recorder post-mortem dumps; `None` disarms
     /// the recorder. Each post-mortem includes the last 512 events.
     pub flight_dir: Option<PathBuf>,
     /// Sampling shift of the events tier: sampled-tier kinds publish 1
     /// in `2^event_sample_shift` (counters stay exact regardless).
-    /// Default 4 (1 in 16). Zero publishes every event.
+    /// Default 4 (1 in 16). Zero publishes every event; 64 or more
+    /// publishes none (counters only).
     pub event_sample_shift: u8,
     /// Sampling shift of the spans tier: with events on, 1 in
     /// `2^span_sample_shift` transactions is auto-traced end to end.
@@ -196,15 +199,15 @@ impl std::fmt::Debug for Attribution {
 #[derive(Debug, Clone, Default)]
 pub struct AttrSnapshot {
     /// Hottest keys, worst first (contended-ns, then hits).
-    pub hot_keys: Vec<mvcc_storage::SketchEntry>,
+    pub hot_keys: Vec<SketchEntry>,
     /// Hottest lock shards, worst first.
-    pub hot_shards: Vec<mvcc_storage::SketchEntry>,
+    pub hot_shards: Vec<SketchEntry>,
     /// The folded blame profile.
     pub blame: BlameSnapshot,
 }
 
-/// The per-engine observability hub: event bus + buffers + phase
-/// histograms + trace registry + flight recorder. One `Arc<Obs>` is
+/// The per-engine observability hub: event bus + phase histograms +
+/// trace registry + flight recorder + attribution. One `Arc<Obs>` is
 /// shared by the context, the version-control instance, and the protocol.
 pub struct Obs {
     events: EventBus,
@@ -212,21 +215,13 @@ pub struct Obs {
     recorder: FlightRecorder,
     clock: SharedClock,
     tracer: Arc<SpanRegistry>,
-    registry: Arc<buffer::BufferRegistry>,
-    /// Sampling source when injected (the simulator's seeded stream);
-    /// per-thread counters otherwise.
-    rng: Option<SharedRng>,
-    sample_shift: u8,
-    span_shift: u8,
     attr: Option<Arc<Attribution>>,
 }
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
-            .field("on", &self.on())
-            .field("sample_shift", &self.sample_shift)
-            .field("span_shift", &self.span_shift)
+            .field("events", &self.events)
             .finish_non_exhaustive()
     }
 }
@@ -247,24 +242,12 @@ impl Obs {
     /// so event timestamps follow virtual time and sampling decisions
     /// replay with the seed under simulation.
     pub fn with_parts(cfg: &ObsConfig, clock: SharedClock, rng: Option<SharedRng>) -> Obs {
-        let cap = if cfg.event_capacity == 0 {
-            4096
-        } else {
-            cfg.event_capacity
-        };
-        let registry = buffer::BufferRegistry::new(buffer::THREAD_RING_SLOTS);
-        let mut events = EventBus::with_clock(cap, cfg.events, clock.clone());
-        events.attach_buffers(registry.clone());
         Obs {
-            events,
+            events: EventBus::with_parts(cfg, clock.clone(), rng),
             phases: PhaseHistograms::new(),
             recorder: FlightRecorder::new(cfg.flight_dir.clone(), FLIGHT_EVENTS),
             tracer: Arc::new(SpanRegistry::new(clock.clone())),
             clock,
-            registry,
-            rng,
-            sample_shift: cfg.event_sample_shift,
-            span_shift: cfg.span_sample_shift,
             attr: cfg.attribution.then(|| Arc::new(Attribution::new())),
         }
     }
@@ -282,10 +265,9 @@ impl Obs {
     /// kinds publish 1 in `2^event_sample_shift`.
     #[inline]
     pub fn emit(&self, kind: EventKind, id: u64, aux: u64) {
-        if !self.on() {
-            return;
+        if self.on() {
+            self.record(kind, id, aux, kind.tier());
         }
-        self.record(kind, id, aux, kind.tier());
     }
 
     /// Emit unconditionally (counter still advances) regardless of the
@@ -293,24 +275,15 @@ impl Obs {
     /// the fatal lock wait that closed a deadlock cycle.
     #[inline]
     pub fn emit_always(&self, kind: EventKind, id: u64, aux: u64) {
-        if !self.on() {
-            return;
+        if self.on() {
+            self.record(kind, id, aux, Tier::Always);
         }
-        self.record(kind, id, aux, Tier::Always);
     }
 
     fn record(&self, kind: EventKind, id: u64, aux: u64, tier: Tier) {
-        buffer::with_ring(&self.registry, |ring| {
-            ring.count(kind);
-            let publish = match tier {
-                Tier::Counter => false,
-                Tier::Always => true,
-                Tier::Sampled => ring.sample(self.sample_shift, self.rng.as_ref()),
-            };
-            if publish {
-                self.publish_on(ring, kind, id, aux);
-            }
-        });
+        if self.events.sample(kind, tier) {
+            self.events.publish(kind, id, aux);
+        }
     }
 
     /// Make (and count) the sampling decision for `kind` without
@@ -319,55 +292,25 @@ impl Obs {
     /// [`publish`](Self::publish) at phase end.
     #[inline]
     pub fn sample(&self, kind: EventKind) -> bool {
-        if !self.on() {
-            return false;
-        }
-        buffer::with_ring(&self.registry, |ring| {
-            ring.count(kind);
-            match kind.tier() {
-                Tier::Counter => false,
-                Tier::Always => true,
-                Tier::Sampled => ring.sample(self.sample_shift, self.rng.as_ref()),
-            }
-        })
+        self.on() && self.events.sample(kind, kind.tier())
     }
 
     /// Make a bare sampling draw with no counter and no event — for
     /// phase-histogram sites whose entire cost *is* the measurement
-    /// (clock reads, stamp lookups): the dropped path pays one
-    /// thread-local draw and nothing else. Shares the sampling sequence
-    /// (and the injected rng, when present) with [`sample`](Self::sample).
+    /// (clock reads, stamp lookups): the dropped path pays one relaxed
+    /// increment and nothing else. Shares the sampling sequence (and the
+    /// injected rng, when present) with [`sample`](Self::sample).
     #[inline]
     pub fn phase_sample(&self) -> bool {
-        if !self.on() {
-            return false;
-        }
-        buffer::with_ring(&self.registry, |ring| {
-            ring.sample(self.sample_shift, self.rng.as_ref())
-        })
+        self.on() && self.events.phase_sample()
     }
 
     /// Publish an event whose sampling decision was already made (and
     /// counted) by [`sample`](Self::sample).
     #[inline]
     pub fn publish(&self, kind: EventKind, id: u64, aux: u64) {
-        if !self.on() {
-            return;
-        }
-        buffer::with_ring(&self.registry, |ring| {
-            self.publish_on(ring, kind, id, aux);
-        });
-    }
-
-    fn publish_on(&self, ring: &buffer::ThreadRing, kind: EventKind, id: u64, aux: u64) {
-        let t_ns = self.events.now_ns();
-        if !ring.push(t_ns, kind, id, aux) {
-            // Full: drain everything (single fetch of the drain mutex;
-            // skipped if contended or paused), then retry once.
-            self.events.drain();
-            if !ring.push(t_ns, kind, id, aux) {
-                ring.drop_one();
-            }
+        if self.on() {
+            self.events.publish(kind, id, aux);
         }
     }
 
@@ -387,49 +330,27 @@ impl Obs {
     /// events on, 1 in `2^span_sample_shift`.
     #[inline]
     pub fn span_sampled(&self) -> bool {
-        if !self.on() {
-            return false;
-        }
-        buffer::with_ring(&self.registry, |ring| {
-            ring.span_sample(self.span_shift, self.rng.as_ref())
-        })
+        self.on() && self.events.span_sample()
     }
 
-    /// Exact per-kind emit count (counter tier: advances on every emit,
-    /// independent of sampling).
+    /// Exact per-kind emit count (advances on every emit, independent
+    /// of sampling).
     pub fn count(&self, kind: EventKind) -> u64 {
-        self.registry.count(kind)
+        self.counts()[kind as usize]
     }
 
     /// All per-kind counts at once.
     pub fn counts(&self) -> [u64; KIND_COUNT] {
-        self.registry.counts()
-    }
-
-    /// Events lost to per-thread buffer overflow (exact).
-    pub fn dropped(&self) -> u64 {
-        self.registry.dropped()
+        self.events.counts()
     }
 
     /// Everything the exporters need about events in one snapshot:
-    /// exact per-kind counts, published total, dropped total.
+    /// exact per-kind counts and the published total.
     pub fn event_counts(&self) -> EventCounts {
         EventCounts {
             counts: self.counts(),
-            dropped: self.dropped(),
             published: self.events.emitted(),
         }
-    }
-
-    /// Flush per-thread buffers into the global ring.
-    pub fn drain(&self) {
-        self.events.drain();
-    }
-
-    /// Block all drains until the guard drops (test hook: forces ring
-    /// overflow so the exact `dropped` accounting can be observed).
-    pub fn pause_drain(&self) -> DrainPause<'_> {
-        self.registry.pause()
     }
 
     /// Start a phase timer: `Some(now)` when recording, `None` when off —
@@ -497,9 +418,8 @@ impl Obs {
     }
 
     /// Take a post-mortem dump (no-op unless a flight dir is configured).
-    /// Flushes buffers first so the dump window is current. When
-    /// attribution is on, the dump includes the hot-key table and the
-    /// folded blame profile at trigger time.
+    /// When attribution is on, the dump includes the hot-key table and
+    /// the folded blame profile at trigger time.
     pub fn dump(&self, trigger: FlightTrigger, ctx: &DumpContext) -> Option<PathBuf> {
         self.recorder
             .dump_with(trigger, &self.events, ctx, self.attr_snapshot().as_ref())
@@ -590,27 +510,5 @@ mod tests {
         assert_eq!(obs.count(EventKind::WalAppend), 16);
         assert_eq!(obs.events().recent(64).len(), 4);
         assert_eq!(obs.phases().wal_append.count(), 4);
-    }
-
-    #[test]
-    fn exact_drop_accounting_under_paused_drain() {
-        let obs = Obs::new(&ObsConfig::default().with_events(true).with_sample_shift(0));
-        let ring = buffer::THREAD_RING_SLOTS;
-        let pause = obs.pause_drain();
-        for i in 0..ring as u64 + 36 {
-            obs.emit(EventKind::Begin, i, 0);
-        }
-        assert_eq!(
-            obs.dropped(),
-            36,
-            "a ring full buffered, 36 dropped, exactly"
-        );
-        assert_eq!(
-            obs.count(EventKind::Begin),
-            ring as u64 + 36,
-            "counter tier unharmed"
-        );
-        drop(pause);
-        assert_eq!(obs.events().recent(4 * ring).len(), ring);
     }
 }

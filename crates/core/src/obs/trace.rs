@@ -26,12 +26,15 @@
 //!
 //! The registry is bounded: oldest traces are evicted once `cap` traces
 //! are live, and each trace caps its span count (excess spans increment
-//! `dropped_spans` rather than growing without bound).
+//! `dropped_spans` rather than growing without bound). The registry's
+//! trace list and each trace's spans sit behind leaf mutexes: nothing
+//! else is locked while one is held.
 
 use crate::clock::SharedClock;
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Trace ids below this are explicit (admin-started); at or above,
@@ -172,7 +175,7 @@ impl ActiveTrace {
     }
 
     fn record(&self, span: Span) {
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
+        let mut spans = self.spans.lock();
         if spans.len() >= SPAN_CAP {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -185,16 +188,13 @@ impl ActiveTrace {
         let span_id = self.alloc_span();
         let start_ns = self.now_ns();
         self.vc_open.fetch_add(1, Ordering::Relaxed);
-        self.pending_vc
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(PendingVc {
-                tn,
-                span_id,
-                parent,
-                start_ns,
-                thread: super::event::thread_ordinal(),
-            });
+        self.pending_vc.lock().push(PendingVc {
+            tn,
+            span_id,
+            parent,
+            start_ns,
+            thread: super::event::thread_ordinal(),
+        });
     }
 
     /// Record a closed span directly — runner-level sites (backoff
@@ -222,7 +222,7 @@ impl ActiveTrace {
     /// recorded as an attr (0 complete, 1 discard, 2 reaped).
     fn close_vc(&self, tn: u64, outcome: u64) -> bool {
         let pending = {
-            let mut p = self.pending_vc.lock().unwrap_or_else(|e| e.into_inner());
+            let mut p = self.pending_vc.lock();
             match p.iter().position(|x| x.tn == tn) {
                 Some(i) => p.swap_remove(i),
                 None => return false,
@@ -256,10 +256,7 @@ pub struct SpanRegistry {
 impl std::fmt::Debug for SpanRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanRegistry")
-            .field(
-                "traces",
-                &self.traces.lock().unwrap_or_else(|e| e.into_inner()).len(),
-            )
+            .field("traces", &self.traces.lock().len())
             .finish()
     }
 }
@@ -296,7 +293,7 @@ impl SpanRegistry {
     /// The live trace for `trace_id`, creating it if unknown (retries and
     /// remote 2PC legs share one trace this way).
     pub(crate) fn activate(&self, trace_id: u64) -> Arc<ActiveTrace> {
-        let mut traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
+        let mut traces = self.traces.lock();
         if let Some(t) = traces.iter().find(|t| t.trace_id == trace_id) {
             return t.clone();
         }
@@ -330,11 +327,7 @@ impl SpanRegistry {
         if self.vc_open.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let traces: Vec<Arc<ActiveTrace>> = self
-            .traces
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let traces: Vec<Arc<ActiveTrace>> = self.traces.lock().clone();
         for t in traces {
             if t.close_vc(tn, outcome) {
                 return;
@@ -370,14 +363,10 @@ impl SpanRegistry {
     /// `None` for an unknown trace.
     pub fn snapshot(&self, trace_id: u64) -> Option<TraceSnapshot> {
         let trace = {
-            let traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
+            let traces = self.traces.lock();
             traces.iter().find(|t| t.trace_id == trace_id)?.clone()
         };
-        let mut spans = trace
-            .spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let mut spans = trace.spans.lock().clone();
         spans.sort_by_key(|s| (s.start_ns, s.span_id));
         let end_ns = spans
             .iter()
@@ -648,7 +637,7 @@ mod tests {
         for _ in 0..(TRACE_CAP + 10) {
             reg.start();
         }
-        assert!(reg.traces.lock().unwrap().len() <= TRACE_CAP);
+        assert!(reg.traces.lock().len() <= TRACE_CAP);
         let ctx = reg.start();
         let t = reg.activate(ctx.trace_id);
         for _ in 0..(SPAN_CAP + 5) {

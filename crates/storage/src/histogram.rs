@@ -5,7 +5,7 @@
 //! the standard trick for benchmark latency collection without
 //! per-sample storage. Lives in `mvcc-storage` (the lowest shared crate)
 //! so both the engine's observability layer (`mvcc-core::obs`) and the
-//! workload driver can use it; `mvcc_workload::Histogram` re-exports it.
+//! workload driver can use it.
 //!
 //! [`AtomicHistogram`] is the concurrent variant used on engine hot
 //! paths: `record` is a handful of relaxed atomic RMWs, and `snapshot`

@@ -34,7 +34,6 @@ pub mod gc;
 pub mod histogram;
 pub mod persist;
 pub mod shard;
-pub mod sketch;
 pub mod stats;
 pub mod store;
 pub mod value;
@@ -45,7 +44,6 @@ pub use chain::VersionChain;
 pub use gc::{GcStats, RoScanRegistry};
 pub use histogram::{AtomicHistogram, Histogram};
 pub use persist::CheckpointStats;
-pub use sketch::{SketchEntry, TopKSketch};
 pub use stats::StoreStats;
 pub use store::MvStore;
 pub use value::Value;

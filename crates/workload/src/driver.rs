@@ -7,13 +7,12 @@
 //! counted and retried too. Latency is measured across retries — the
 //! client-visible cost of getting the transaction done.
 
-use crate::histogram::Histogram;
 use crate::keydist::KeySampler;
 use crate::spec::WorkloadSpec;
 use mvcc_core::clock::{real_clock, Clock, SharedClock};
 use mvcc_core::{Engine, GaugeSample, MetricsSnapshot, OpSpec, PhaseSnapshot, RetryPolicy};
 use mvcc_model::ObjectId;
-use mvcc_storage::Value;
+use mvcc_storage::{Histogram, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;

@@ -5,9 +5,8 @@
 //! visibility. This crate builds the testbed those claims are measured
 //! on (DESIGN.md records the substitution): deterministic workload
 //! generation ([`spec`], [`keydist`]), a multithreaded closed-loop driver
-//! over the [`mvcc_core::Engine`] trait ([`driver`]), log-bucketed latency
-//! histograms ([`histogram`]), and aligned-text report tables
-//! ([`report`]) that the experiment harness prints.
+//! over the [`mvcc_core::Engine`] trait ([`driver`]), and aligned-text
+//! report tables ([`report`]) that the experiment harness prints.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -17,13 +16,7 @@ pub mod keydist;
 pub mod report;
 pub mod spec;
 
-/// Latency histograms now live in `mvcc-storage` (so the engine's
-/// observability layer can share them); re-exported here for
-/// compatibility.
-pub use mvcc_storage::histogram;
-
 pub use driver::{DriverConfig, ReportTick, Reporter, RunReport};
-pub use histogram::Histogram;
 pub use keydist::{KeyDist, KeySampler};
 pub use report::Table;
 pub use spec::WorkloadSpec;

@@ -504,7 +504,7 @@ fn profile_json_matches_golden_when_disabled() {
     );
     let json = db.metrics_json();
     assert!(
-        json.contains("\"schema_version\": 4"),
+        json.contains("\"schema_version\": 5"),
         "metrics_json must lead with the schema version: {json}"
     );
 }
@@ -532,7 +532,7 @@ fn attribution_names_hot_key_and_blocker() {
 
     let profile = db.profile_json();
     assert_balanced_json(&profile);
-    assert!(profile.contains("\"schema_version\": 4"));
+    assert!(profile.contains("\"schema_version\": 5"));
     assert!(
         profile.contains("\"key\": 5"),
         "hot-key sketch must name the contended object: {profile}"

@@ -7,7 +7,8 @@
 //! buffer without `DbConfig::trace`, no chain materialized by a read, no
 //! heap payload for a small value — whether the snapshot selects each
 //! chain's newest version, the inline one below it, or one in the heap
-//! history. Run it in release too
+//! history. It also pins that observability switched off costs no
+//! memory: a default `Obs` allocates no event ring. Run it in release too
 //! (`cargo test --release --test ro_path`): the benchmark measures the
 //! optimised build.
 
@@ -20,31 +21,37 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
+}
+
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialized thread-local `Cell`, which never allocates.
+// only const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -164,4 +171,17 @@ fn dropped_ro_txn_still_counts_its_reads() {
     assert_eq!(m.ro_reads, 3);
     assert_eq!(m.ro_begun, 1);
     assert_eq!(m.ro_finished, 1);
+}
+
+/// Events off, the bus holds counters and no ring: building a default
+/// `Obs` (what every engine and the benchmark's `obs.emit_off_ns` probe
+/// build) allocates under 4 KiB in all.
+#[test]
+fn disabled_obs_allocates_no_event_ring() {
+    use mvdb::core::obs::{Obs, ObsConfig};
+    let before = alloc_bytes();
+    let obs = Obs::new(&ObsConfig::default());
+    let bytes = alloc_bytes() - before;
+    drop(obs);
+    assert!(bytes < 4096, "a disabled Obs allocated {bytes} bytes");
 }
