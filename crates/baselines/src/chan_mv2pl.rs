@@ -145,7 +145,7 @@ impl ChanMv2pl {
     }
 
     fn lock(&self, token: u64, obj: ObjectId, mode: LockMode) -> Result<(), DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         match self
             .locks
@@ -169,7 +169,7 @@ impl Engine for ChanMv2pl {
     }
 
     fn run_read_only(&self, keys: &[ObjectId]) -> Result<RoOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         // Start timestamp + CTL copy, under the CTL mutex. The copy cost
         // is proportional to the live CTL size.
@@ -236,7 +236,7 @@ impl Engine for ChanMv2pl {
     }
 
     fn run_read_write(&self, ops: &[OpSpec]) -> Result<RwOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut locked: Vec<ObjectId> = Vec::new();

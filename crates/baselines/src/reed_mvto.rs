@@ -97,7 +97,7 @@ impl ReedMvto {
         is_ro: bool,
         trace: &mut TxnTrace,
     ) -> Result<(u64, Value), DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         let mut blocked = false;
         let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
             let (cand, value) = self
@@ -143,7 +143,7 @@ impl ReedMvto {
     /// already read the version this write would supersede. The caller
     /// buffers the value and skips objects it already reserved.
     fn write(&self, obj: ObjectId, ts: u64) -> Result<(), DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         let mut blocked = false;
         let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
@@ -193,7 +193,7 @@ impl Engine for ReedMvto {
     }
 
     fn run_read_only(&self, keys: &[ObjectId]) -> Result<RoOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         // Timestamp acquisition is itself a synchronization action.
         let ts = self.clock.tick();
@@ -224,7 +224,7 @@ impl Engine for ReedMvto {
     }
 
     fn run_read_write(&self, ops: &[OpSpec]) -> Result<RwOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let ts = self.clock.tick();
         let mut trace = TxnTrace::new();

@@ -65,7 +65,7 @@ impl SingleVersion2pl {
     }
 
     fn lock(&self, token: u64, obj: ObjectId, mode: LockMode, is_ro: bool) -> Result<(), DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         if is_ro {
             m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -105,7 +105,7 @@ impl Engine for SingleVersion2pl {
     }
 
     fn run_read_only(&self, keys: &[ObjectId]) -> Result<RoOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut locked: Vec<ObjectId> = Vec::new();
@@ -140,7 +140,7 @@ impl Engine for SingleVersion2pl {
     }
 
     fn run_read_write(&self, ops: &[OpSpec]) -> Result<RwOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut locked: Vec<ObjectId> = Vec::new();

@@ -109,7 +109,7 @@ impl WeihlTi {
     }
 
     fn lock(&self, token: u64, obj: ObjectId, mode: LockMode) -> Result<(), DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         match self.locks.acquire(token, obj, mode, self.timeout, true) {
             Ok(a) => {
@@ -130,7 +130,7 @@ impl Engine for WeihlTi {
     }
 
     fn run_read_only(&self, keys: &[ObjectId]) -> Result<RoOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         let ts = self.clock.tick(); // initiation timestamp
         m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
@@ -185,7 +185,7 @@ impl Engine for WeihlTi {
     }
 
     fn run_read_write(&self, ops: &[OpSpec]) -> Result<RwOutcome, DbError> {
-        let m = &self.metrics;
+        let m = self.metrics.local();
         m.rw_begun.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut locked: Vec<ObjectId> = Vec::new();

@@ -90,7 +90,7 @@ impl ConcurrencyControl for Optimistic {
     }
 
     fn commit(&self, ctx: &CcContext, txn: OccTxn) -> Result<u64, DbError> {
-        let m = &ctx.metrics;
+        let m = ctx.metrics.local();
         // Speculative trace leaf spanning the validation critical section.
         let mut span = mvcc_core::obs::trace::leaf("validate");
         let crit = self.validation.lock();
@@ -99,8 +99,9 @@ impl ConcurrencyControl for Optimistic {
         for &(obj, seen) in &txn.read_set {
             m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
             // The read-only probe: an object nobody wrote stays
-            // unmaterialized, and the map never rehashes in this section.
-            let current = ctx.store.read_latest(obj).0;
+            // unmaterialized, the map never rehashes in this section, and
+            // no value is cloned just to compare its number.
+            let current = ctx.store.latest_number(obj);
             if current != seen {
                 // id 0: the loser has no transaction number (it never
                 // registers); aux names the conflicting object.

@@ -101,7 +101,10 @@ impl TimestampOrdering {
             if blocker.is_none() {
                 blocker = Some(older);
                 attr_started = ctx.obs.attr_timer();
-                ctx.metrics.rw_blocks.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics
+                    .local()
+                    .rw_blocks
+                    .fetch_add(1, Ordering::Relaxed);
                 ctx.obs.emit(EventKind::Blocked, tn, obj.get());
             }
             WaitOutcome::Wait
@@ -183,7 +186,10 @@ impl ConcurrencyControl for TimestampOrdering {
     ) -> Result<(u64, Value), DbError> {
         let tn = txn.tn;
         let timeout = self.wait_bound(ctx, txn)?;
-        ctx.metrics.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics
+            .local()
+            .rw_sync_actions
+            .fetch_add(1, Ordering::Relaxed);
         // Own write shadows everything.
         if let Some(v) = txn.writes.get(obj) {
             return Ok((tn, v.clone()));
@@ -213,7 +219,10 @@ impl ConcurrencyControl for TimestampOrdering {
     ) -> Result<(), DbError> {
         let tn = txn.tn;
         let timeout = self.wait_bound(ctx, txn)?;
-        ctx.metrics.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics
+            .local()
+            .rw_sync_actions
+            .fetch_add(1, Ordering::Relaxed);
         // Rewrite of an object we already reserved: always fine.
         if txn.writes.get(obj).is_none() {
             let granted = self.when_unblocked(ctx, txn, obj, timeout, |e| {

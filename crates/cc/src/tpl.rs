@@ -26,6 +26,7 @@
 //! registered transaction can never be waiting.
 
 use crate::lock::{LockError, LockManager, LockMode};
+use mvcc_core::obs::event::{thread_ordinal, Striped, STRIPES};
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, DumpContext, EventKind,
     FlightTrigger, TxnOptions, TxnPhase, WaitPoint, WriteSet,
@@ -37,7 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Strict two-phase locking over the shared [`LockManager`].
 pub struct TwoPhaseLocking {
     locks: LockManager,
-    next_token: AtomicU64,
+    /// Tokens handed out per thread group (see [`Self::next_token`]).
+    tokens: Striped<AtomicU64>,
 }
 
 /// Per-transaction 2PL state.
@@ -96,8 +98,19 @@ impl TwoPhaseLocking {
     pub fn with_shards(n: usize) -> Self {
         TwoPhaseLocking {
             locks: LockManager::with_shards(n),
-            next_token: AtomicU64::new(1),
+            tokens: Striped::default(),
         }
+    }
+
+    /// A fresh lock-requester token, drawn without a shared write: stripe
+    /// `s` of the calling thread hands out `s + 1`, `s + 1 + STRIPES`, …
+    /// Tokens only need to be unique among this manager's requesters (a
+    /// deadlock's victim is the requester that closes the cycle, not the
+    /// youngest), and threads that share a stripe share its counter.
+    fn next_token(&self) -> u64 {
+        let stripe = thread_ordinal() % STRIPES as u64;
+        let n = self.tokens.local().fetch_add(1, Ordering::Relaxed);
+        n * STRIPES as u64 + stripe + 1
     }
 
     /// The lock manager (exposed for tests and experiments).
@@ -112,7 +125,7 @@ impl TwoPhaseLocking {
         obj: ObjectId,
         mode: LockMode,
     ) -> Result<(), DbError> {
-        let m = &ctx.metrics;
+        let m = ctx.metrics.local();
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         if txn.last_exclusive == Some(obj) {
             return Ok(());
@@ -285,7 +298,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
 
     fn begin(&self, ctx: &CcContext) -> Result<TplTxn, DbError> {
         // sn(T) = ∞: no snapshot is taken; reads follow locks.
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = self.next_token();
         if let Some(attr) = ctx.obs.attr() {
             attr.blame().set_phase(token, TxnPhase::Execute);
         }

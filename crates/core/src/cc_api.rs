@@ -149,6 +149,7 @@ impl CcContext {
     pub fn register(&self) -> u64 {
         let tn = self.vc.register();
         self.metrics
+            .local()
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);
         tn
@@ -191,6 +192,7 @@ impl CcContext {
         release();
         self.vc.complete(tn);
         self.metrics
+            .local()
             .vc_complete_calls
             .fetch_add(1, Ordering::Relaxed);
         Ok(tn)
@@ -203,6 +205,7 @@ impl CcContext {
     pub fn discard(&self, tn: u64) {
         self.vc.discard(tn);
         self.metrics
+            .local()
             .vc_discard_calls
             .fetch_add(1, Ordering::Relaxed);
     }

@@ -501,7 +501,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     pub fn reap_stalled(&self) -> Vec<u64> {
         let reaped = self.core.ctx.vc.reap();
         if !reaped.is_empty() {
-            let m = &self.core.ctx.metrics;
+            let m = self.core.ctx.metrics.local();
             let n = reaped.len() as u64;
             m.reaper_force_discards.fetch_add(n, Ordering::Relaxed);
             m.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
@@ -693,6 +693,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
 
 /// Bump the retry counters for one retry triggered by `err`.
 fn record_retry(metrics: &Metrics, err: &DbError) {
+    let metrics = metrics.local();
     metrics.rw_retries.fetch_add(1, Ordering::Relaxed);
     let counter = match err.abort_reason() {
         Some(AbortReason::TimestampConflict) => &metrics.retries_ts_conflict,
@@ -727,10 +728,9 @@ impl ReaperHandle {
                 let reaped = vc.reap();
                 if !reaped.is_empty() {
                     let n = reaped.len() as u64;
-                    metrics
-                        .reaper_force_discards
-                        .fetch_add(n, Ordering::Relaxed);
-                    metrics.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
+                    let m = metrics.local();
+                    m.reaper_force_discards.fetch_add(n, Ordering::Relaxed);
+                    m.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
                     // No protocol handle on this thread, so no waits-for
                     // edges; the VC view and event window still land.
                     obs.dump(

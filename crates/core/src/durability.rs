@@ -94,12 +94,11 @@ impl CommitLog {
     /// `wal_syncs`.
     pub fn append(&self, tn: u64, writes: &[(ObjectId, Value)]) -> io::Result<AppendInfo> {
         let info = self.writer.lock().append_commit(tn, writes)?;
-        self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .wal_bytes
-            .fetch_add(info.bytes as u64, Ordering::Relaxed);
+        let m = self.metrics.local();
+        m.wal_appends.fetch_add(1, Ordering::Relaxed);
+        m.wal_bytes.fetch_add(info.bytes as u64, Ordering::Relaxed);
         if info.synced {
-            self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+            m.wal_syncs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(info)
     }
@@ -107,7 +106,10 @@ impl CommitLog {
     /// Force a sync (flush a group-commit batch, orderly shutdown).
     pub fn sync(&self) -> io::Result<()> {
         self.writer.lock().sync()?;
-        self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .local()
+            .wal_syncs
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -116,7 +118,10 @@ impl CommitLog {
     /// checkpoint covers the rest) replaces it. Returns `(dropped, kept)`.
     pub fn rotate(&self, watermark: u64) -> io::Result<(usize, usize)> {
         let result = self.writer.lock().rotate(watermark)?;
-        self.metrics.wal_rotations.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .local()
+            .wal_rotations
+            .fetch_add(1, Ordering::Relaxed);
         Ok(result)
     }
 

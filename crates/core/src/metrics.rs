@@ -1,19 +1,31 @@
 //! Engine and protocol counters.
 //!
 //! The counter that carries the paper's headline claim is
-//! [`Metrics::ro_sync_actions`]: synchronization actions performed **on
+//! [`Counters::ro_sync_actions`]: synchronization actions performed **on
 //! behalf of read-only transactions**. Under version control it stays at
 //! exactly one per transaction (the `VCstart` load); the baselines
 //! (Reed's MVTO, Chan's MV2PL) accumulate r-ts updates, blocking waits,
 //! and completed-transaction-list scans here. Experiment E5 reports it.
+//!
+//! The counters live in obs's padded stripes (`obs::event::Striped`):
+//! each thread group bumps its own copy through [`Metrics::local`], with
+//! relaxed `fetch_add`s on a line no other group writes, and
+//! [`Metrics::snapshot`] sums the stripes. A transaction's counters
+//! therefore move no cache line between cores. Each bump lands in
+//! exactly one stripe, so once the engine is quiescent every total is
+//! exact — `ro_sync_actions == ro_begun` included; a snapshot taken
+//! mid-run may see one stripe's bump and not another's.
 
+use crate::obs::event::Striped;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! metrics {
-    ($(#[$sm:meta] $snap:ident)? ; $( $(#[$m:meta])* $name:ident ),+ $(,)?) => {
-        /// Live atomic counters. Cheap to bump from any thread.
+    ($( $(#[$m:meta])* $name:ident ),+ $(,)?) => {
+        /// One thread group's copy of every counter. Bump it through
+        /// [`Metrics::local`] (relaxed `fetch_add`); read totals only
+        /// through [`Metrics::snapshot`].
         #[derive(Default)]
-        pub struct Metrics {
+        pub struct Counters {
             $( $(#[$m])* pub $name: AtomicU64, )+
         }
 
@@ -24,21 +36,20 @@ macro_rules! metrics {
         }
 
         impl Metrics {
-            /// Fresh zeroed counters.
-            pub fn new() -> Self {
-                Self::default()
-            }
-
-            /// Copy every counter.
+            /// Sum every stripe.
             pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $( $name: self.$name.load(Ordering::Relaxed), )+
+                let mut s = MetricsSnapshot::default();
+                for c in self.stripes.iter() {
+                    $( s.$name += c.$name.load(Ordering::Relaxed); )+
                 }
+                s
             }
 
-            /// Reset every counter to zero.
+            /// Reset every counter of every stripe to zero.
             pub fn reset(&self) {
-                $( self.$name.store(0, Ordering::Relaxed); )+
+                for c in self.stripes.iter() {
+                    $( c.$name.store(0, Ordering::Relaxed); )+
+                }
             }
         }
 
@@ -60,7 +71,27 @@ macro_rules! metrics {
     };
 }
 
-metrics! { ;
+/// Striped engine counters (see the module docs). Cheap to bump from any
+/// thread: a bump writes only its own thread group's stripe.
+#[derive(Default)]
+pub struct Metrics {
+    stripes: Striped<Counters>,
+}
+
+impl Metrics {
+    /// Fresh zeroed counters.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The calling thread's stripe, to bump.
+    #[inline]
+    pub fn local(&self) -> &Counters {
+        self.stripes.local()
+    }
+}
+
+metrics! {
     /// Read-only transactions begun.
     ro_begun,
     /// Read-only transactions finished.
@@ -165,8 +196,8 @@ mod tests {
     #[test]
     fn snapshot_copies_counters() {
         let m = Metrics::new();
-        m.ro_begun.fetch_add(3, Ordering::Relaxed);
-        m.rw_committed.fetch_add(2, Ordering::Relaxed);
+        m.local().ro_begun.fetch_add(3, Ordering::Relaxed);
+        m.local().rw_committed.fetch_add(2, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.ro_begun, 3);
         assert_eq!(s.rw_committed, 2);
@@ -176,10 +207,10 @@ mod tests {
     #[test]
     fn delta_subtracts_fieldwise() {
         let m = Metrics::new();
-        m.ro_reads.fetch_add(10, Ordering::Relaxed);
+        m.local().ro_reads.fetch_add(10, Ordering::Relaxed);
         let a = m.snapshot();
-        m.ro_reads.fetch_add(5, Ordering::Relaxed);
-        m.rw_begun.fetch_add(1, Ordering::Relaxed);
+        m.local().ro_reads.fetch_add(5, Ordering::Relaxed);
+        m.local().rw_begun.fetch_add(1, Ordering::Relaxed);
         let b = m.snapshot();
         let d = b.delta(&a);
         assert_eq!(d.ro_reads, 5);
@@ -190,8 +221,10 @@ mod tests {
     #[test]
     fn fields_cover_every_counter_in_order() {
         let m = Metrics::new();
-        m.ro_begun.fetch_add(4, Ordering::Relaxed);
-        m.vc_watermark_scan_ns.fetch_add(9, Ordering::Relaxed);
+        m.local().ro_begun.fetch_add(4, Ordering::Relaxed);
+        m.local()
+            .vc_watermark_scan_ns
+            .fetch_add(9, Ordering::Relaxed);
         let fields = m.snapshot().fields();
         assert_eq!(fields.first(), Some(&("ro_begun", 4)));
         assert_eq!(fields.last(), Some(&("vc_watermark_scan_ns", 9)));
@@ -201,9 +234,38 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
+    fn striped_totals_are_exact_and_reset_clears_every_stripe() {
+        use crate::obs::event::STRIPES;
+        const BUMPS: u64 = 10_000;
         let m = Metrics::new();
-        m.vc_start_calls.fetch_add(7, Ordering::Relaxed);
+        // One thread more than there are stripes, so at least two
+        // threads share a stripe and every stripe may be written.
+        std::thread::scope(|s| {
+            for t in 0..STRIPES as u64 + 1 {
+                let m = &m;
+                s.spawn(move || {
+                    for i in 0..BUMPS {
+                        let c = m.local();
+                        c.ro_begun.fetch_add(1, Ordering::Relaxed);
+                        c.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
+                        c.ro_reads.fetch_add(i % 8, Ordering::Relaxed);
+                        if i % 3 == t % 3 {
+                            c.rw_committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let threads = STRIPES as u64 + 1;
+        let s = m.snapshot();
+        assert_eq!(s.ro_begun, threads * BUMPS);
+        assert_eq!(s.ro_sync_actions, s.ro_begun);
+        assert_eq!(s.ro_reads, threads * (0..BUMPS).map(|i| i % 8).sum::<u64>());
+        let committed: u64 = (0..threads)
+            .map(|t| (0..BUMPS).filter(|i| i % 3 == t % 3).count() as u64)
+            .sum();
+        assert_eq!(s.rw_committed, committed);
+        assert_eq!(s.rw_aborted, 0);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }

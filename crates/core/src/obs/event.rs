@@ -187,8 +187,9 @@ pub struct Event {
     pub aux: u64,
 }
 
-/// Monotonic per-thread ordinal (std's `ThreadId::as_u64` is unstable).
-pub(crate) fn thread_ordinal() -> u64 {
+/// Monotonic per-thread ordinal, from 1 (std's `ThreadId::as_u64` is
+/// unstable).
+pub fn thread_ordinal() -> u64 {
     use std::cell::Cell;
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
@@ -208,11 +209,46 @@ pub(crate) fn thread_ordinal() -> u64 {
 
 /// Counter stripes. Eight keep threads on separate lines at the thread
 /// counts the engine targets; readers sum them.
-const STRIPES: usize = 8;
+pub const STRIPES: usize = 8;
 
-/// One thread group's counters, padded so stripes never share a line.
+/// A value alone on its 64-byte line(s): one stripe of [`Striped`], or a
+/// hot field kept off its neighbours' lines.
 #[derive(Default)]
 #[repr(align(64))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// `STRIPES` padded copies of `T`: a writer bumps [`local`](Self::local),
+/// the stripe of its thread group, with relaxed atomics, and a reader
+/// sums over [`iter`](Self::iter). The engine's counters
+/// ([`crate::Metrics`]), the bus's below and 2PL's token counters live
+/// in one.
+#[derive(Default)]
+pub struct Striped<T>([Padded<T>; STRIPES]);
+
+impl<T> Striped<T> {
+    /// The calling thread's stripe: number `thread_ordinal() % STRIPES`.
+    #[inline]
+    pub fn local(&self) -> &T {
+        &self.0[(thread_ordinal() % STRIPES as u64) as usize].0
+    }
+
+    /// Every stripe, in stripe-number order, for readers that sum or
+    /// reset them.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|p| &p.0)
+    }
+}
+
+/// One thread group's bus counters.
+#[derive(Default)]
 struct Stripe {
     counts: [AtomicU64; KIND_COUNT],
     event_seq: AtomicU64,
@@ -250,7 +286,7 @@ pub struct EventBus {
     span_shift: u8,
     /// Sampling source when injected (the simulator's seeded stream).
     rng: Option<SharedRng>,
-    stripes: [Stripe; STRIPES],
+    stripes: Striped<Stripe>,
     capacity: usize,
     ring: Mutex<Ring>,
     base: Instant,
@@ -324,7 +360,7 @@ impl EventBus {
 
     #[inline]
     fn stripe(&self) -> &Stripe {
-        &self.stripes[(thread_ordinal() % STRIPES as u64) as usize]
+        self.stripes.local()
     }
 
     /// Count `kind` and decide whether its event is published: always
@@ -386,7 +422,7 @@ impl EventBus {
     /// Exact per-kind emit counts, summed over the stripes.
     pub fn counts(&self) -> [u64; KIND_COUNT] {
         let mut out = [0u64; KIND_COUNT];
-        for stripe in &self.stripes {
+        for stripe in self.stripes.iter() {
             for (dst, src) in out.iter_mut().zip(&stripe.counts) {
                 *dst += src.load(Ordering::Relaxed);
             }

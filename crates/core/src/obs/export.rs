@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn prometheus_text_has_all_sections_and_validates() {
         let m = Metrics::new();
-        m.rw_committed.fetch_add(5, Ordering::Relaxed);
+        m.local().rw_committed.fetch_add(5, Ordering::Relaxed);
         let phases = super::super::phases::PhaseHistograms::new();
         phases.wal_append.record(Duration::from_micros(3));
         phases.wal_append.record(Duration::from_micros(90));
@@ -734,7 +734,7 @@ mod tests {
     #[test]
     fn json_snapshot_shape() {
         let m = Metrics::new();
-        m.ro_begun.fetch_add(2, Ordering::Relaxed);
+        m.local().ro_begun.fetch_add(2, Ordering::Relaxed);
         let text = json_snapshot(&m.snapshot(), None, None, Some(&sample_events()));
         assert!(text.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(text.contains("\"counters\""));

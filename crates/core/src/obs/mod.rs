@@ -45,7 +45,8 @@ pub mod trace;
 
 pub use blame::{BlameLedger, BlameRow, BlameSnapshot, TxnPhase, WaitPoint, WAIT_POINTS};
 pub use event::{
-    abort_reason_code, abort_reason_name, Event, EventBus, EventKind, Tier, KIND_COUNT,
+    abort_reason_code, abort_reason_name, thread_ordinal, Event, EventBus, EventKind, Tier,
+    KIND_COUNT,
 };
 pub use export::{
     chrome_trace_json, json_snapshot, parse_exposition, profile_json, prometheus_text, EventCounts,

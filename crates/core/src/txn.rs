@@ -119,7 +119,7 @@ pub struct RoTxn<'db> {
 impl<'db> RoTxn<'db> {
     pub(crate) fn begin(core: &'db DbCore, sn: u64) -> Self {
         let gc_slot = core.ro_registry.register(sn);
-        let m = &core.ctx.metrics;
+        let m = core.ctx.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         m.vc_start_calls.fetch_add(1, Ordering::Relaxed);
         // The single synchronization action of a read-only transaction.
@@ -167,7 +167,7 @@ impl<'db> RoTxn<'db> {
                 Ok((version, value))
             }
             None => {
-                let m = &self.core.ctx.metrics;
+                let m = self.core.ctx.metrics.local();
                 m.ro_pruned_reads.fetch_add(1, Ordering::Relaxed);
                 Err(DbError::VersionPruned { obj, sn: self.sn })
             }
@@ -191,7 +191,7 @@ impl<'db> RoTxn<'db> {
         }
         self.finished = true;
         self.core.ro_registry.deregister(self.gc_slot, self.sn);
-        let m = &self.core.ctx.metrics;
+        let m = self.core.ctx.metrics.local();
         m.ro_reads.fetch_add(self.reads, Ordering::Relaxed);
         m.ro_finished.fetch_add(1, Ordering::Relaxed);
         self.core.flush_trace(self.trace.as_ref(), None, true);
@@ -252,7 +252,11 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
             None => None,
         };
         let state = cc.begin_with(&core.ctx, opts)?;
-        core.ctx.metrics.rw_begun.fetch_add(1, Ordering::Relaxed);
+        core.ctx
+            .metrics
+            .local()
+            .rw_begun
+            .fetch_add(1, Ordering::Relaxed);
         let obs_id = if core.ctx.obs.on() {
             let id = cc.txn_obs_id(&state);
             core.ctx.obs.emit(EventKind::Begin, id, 0);
@@ -387,6 +391,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
                 }
                 self.ctx()
                     .metrics
+                    .local()
                     .rw_committed
                     .fetch_add(1, Ordering::Relaxed);
                 self.core.flush_trace(self.trace.as_ref(), Some(tn), true);
@@ -432,7 +437,7 @@ impl<'db, C: ConcurrencyControl> RwTxn<'db, C> {
     fn record_abort(&mut self, e: &DbError) {
         // Borrow through the 'db reference (not &self) so the trace-span
         // attr writes below can take &mut self.tspan concurrently.
-        let m = &self.core.ctx.metrics;
+        let m = self.core.ctx.metrics.local();
         m.rw_aborted.fetch_add(1, Ordering::Relaxed);
         if let Some(reason) = e.abort_reason() {
             self.core

@@ -30,15 +30,16 @@
 //! only for active and unaborted transactions", Section 4.3).
 //!
 //! One mutex guards `tnc` and the [`VcQueue`]; `vtnc` is mirrored in an
-//! atomic so `VCstart` never takes it. A protocol reaches this module
-//! only through `register`, `start_complete`, `complete` and `discard`
-//! (DESIGN.md §15).
+//! atomic on its own cache line so `VCstart` never takes the mutex or
+//! its line. A protocol reaches this module only through `register`,
+//! `start_complete`, `complete` and `discard` (DESIGN.md §15).
 
 use crate::clock::SharedClock;
+use crate::obs::event::Padded;
 use crate::obs::{DumpContext, EventKind, FlightTrigger, Obs, VcView, WaitPoint};
 use crate::vcqueue::VcQueue;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -109,6 +110,13 @@ struct VcInner {
     /// stay `Active` before the stall reaper may force-discard it.
     /// `None` (the default) disables reaping entirely.
     register_ttl: Option<Duration>,
+    /// Threads in [`VersionControl::wait_visible`]'s parking loop; an
+    /// advance notifies only when it is non-zero.
+    waiters: u32,
+    /// Contended acquisitions of this mutex and the nanoseconds they
+    /// blocked, bumped once the mutex is held.
+    lock_waits: u64,
+    lock_wait_ns: u64,
 }
 
 /// Thread-safe implementation of paper Figure 1: one mutex around `tnc`
@@ -128,21 +136,21 @@ struct VcInner {
 /// assert_eq!(vc.start(), 2);         // both become visible at once
 /// ```
 pub struct VersionControl {
-    inner: Mutex<VcInner>,
-    /// Mirror of the current `vtnc`, readable without the lock.
-    vtnc: AtomicU64,
-    /// Signalled whenever `vtnc` advances (used by the Section 6
-    /// rectification [`VersionControl::wait_visible`]).
+    inner: Padded<Mutex<VcInner>>,
+    /// Mirror of the current `vtnc`, readable without the lock, on a line
+    /// of its own so a `VCstart` never pulls `inner`'s line away.
+    vtnc: Padded<AtomicU64>,
+    /// Signalled whenever `vtnc` advances while a thread waits (the
+    /// Section 6 rectification [`VersionControl::wait_visible`]).
     visible_cv: Condvar,
     /// Companion mutex for `visible_cv` waits. Lock order: never taken
     /// while `inner` is held — the visibility broadcast happens *after*
     /// the inner critical section (see [`Self::notify_visible`]), so the
     /// two mutexes are never nested.
     visible_mu: Mutex<()>,
-    /// Times `inner` was found held by another thread.
-    lock_waits: AtomicU64,
-    /// Nanoseconds spent blocked on `inner` (only on contended paths).
-    lock_wait_ns: AtomicU64,
+    /// Set for good, under `inner`, by the first TTL; while clear no entry
+    /// can be reaped (see [`start_complete`](Self::start_complete)).
+    reaping: AtomicBool,
     /// Observability hub, attached once by the owning engine context.
     /// Unattached (unit tests, standalone use) costs one `OnceLock` load
     /// per operation; attached-but-disabled adds one relaxed bool load.
@@ -170,16 +178,18 @@ impl VersionControl {
     /// is `vtnc + 1`.
     pub fn resumed(vtnc: u64) -> Self {
         VersionControl {
-            inner: Mutex::new(VcInner {
+            inner: Padded(Mutex::new(VcInner {
                 tnc: vtnc + 1,
                 queue: VcQueue::new(),
                 register_ttl: None,
-            }),
-            vtnc: AtomicU64::new(vtnc),
+                waiters: 0,
+                lock_waits: 0,
+                lock_wait_ns: 0,
+            })),
+            vtnc: Padded(AtomicU64::new(vtnc)),
             visible_cv: Condvar::new(),
             visible_mu: Mutex::new(()),
-            lock_waits: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
+            reaping: AtomicBool::new(false),
             obs: OnceLock::new(),
             clock: OnceLock::new(),
         }
@@ -233,35 +243,35 @@ impl VersionControl {
             return g;
         }
         let started = Instant::now();
-        let g = self.inner.lock();
-        self.lock_waits.fetch_add(1, Ordering::Relaxed);
-        self.lock_wait_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut g = self.inner.lock();
+        g.lock_waits += 1;
+        g.lock_wait_ns += started.elapsed().as_nanos() as u64;
         g
     }
 
     /// `(contended acquisitions, nanoseconds blocked)` on the sequencer
-    /// lock since construction or the last [`reset_contention`]
-    /// (surfaced as `vc_lock_wait_ns` in `mvcc-core`'s metrics).
-    ///
-    /// [`reset_contention`]: Self::reset_contention
+    /// lock since construction or the last reset (surfaced as
+    /// `vc_lock_wait_ns` in `mvcc-core`'s metrics).
     pub fn contention(&self) -> (u64, u64) {
-        (
-            self.lock_waits.load(Ordering::Relaxed),
-            self.lock_wait_ns.load(Ordering::Relaxed),
-        )
+        let inner = self.inner.lock();
+        (inner.lock_waits, inner.lock_wait_ns)
     }
 
     /// Zero the contention counters (between experiment phases).
     pub fn reset_contention(&self) {
-        self.lock_waits.store(0, Ordering::Relaxed);
-        self.lock_wait_ns.store(0, Ordering::Relaxed);
+        let mut inner = self.inner.lock();
+        inner.lock_waits = 0;
+        inner.lock_wait_ns = 0;
     }
 
     /// Set (or clear) the registration TTL used for future
     /// [`register`](Self::register) calls. `None` disables the reaper.
     pub fn set_register_ttl(&self, ttl: Option<Duration>) {
-        self.inner().register_ttl = ttl;
+        let mut inner = self.inner();
+        inner.register_ttl = ttl;
+        if ttl.is_some() {
+            self.reaping.store(true, Ordering::Relaxed);
+        }
     }
 
     /// The current registration TTL.
@@ -325,7 +335,15 @@ impl VersionControl {
     ///
     /// This claim is what makes the reaper safe: the reaper only discards
     /// `Active` entries, so reaped ⇒ never claimed ⇒ no updates applied.
+    ///
+    /// Until a TTL is set the claim is one load and returns `true`
+    /// unchecked: an entry gets a deadline only if it registered after
+    /// the TTL, and then its `register` critical section orders the
+    /// `reaping` store before this load (DESIGN.md §8).
     pub fn start_complete(&self, tn: u64) -> bool {
+        if !self.reaping.load(Ordering::Relaxed) {
+            return true;
+        }
         self.inner().queue.start_committing(tn)
     }
 
@@ -334,14 +352,15 @@ impl VersionControl {
     /// registered (or already completed).
     pub fn discard(&self, tn: u64) -> bool {
         let obs = self.obs_on();
-        let (removed, advanced, vtnc_before) = {
+        let (removed, advanced, wake, vtnc_before) = {
             let mut inner = self.inner();
             let vtnc_before = self.vtnc.load(Ordering::Acquire);
             let removed = inner.queue.discard(tn);
             let advanced = removed && self.drain_locked(&mut inner);
-            (removed, advanced, vtnc_before)
+            let wake = advanced && inner.waiters != 0;
+            (removed, advanced, wake, vtnc_before)
         };
-        if advanced {
+        if wake {
             self.notify_visible();
         }
         if let Some(o) = obs {
@@ -367,7 +386,8 @@ impl VersionControl {
     /// Reaping `tn` is an abort forced by version control. It is safe —
     /// `tn`'s updates can never become visible — because every protocol
     /// must claim the entry via [`start_complete`](Self::start_complete)
-    /// (which fails after a reap) *before* applying database updates.
+    /// (which fails after a reap) *before* applying database updates; an
+    /// entry with a deadline always claims under the lock (DESIGN.md §8).
     /// Conversely the reaper never touches `Committing` or `Complete`
     /// entries, so it can never discard a transaction whose updates may
     /// already be in the store. The losing side of the race always finds
@@ -380,13 +400,13 @@ impl VersionControl {
     /// if any, are reclaimed separately by read/lock wait timeouts.
     pub fn reap(&self) -> Vec<u64> {
         let now = self.now();
-        let (reaped, advanced) = {
+        let (reaped, wake) = {
             let mut inner = self.inner();
             let reaped = inner.queue.reap_expired(now);
             let advanced = !reaped.is_empty() && self.drain_locked(&mut inner);
-            (reaped, advanced)
+            (reaped, advanced && inner.waiters != 0)
         };
-        if advanced {
+        if wake {
             self.notify_visible();
         }
         if !reaped.is_empty() {
@@ -410,7 +430,7 @@ impl VersionControl {
     /// transaction with the new start number miss the updates.
     pub fn complete(&self, tn: u64) -> u64 {
         let obs = self.obs_on();
-        let (advanced, vtnc_before, registered_at) = {
+        let (advanced, wake, vtnc_before, registered_at) = {
             let mut inner = self.inner();
             let vtnc_before = self.vtnc.load(Ordering::Acquire);
             // Only registrations whose stamp survived the sampling draw
@@ -423,9 +443,11 @@ impl VersionControl {
             };
             let marked = inner.queue.mark_complete(tn);
             debug_assert!(marked, "VCcomplete for unregistered tn {tn}");
-            (self.drain_locked(&mut inner), vtnc_before, registered_at)
+            let advanced = self.drain_locked(&mut inner);
+            let wake = advanced && inner.waiters != 0;
+            (advanced, wake, vtnc_before, registered_at)
         };
-        if advanced {
+        if wake {
             self.notify_visible();
         }
         let vtnc = self.vtnc.load(Ordering::Acquire);
@@ -447,12 +469,12 @@ impl VersionControl {
     /// Pop every completed head entry and publish the new `vtnc` — one
     /// atomic store no matter how many entries drained (the batching that
     /// keeps the critical section short when a slow head transaction
-    /// finally completes and releases a long completed suffix).
+    /// finally completes and releases a long completed suffix). Returns
+    /// whether `vtnc` advanced.
     ///
     /// Runs under the inner mutex but performs **no side effects beyond
-    /// the store**: the visibility broadcast, metrics, and reaper
-    /// bookkeeping all happen outside the lock (callers invoke
-    /// [`Self::notify_visible`] after releasing it).
+    /// the store**; a caller that advanced reads `waiters` in the same
+    /// critical section and, if non-zero, notifies after releasing it.
     fn drain_locked(&self, inner: &mut VcInner) -> bool {
         match inner.queue.drain_completed() {
             Some(new_vtnc) => {
@@ -465,11 +487,10 @@ impl VersionControl {
     }
 
     /// Broadcast a `vtnc` advance to [`VersionControl::wait_visible`]
-    /// waiters. Takes the waiters' mutex before notifying — a waiter
-    /// between its vtnc check and its park would otherwise miss the
-    /// wakeup — but never while `inner` is held, so waiter wakeups cannot
-    /// extend the version-control critical section. With no waiter parked
-    /// this is an uncontended lock and one load, no system call.
+    /// waiters, never while `inner` is held. No wake-up is lost: a waiter
+    /// counts itself under `inner` before its first `vtnc` check, so an
+    /// advance either sees the count or happens-before that check
+    /// (DESIGN.md §10).
     fn notify_visible(&self) {
         let _waiters = self.visible_mu.lock();
         self.visible_cv.notify_all();
@@ -520,17 +541,20 @@ impl VersionControl {
     /// The timeout is measured on the attached clock (see
     /// [`wait_visible_with`]), so simulated waits replay byte-stable.
     pub fn wait_visible(&self, tn: u64, timeout: Duration) -> Option<u64> {
-        // Blame instrumentation: only when attribution is on AND the wait
-        // will actually block — the satisfied fast path stays untouched.
-        let attr = if self.vtnc.load(Ordering::Acquire) < tn {
-            self.obs.get().and_then(|o| o.attr().cloned())
-        } else {
-            None
+        // A satisfied wait or a zero-timeout poll never parks.
+        let vtnc = self.vtnc.load(Ordering::Acquire);
+        if vtnc >= tn || timeout.is_zero() {
+            return (vtnc >= tn).then_some(vtnc);
+        }
+        let attr = self.obs.get().and_then(|o| o.attr().cloned());
+        // Count this waiter before its first check (see `notify_visible`);
+        // the blocker is whatever pins the queue head at wait start.
+        let blocker = {
+            let mut inner = self.inner();
+            inner.waiters += 1;
+            inner.queue.head_tn().unwrap_or(0)
         };
-        let wait = attr.as_ref().map(|_| {
-            // The blocker is whatever pins the queue head at wait start.
-            (self.inner().queue.head_tn().unwrap_or(0), self.now())
-        });
+        let started = attr.as_ref().map(|_| self.now());
         let res = wait_visible_with(
             &self.vtnc,
             &self.visible_mu,
@@ -539,7 +563,8 @@ impl VersionControl {
             tn,
             timeout,
         );
-        if let (Some(attr), Some((blocker, started))) = (attr, wait) {
+        self.inner().waiters -= 1;
+        if let (Some(attr), Some(started)) = (attr, started) {
             let ns = self.now().saturating_duration_since(started).as_nanos() as u64;
             attr.blame()
                 .record(WaitPoint::VisibilityWait, tn, blocker, ns);
@@ -548,7 +573,6 @@ impl VersionControl {
     }
 
     /// Check both counter properties; used by tests after every step.
-    ///
     /// Returns an error description if an invariant is violated.
     pub fn validate(&self) -> Result<(), String> {
         let res = {
@@ -766,6 +790,32 @@ mod tests {
         // lose.
         assert!(!vc.start_complete(t1));
         vc.validate().unwrap();
+    }
+
+    #[test]
+    fn only_entries_registered_after_a_ttl_is_set_can_be_reaped() {
+        use crate::clock::SimClock;
+        let sim = SimClock::new();
+        let vc = VersionControl::new();
+        vc.attach_clock(sim.clone() as crate::clock::SharedClock);
+        // No TTL yet: the claim is lock-free and cannot fail.
+        let t0 = vc.register();
+        assert!(vc.start_complete(t0));
+        let t1 = vc.register(); // no deadline, claimed only later
+        vc.set_register_ttl(Some(Duration::from_millis(5)));
+        let t2 = vc.register(); // deadline: now + 5 ms
+        sim.advance(Duration::from_millis(6));
+        assert_eq!(vc.reap(), vec![t2], "only the later entry expires");
+        assert!(vc.start_complete(t1), "an entry with no deadline survives");
+        assert!(!vc.start_complete(t2), "a reaped entry's claim fails");
+        assert_eq!(vc.complete(t0), t0);
+        assert_eq!(vc.complete(t1), t1);
+        assert_eq!(vc.queue_len(), 0);
+        vc.validate().unwrap();
+        // The flag is never cleared: clearing the TTL leaves the claim on
+        // its locked path, which still refuses an unknown entry.
+        vc.set_register_ttl(None);
+        assert!(!vc.start_complete(99));
     }
 
     #[test]

@@ -131,6 +131,7 @@ impl Site {
     /// the decision message never arrives, `writes` included.
     pub fn prepare(&self, token: u64, locked: &[ObjectId], writes: WriteSet) -> Gtn {
         self.metrics
+            .local()
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);
         let p = self.vc.propose();
@@ -180,6 +181,7 @@ impl Site {
         self.locks.release_all(token, locked.iter());
         self.vc.complete(proposal, fin);
         self.metrics
+            .local()
             .vc_complete_calls
             .fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -203,6 +205,7 @@ impl Site {
         if let Some(p) = proposal {
             self.vc.discard(p);
             self.metrics
+                .local()
                 .vc_discard_calls
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -284,14 +287,18 @@ impl Site {
 
     /// `VCstart` at this site.
     pub fn ro_start(&self) -> Gtn {
-        self.metrics.vc_start_calls.fetch_add(1, Ordering::Relaxed);
-        self.metrics.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
+        let m = self.metrics.local();
+        m.vc_start_calls.fetch_add(1, Ordering::Relaxed);
+        m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
         self.vc.start()
     }
 
     /// Snapshot read at a global start number. Never blocks.
     pub fn ro_read(&self, obj: ObjectId, sn: Gtn) -> Result<(u64, Value), DbError> {
-        self.metrics.ro_reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .local()
+            .ro_reads
+            .fetch_add(1, Ordering::Relaxed);
         self.store
             .read_at(obj, sn.encoded())
             .ok_or(DbError::VersionPruned {
@@ -306,21 +313,30 @@ impl Site {
         if self.vc.vtnc() >= sn {
             return Ok(self.vc.vtnc());
         }
-        self.metrics.ro_blocks.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .local()
+            .ro_blocks
+            .fetch_add(1, Ordering::Relaxed);
         self.vc
             .wait_visible(sn, timeout)
             .ok_or(DbError::Aborted(AbortReason::WaitTimeout))
     }
 
     fn lock(&self, token: u64, obj: ObjectId, mode: LockMode) -> Result<(), DbError> {
-        self.metrics.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .local()
+            .rw_sync_actions
+            .fetch_add(1, Ordering::Relaxed);
         match self
             .locks
             .acquire(token, obj, mode, self.lock_timeout, true)
         {
             Ok(a) => {
                 if a.waited {
-                    self.metrics.rw_blocks.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .local()
+                        .rw_blocks
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(())
             }
@@ -406,7 +422,7 @@ mod tests {
         // the duplicate must not re-promote or double-complete
         s.commit(7, p, p, &[obj(0)]).unwrap();
         assert_eq!(s.vc().vtnc(), p);
-        assert_eq!(s.metrics().vc_complete_calls.load(Ordering::Relaxed), 1);
+        assert_eq!(s.metrics().snapshot().vc_complete_calls, 1);
     }
 
     #[test]

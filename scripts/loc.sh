@@ -24,7 +24,7 @@ core=crates/core/src
 storage=crates/storage/src
 printf '%-6s %6s\n' group lines
 printf '%-6s %6d\n' vc "$(count $core/vc.rs $core/vcqueue.rs)"
-printf '%-6s %6d\n' obs "$(count $core/obs/*.rs $storage/sketch.rs)"
+printf '%-6s %6d\n' obs "$(count $core/obs/*.rs $core/metrics.rs)"
 printf '%-6s %6d\n' cc "$(count crates/cc/src/*.rs)"
 printf '%-6s %6d\n' store "$(count $storage/chain.rs $storage/store.rs $storage/gc.rs)"
 printf '%-6s %6d\n' log "$(count $storage/wal.rs $storage/persist.rs $core/durability.rs)"

@@ -127,7 +127,11 @@ impl WaitTimeoutResult {
 ///   shard's `entries` mutex (every reservation change goes through it);
 /// - `core::vc` `VersionControl::notify_visible`: `vtnc` is stored
 ///   before the notifier takes `visible_mu`, and the waiter loads it
-///   under `visible_mu`;
+///   under `visible_mu`. The notify is also gated one level up: the
+///   advancing critical section reads a waiter count that
+///   `wait_visible` keeps under the `inner` mutex, counting itself
+///   before its first `vtnc` check, so an advance either sees the count
+///   or happens-before that check;
 /// - `dist::vc` `DistVc::drain` and `resume`: `vtnc` is stored before
 ///   the notifier takes `visible_mu`, as in `core::vc`.
 pub struct Condvar {

@@ -244,9 +244,10 @@ fn ro_progress_despite_wedged_writers() {
     wedge.abort();
 }
 
-/// Drive a mixed contended workload on `db` and return its metrics at
-/// quiescence (all worker threads joined, nothing in flight).
-fn churn(db: &dyn mvdb::core::Engine) -> mvdb::core::MetricsSnapshot {
+/// Drive a mixed contended workload on `db` with `threads` workers and
+/// return its metrics at quiescence (all worker threads joined, nothing
+/// in flight).
+fn churn(db: &dyn mvdb::core::Engine, threads: usize) -> mvdb::core::MetricsSnapshot {
     use mvdb::workload::{driver, DriverConfig, KeyDist, WorkloadSpec};
     let spec = WorkloadSpec {
         n_objects: 16,
@@ -260,7 +261,7 @@ fn churn(db: &dyn mvdb::core::Engine) -> mvdb::core::MetricsSnapshot {
     };
     driver::seed_zeroes(db, spec.n_objects);
     let cfg = DriverConfig {
-        threads: 4,
+        threads,
         duration: Duration::from_millis(120),
         max_retries: 500,
         ..Default::default()
@@ -272,21 +273,29 @@ fn churn(db: &dyn mvdb::core::Engine) -> mvdb::core::MetricsSnapshot {
 /// Paper Section 3: a read-only transaction performs exactly one
 /// synchronization action — `VCstart` — regardless of which read-write
 /// protocol the engine runs. The counters must agree exactly under all
-/// three integrations.
+/// three integrations, summed over the counters' per-thread stripes, with
+/// two workers (the `contended` shape) and with four.
 #[test]
 fn ro_sync_actions_equal_ro_begun_under_all_protocols() {
-    let engines: [(&str, Box<dyn mvdb::core::Engine>); 3] = [
-        ("vc+2pl", Box::new(presets::vc_2pl(DbConfig::default()))),
-        ("vc+to", Box::new(presets::vc_to(DbConfig::default()))),
-        ("vc+occ", Box::new(presets::vc_occ(DbConfig::default()))),
-    ];
-    for (name, db) in engines {
-        let m = churn(db.as_ref());
-        assert!(m.ro_begun > 0, "{name}: workload started no RO txns");
-        assert_eq!(
-            m.ro_sync_actions, m.ro_begun,
-            "{name}: RO must pay exactly one sync action (VCstart) each"
-        );
+    for threads in [2, 4] {
+        let engines: [(&str, Box<dyn mvdb::core::Engine>); 3] = [
+            ("vc+2pl", Box::new(presets::vc_2pl(DbConfig::default()))),
+            ("vc+to", Box::new(presets::vc_to(DbConfig::default()))),
+            ("vc+occ", Box::new(presets::vc_occ(DbConfig::default()))),
+        ];
+        for (name, db) in engines {
+            let m = churn(db.as_ref(), threads);
+            assert!(
+                m.ro_begun > 0,
+                "{name}/{threads}: workload started no RO txns"
+            );
+            assert_eq!(
+                m.ro_sync_actions, m.ro_begun,
+                "{name}/{threads}: RO must pay exactly one sync action (VCstart) each"
+            );
+            assert_eq!(m.vc_start_calls, m.ro_begun, "{name}/{threads}");
+            assert_eq!(m.ro_finished, m.ro_begun, "{name}/{threads}");
+        }
     }
 }
 
@@ -301,7 +310,7 @@ fn vc_registrations_balance_at_quiescence() {
         ("vc+occ", Box::new(presets::vc_occ(DbConfig::default()))),
     ];
     for (name, db) in engines {
-        let m = churn(db.as_ref());
+        let m = churn(db.as_ref(), 4);
         assert!(m.vc_register_calls > 0, "{name}: nothing registered");
         assert_eq!(
             m.vc_register_calls,
@@ -322,7 +331,7 @@ fn abort_reason_counters_partition_rw_aborted() {
         ("vc+occ", Box::new(presets::vc_occ(DbConfig::default()))),
     ];
     for (name, db) in engines {
-        let m = churn(db.as_ref());
+        let m = churn(db.as_ref(), 4);
         let by_reason = m.aborts_ts_conflict
             + m.aborts_deadlock
             + m.aborts_validation

@@ -206,3 +206,40 @@ fn wait_visible_wakes_on_complete() {
         });
     }
 }
+
+/// `complete` notifies only when a waiter has counted itself under the
+/// version-control mutex. One waiter races a stream of commits from
+/// another thread: each round it waits for the next number, which the
+/// committer registers and completes either right away (racing the
+/// waiter's count and check) or after letting it park.
+#[test]
+fn wait_visible_is_woken_by_a_commit_stream() {
+    const ROUNDS: u64 = 10_000;
+    let vc = VersionControl::new();
+    // The number the waiter is about to wait for.
+    let asked = AtomicU64::new(0);
+    thread::scope(|s| {
+        s.spawn(|| {
+            for round in 1..=ROUNDS {
+                let tn = vc.register();
+                assert_eq!(tn, round);
+                spin_until("waiter's next round", || {
+                    asked.load(Ordering::Acquire) >= tn
+                });
+                maybe_let_park(round);
+                vc.complete(tn);
+            }
+        });
+        for round in 1..=ROUNDS {
+            asked.store(round, Ordering::Release);
+            let t0 = Instant::now();
+            let visible = vc.wait_visible(round, BOUND);
+            let waited = t0.elapsed();
+            assert!(
+                waited < SLOW,
+                "round {round}: wait_visible waited {waited:?}"
+            );
+            assert_eq!(visible, Some(round), "round {round}");
+        }
+    });
+}
