@@ -2,12 +2,14 @@
 //!
 //! "The only restriction the version control mechanism imposes on the
 //! garbage collection scheme is that it must not discard any version of
-//! objects as young as or younger than `vtnc`." Three runs of the same
-//! update-heavy workload: GC off (versions accumulate), GC with the
-//! correct watermark (`min(vtnc, oldest live RO)` — safe), and a
-//! deliberately *unsafe* GC that ignores live read-only transactions —
-//! the straggler snapshot observes `VersionPruned`, demonstrating why
-//! the registry matters.
+//! objects as young as or younger than `vtnc`." Runs of the same
+//! update-heavy workload: no sweep (each commit's install still prunes
+//! the versions it replaces against the published floor
+//! `min(vtnc, oldest live RO)`), sweeps with that floor (safe) with and
+//! without a live straggler pinning it, and a deliberately *unsafe*
+//! sweep that ignores live read-only transactions — the straggler
+//! snapshot observes `VersionPruned`, demonstrating why the registry
+//! matters.
 
 use crate::{scaled, scaled_ms};
 use mvcc_cc::presets;
@@ -45,13 +47,13 @@ pub(crate) fn run(fast: bool) -> String {
     ]);
     let mut out = String::new();
 
-    // --- GC off ------------------------------------------------------------
+    // --- no sweep: only installs prune ----------------------------------------
     let db = presets::vc_2pl(DbConfig::default());
     driver::seed_zeroes(&db, spec.n_objects);
     let r = driver::run(&db, &spec, &cfg_nogc);
     let stats = db.store_stats();
     table.row([
-        "no GC".to_string(),
+        "no sweep (installs prune)".to_string(),
         (r.rw_committed * spec.rw_ops as u64).to_string(),
         stats.committed_versions.to_string(),
         format!("{:.1}", stats.versions_per_object()),
@@ -99,7 +101,7 @@ pub(crate) fn run(fast: bool) -> String {
     db.collect_garbage();
     let collapsed = db.store_stats();
 
-    // --- deliberately unsafe GC (ignores the RO registry) -------------------
+    // --- deliberately unsafe sweep (ignores the RO registry) ------------------
     let db = presets::vc_2pl(DbConfig::default());
     driver::seed_zeroes(&db, spec.n_objects);
     db.run_rw(1, |t| t.write(ObjectId(0), Value::from_u64(999_999_999)))

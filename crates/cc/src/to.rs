@@ -194,11 +194,13 @@ impl ConcurrencyControl for TimestampOrdering {
         if let Some(v) = txn.writes.get(obj) {
             return Ok((tn, v.clone()));
         }
-        self.when_unblocked(ctx, txn, obj, timeout, |e| {
-            let (n, v) = ctx
-                .store
-                .read_at(obj, tn)
-                .expect("GC keeps the version a live transaction reads");
+        let read = self.when_unblocked(ctx, txn, obj, timeout, |e| {
+            // GC prunes a version this transaction selects only once
+            // `vtnc` passed its `tn`: the stall reaper discarded it, and
+            // its commit would fail the claim anyway.
+            let Some((n, v)) = ctx.store.read_at(obj, tn) else {
+                return Ok(None);
+            };
             // An older write not installed yet would be the version to
             // read: wait it out.
             if let Some(older) = e.oldest_in(n, tn) {
@@ -206,8 +208,9 @@ impl ConcurrencyControl for TimestampOrdering {
             }
             // r-ts(x) ← MAX(r-ts(x), tn(T))
             e.mark_read(n, tn);
-            Ok((n, v))
-        })
+            Ok(Some((n, v)))
+        })?;
+        read.ok_or(DbError::Aborted(AbortReason::Reaped))
     }
 
     fn write(
@@ -486,5 +489,35 @@ mod tests {
         // and the RO transaction did not bump r-ts → no aborts caused
         assert_eq!(db.metrics().aborts_due_to_ro, 0);
         assert_eq!(db.metrics().rw_aborted, 0);
+    }
+
+    /// A transaction the stall reaper discarded no longer holds `vtnc`
+    /// below its `tn`, so installs may prune the version it selects: its
+    /// next read aborts as `Reaped` (its commit would fail the claim
+    /// anyway) instead of finding nothing.
+    #[test]
+    fn reaped_reader_whose_version_was_pruned_aborts() {
+        let clock = mvcc_core::SimClock::new();
+        let db = MvDatabase::with_config(
+            TimestampOrdering::new(),
+            DbConfig::default()
+                .with_clock(clock.clone())
+                .with_register_ttl(Duration::from_millis(1)),
+        );
+        db.seed(obj(0), Value::from_u64(0));
+        let mut stalled = db.begin_read_write().unwrap();
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(db.reap_stalled(), vec![1]);
+        for v in 1..=2 {
+            db.run_rw(1, |t| t.write(obj(0), Value::from_u64(v)))
+                .unwrap();
+        }
+        db.collect_garbage();
+        // Version 0, the one `stalled` (tn 1) selects, is gone.
+        assert!(db.store().read_at(obj(0), 1).is_none());
+        assert_eq!(
+            stalled.read(obj(0)),
+            Err(DbError::Aborted(AbortReason::Reaped))
+        );
     }
 }

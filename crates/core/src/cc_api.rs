@@ -34,7 +34,7 @@ use crate::obs::{EventKind, Obs, VcView};
 use crate::txn::TxnOptions;
 use crate::vc::VersionControl;
 use mvcc_model::ObjectId;
-use mvcc_storage::{MvStore, Value};
+use mvcc_storage::{MvStore, RoScanRegistry, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -98,7 +98,16 @@ pub struct CcContext {
     /// Observability hub (events, phase latencies, flight recorder).
     /// Shared with version control; disabled unless configured.
     pub obs: Arc<Obs>,
+    /// The snapshots garbage collection must not break (read-only
+    /// transactions and checkpoints) and the published GC floor.
+    pub(crate) readers: Arc<RoScanRegistry>,
 }
+
+/// An install that would leave a chain holding more than
+/// `max(INSTALL_BOUND, gc_keep_versions + 1)` versions rescans the GC
+/// floor first, once per commit: the two newest versions sit inline in
+/// the chain's store slot, and a third would start a heap history.
+const INSTALL_BOUND: usize = 2;
 
 impl CcContext {
     /// Build a context with fresh storage, version control and metrics.
@@ -138,6 +147,7 @@ impl CcContext {
             faults,
             wal: None,
             obs,
+            readers: Arc::new(RoScanRegistry::new()),
         }
     }
 
@@ -166,7 +176,12 @@ impl CcContext {
     ///    anything is applied (write-before-visible, see
     ///    [`crate::durability`]); a failed append aborts with
     ///    [`AbortReason::LogFailed`];
-    /// 3. install each write as a committed version numbered `tn`;
+    /// 3. install each write as a committed version numbered `tn`, first
+    ///    pruning its chain against the published GC floor (rescanned at
+    ///    most once per commit, when a chain would outgrow its inline
+    ///    pair); the floor is at most `vtnc`, below `tn`, and no live
+    ///    reader's start number, so no version a reader or an active
+    ///    transaction can select is pruned;
     /// 4. `release()`: the protocol frees what it holds (locks, its
     ///    validation section, its reservations), so whoever it wakes
     ///    finds the versions already installed;
@@ -223,13 +238,46 @@ impl CcContext {
         self.vc.view()
     }
 
-    /// Make every write a committed version numbered `tn`.
+    /// Announce a reader (a read-only transaction or a checkpoint) to
+    /// garbage collection, then `VCstart`: returns its announcement slot
+    /// and its start number.
+    pub(crate) fn announce(&self) -> (usize, u64) {
+        self.readers.announce(|| self.vc.start())
+    }
+
+    /// Raise the published GC floor to `min(vtnc, oldest announced start
+    /// number)` and return it.
+    pub(crate) fn publish_floor(&self) -> u64 {
+        self.readers.publish(|| self.vc.start())
+    }
+
+    /// Make every write a committed version numbered `tn`, pruning each
+    /// chain against the GC floor first. Everything here runs under the
+    /// object's shard lock and touches only atomics besides the chain.
     fn install(&self, tn: u64, writes: &WriteSet) -> Result<(), DbError> {
+        let keep = self.config.gc_keep_versions;
+        let mut floor = self.readers.floor();
+        let mut rescanned = false;
+        let mut pruned = 0;
         for (obj, value) in writes.as_slice() {
             self.store
-                .with(*obj, |c| c.insert_committed(tn, value.clone()))
+                .with(*obj, |c| {
+                    pruned += c.prune_keep_recent(floor, keep);
+                    if !rescanned && c.committed_len() >= INSTALL_BOUND.max(keep + 1) {
+                        rescanned = true;
+                        floor = self.publish_floor();
+                        pruned += c.prune_keep_recent(floor, keep);
+                    }
+                    c.insert_committed(tn, value.clone())
+                })
                 // Unreachable while the protocol is correct: `tn` is fresh.
                 .map_err(|e| DbError::Internal(format!("installing tn {tn}: {e}")))?;
+        }
+        if pruned != 0 {
+            self.metrics
+                .local()
+                .gc_install_pruned
+                .fetch_add(pruned as u64, Ordering::Relaxed);
         }
         Ok(())
     }

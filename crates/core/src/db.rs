@@ -18,7 +18,7 @@ use crate::txn::{Deadline, RoTxn, RwTxn, TxnOptions, ANON_TRACE_BASE};
 use crate::vc::VersionControl;
 use mvcc_model::{History, ObjectId, TxnId};
 use mvcc_storage::wal::{self, WalSink, WalWriter};
-use mvcc_storage::{GcStats, MvStore, RoScanRegistry, StoreStats, Value};
+use mvcc_storage::{GcStats, MvStore, StoreStats, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,12 +27,23 @@ use std::time::Duration;
 /// transaction can ever touch.
 pub struct DbCore {
     pub(crate) ctx: CcContext,
-    pub(crate) ro_registry: RoScanRegistry,
     pub(crate) tracer: Option<Arc<Tracer>>,
     anon_trace_seq: AtomicU64,
+    /// `gc_install_pruned` as of the previous
+    /// [`collect_garbage`](MvDatabase::collect_garbage).
+    install_pruned_seen: AtomicU64,
 }
 
 impl DbCore {
+    fn new(ctx: CcContext) -> Self {
+        DbCore {
+            tracer: ctx.config.trace.then(|| Arc::new(Tracer::new())),
+            ctx,
+            anon_trace_seq: AtomicU64::new(0),
+            install_pruned_seen: AtomicU64::new(0),
+        }
+    }
+
     /// A transaction's oracle trace buffer: `None` unless the database
     /// records a trace, so untraced transactions record nothing per op.
     pub(crate) fn new_trace(&self) -> Option<TxnTrace> {
@@ -69,14 +80,8 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
 
     /// Engine with explicit configuration.
     pub fn with_config(cc: C, config: DbConfig) -> Self {
-        let tracer = config.trace.then(|| Arc::new(Tracer::new()));
         MvDatabase {
-            core: DbCore {
-                ctx: CcContext::new(config),
-                ro_registry: RoScanRegistry::new(),
-                tracer,
-                anon_trace_seq: AtomicU64::new(0),
-            },
+            core: DbCore::new(CcContext::new(config)),
             cc,
         }
     }
@@ -152,7 +157,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
             clean_end: scan_stats.clean_end(),
             torn_bytes: scan_stats.torn_bytes,
         };
-        let tracer = config.trace.then(|| Arc::new(Tracer::new()));
         let vc = Arc::new(VersionControl::resumed(last_tn));
         let mut ctx = CcContext::with_parts(config, Arc::new(store), vc);
         if let Some(sink) = sink {
@@ -166,12 +170,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
             ctx.wal = Some(Arc::new(CommitLog::new(writer, Arc::clone(&ctx.metrics))));
         }
         let db = MvDatabase {
-            core: DbCore {
-                ctx,
-                ro_registry: RoScanRegistry::new(),
-                tracer,
-                anon_trace_seq: AtomicU64::new(0),
-            },
+            core: DbCore::new(ctx),
             cc,
         };
         // Recovery is one of the four flight-recorder triggers: leave a
@@ -205,16 +204,10 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// checkpointed versions.
     pub fn restore(cc: C, config: DbConfig, r: &mut impl std::io::Read) -> std::io::Result<Self> {
         let (store, watermark) = MvStore::restore(r)?;
-        let tracer = config.trace.then(|| Arc::new(Tracer::new()));
         let vc = Arc::new(VersionControl::resumed(watermark));
         let ctx = CcContext::with_parts(config, Arc::new(store), vc);
         Ok(MvDatabase {
-            core: DbCore {
-                ctx,
-                ro_registry: RoScanRegistry::new(),
-                tracer,
-                anon_trace_seq: AtomicU64::new(0),
-            },
+            core: DbCore::new(ctx),
             cc,
         })
     }
@@ -224,15 +217,15 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// read-write traffic continues — the snapshot is protected from GC
     /// exactly like a live read-only transaction (the paper's "garbage
     /// collection algorithm which keeps the information about read-only
-    /// transactions" integrates recovery for free).
+    /// transactions" integrates recovery for free): it announces itself
+    /// before it reads its watermark.
     pub fn checkpoint(
         &self,
         w: &mut impl std::io::Write,
     ) -> std::io::Result<mvcc_storage::CheckpointStats> {
-        let watermark = self.core.ctx.vc.vtnc();
-        let slot = self.core.ro_registry.register(watermark);
+        let (slot, watermark) = self.core.ctx.announce();
         let result = self.core.ctx.store.checkpoint(w, watermark);
-        self.core.ro_registry.deregister(slot, watermark);
+        self.core.ctx.readers.retire(slot);
         result
     }
 
@@ -258,15 +251,16 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     // ---- transactions ------------------------------------------------------
 
     /// Begin a read-only transaction (paper Figure 2):
-    /// `sn(T) ← VCstart()`. Infallible and non-blocking.
+    /// `sn(T) ← VCstart()`, taken after the transaction announced itself
+    /// to garbage collection. Infallible and non-blocking.
     pub fn begin_read_only(&self) -> RoTxn<'_> {
-        let sn = self.core.ctx.vc.start();
-        RoTxn::begin(&self.core, sn)
+        RoTxn::begin(&self.core)
     }
 
     /// Begin a read-only transaction under a currency rectification
     /// (paper Section 6). `Snapshot` is [`Self::begin_read_only`]; `AtLeast(tn)`
-    /// first waits until `vtnc ≥ tn`; `Latest` is rejected here — use
+    /// first waits until `vtnc ≥ tn`, then begins as `Snapshot` does, so
+    /// its start number is at least `tn`; `Latest` is rejected here — use
     /// [`begin_latest_read`](Self::begin_latest_read), which runs as a
     /// pseudo read-write transaction and therefore involves `C`.
     pub fn begin_read_only_with(
@@ -277,13 +271,12 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         match mode {
             CurrencyMode::Snapshot => Ok(self.begin_read_only()),
             CurrencyMode::AtLeast(tn) => {
-                let sn = self
-                    .core
+                self.core
                     .ctx
                     .vc
                     .wait_visible(tn, timeout)
                     .ok_or(DbError::Aborted(crate::error::AbortReason::WaitTimeout))?;
-                Ok(RoTxn::begin(&self.core, sn))
+                Ok(RoTxn::begin(&self.core))
             }
             CurrencyMode::Latest => Err(DbError::Internal(
                 "CurrencyMode::Latest requires begin_latest_read (pseudo read-write)".into(),
@@ -476,15 +469,24 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
         self.core.ctx.store.read_latest(obj).1
     }
 
-    /// Run a garbage-collection pass. The watermark is
-    /// `min(vtnc, oldest live read-only start number)` — the paper's
-    /// Section 6 rule plus protection of in-flight snapshots.
+    /// Run a garbage-collection sweep. It publishes the GC floor
+    /// `min(vtnc, oldest announced read-only start number)` — the paper's
+    /// Section 6 rule plus protection of in-flight snapshots — and prunes
+    /// every chain against it: the chains commits have not pruned at
+    /// install since a reader pinned them. `versions_pruned` also counts
+    /// the versions installs pruned since the previous sweep.
     pub fn collect_garbage(&self) -> GcStats {
         let ctx = &self.core.ctx;
-        let watermark = self.core.ro_registry.watermark(ctx.vc.vtnc());
-        let stats = ctx
+        let watermark = ctx.publish_floor();
+        let mut stats = ctx
             .store
             .collect_garbage_keep(watermark, ctx.config.gc_keep_versions);
+        let at_install = ctx.metrics.snapshot().gc_install_pruned;
+        let seen = self
+            .core
+            .install_pruned_seen
+            .swap(at_install, Ordering::Relaxed);
+        stats.versions_pruned += at_install.saturating_sub(seen) as usize;
         ctx.obs.emit(
             EventKind::GcPrune,
             stats.watermark,
@@ -661,15 +663,12 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     }
 
     /// Snapshot of the engine counters, merging in the contention
-    /// counters kept inside the version-control module and the GC
-    /// snapshot registry (which have no `Metrics` handle of their own).
+    /// counters kept inside the version-control module (which has no
+    /// `Metrics` handle of its own).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.core.ctx.metrics.snapshot();
         let (_, wait_ns) = self.core.ctx.vc.contention();
         snap.vc_lock_wait_ns = snap.vc_lock_wait_ns.saturating_add(wait_ns);
-        snap.gc_slot_contention = snap
-            .gc_slot_contention
-            .saturating_add(self.core.ro_registry.contention());
         snap
     }
 
@@ -677,7 +676,6 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     pub fn reset_metrics(&self) {
         self.core.ctx.metrics.reset();
         self.core.ctx.vc.reset_contention();
-        self.core.ro_registry.reset_contention();
     }
 
     /// Storage statistics.

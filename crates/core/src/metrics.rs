@@ -175,9 +175,14 @@ metrics! {
     /// Nanoseconds threads spent blocked on the `VersionControl` inner
     /// mutex (contended acquisitions only; uncontended takes are free).
     vc_lock_wait_ns,
-    /// Contended acquisitions of GC snapshot-registry slots (stays 0
-    /// when slots ≥ worker threads).
+    /// Always 0: announcing a snapshot to GC takes no lock, so there is
+    /// no slot acquisition to contend. Kept so readers of the counter
+    /// set (exporters, the repo benchmark) stay stable.
     gc_slot_contention,
+    /// Superseded versions pruned by commits' installs (see
+    /// `CcContext::end`); `collect_garbage` adds the ones since its
+    /// previous pass to its `versions_pruned`.
+    gc_install_pruned,
     /// Aborts caused by an expired deadline budget.
     aborts_deadline,
     /// Always 0: the single version-control sequencer drains its queue in

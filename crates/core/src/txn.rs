@@ -106,7 +106,7 @@ pub(crate) const ANON_TRACE_BASE: u64 = 1 << 48;
 pub struct RoTxn<'db> {
     core: &'db DbCore,
     sn: u64,
-    /// GC-registry slot the begin-time registration landed in.
+    /// GC announcement slot the begin-time announcement landed in.
     gc_slot: usize,
     /// Reads served so far; added to `ro_reads` once, at finish/drop, so
     /// the read path touches no shared counter.
@@ -117,8 +117,9 @@ pub struct RoTxn<'db> {
 }
 
 impl<'db> RoTxn<'db> {
-    pub(crate) fn begin(core: &'db DbCore, sn: u64) -> Self {
-        let gc_slot = core.ro_registry.register(sn);
+    /// Announce the transaction to garbage collection, then `VCstart`.
+    pub(crate) fn begin(core: &'db DbCore) -> Self {
+        let (gc_slot, sn) = core.ctx.announce();
         let m = core.ctx.metrics.local();
         m.ro_begun.fetch_add(1, Ordering::Relaxed);
         m.vc_start_calls.fetch_add(1, Ordering::Relaxed);
@@ -179,7 +180,7 @@ impl<'db> RoTxn<'db> {
         Ok(self.read(obj)?.as_u64())
     }
 
-    /// `end(T)`: deregister from GC bookkeeping and flush the trace.
+    /// `end(T)`: retire from GC bookkeeping and flush the trace.
     /// (The paper's figure shows `φ` — there is nothing to synchronize.)
     pub fn finish(mut self) {
         self.finish_inner();
@@ -190,7 +191,7 @@ impl<'db> RoTxn<'db> {
             return;
         }
         self.finished = true;
-        self.core.ro_registry.deregister(self.gc_slot, self.sn);
+        self.core.ctx.readers.retire(self.gc_slot);
         let m = self.core.ctx.metrics.local();
         m.ro_reads.fetch_add(self.reads, Ordering::Relaxed);
         m.ro_finished.fetch_add(1, Ordering::Relaxed);

@@ -281,10 +281,12 @@ impl VersionControl {
 
     /// `VCstart()`: the start number for a read-only transaction — the
     /// current `vtnc`. Lock-free; this is the *entire* synchronization a
-    /// read-only transaction performs.
+    /// read-only transaction performs. Sequentially consistent (the same
+    /// instruction as an acquire load on x86-64 and AArch64), as the GC
+    /// announcement handshake requires (`mvcc_storage::RoScanRegistry`).
     #[inline]
     pub fn start(&self) -> u64 {
-        self.vtnc.load(Ordering::Acquire)
+        self.vtnc.load(Ordering::SeqCst)
     }
 
     /// `VCregister(T, "active")`: assign the next transaction number and

@@ -45,6 +45,12 @@ struct Inner {
     queue: BTreeMap<Gtn, Entry>,
     /// Committed finals that have cleared the queue but not the barrier.
     holdover: BTreeSet<Gtn>,
+    /// Threads in [`DistVc::wait_visible`]'s parking loop. A `vtnc`
+    /// advance reads it in the critical section that publishes the new
+    /// `vtnc` and notifies only when it is non-zero: a waiter counts
+    /// itself under this mutex before its first `vtnc` check, so an
+    /// advance either sees the count or happens-before that check.
+    waiters: u32,
 }
 
 /// Distributed version-control module of one site.
@@ -69,6 +75,7 @@ impl DistVc {
                 time: 0,
                 queue: BTreeMap::new(),
                 holdover: BTreeSet::new(),
+                waiters: 0,
             }),
             vtnc: AtomicU64::new(0),
             visible_cv: Condvar::new(),
@@ -152,9 +159,17 @@ impl DistVc {
             }
         }
         if let Some(f) = new_vtnc {
-            let cur = self.vtnc.load(Ordering::Acquire);
-            if f.encoded() > cur {
-                self.vtnc.store(f.encoded(), Ordering::Release);
+            self.advance(inner, f);
+        }
+    }
+
+    /// Publish `g` as `vtnc` if it is higher, waking counted waiters.
+    /// Runs under `inner`; `visible_mu` nests inside it only when a
+    /// waiter exists.
+    fn advance(&self, inner: &Inner, g: Gtn) {
+        if g.encoded() > self.vtnc.load(Ordering::Acquire) {
+            self.vtnc.store(g.encoded(), Ordering::Release);
+            if inner.waiters != 0 {
                 let _waiters = self.visible_mu.lock();
                 self.visible_cv.notify_all();
             }
@@ -173,12 +188,7 @@ impl DistVc {
         inner.holdover.clear();
         // The clock must dominate every number this site ever exposed.
         inner.time = inner.time.max(watermark.time());
-        let cur = self.vtnc.load(Ordering::Acquire);
-        if watermark.encoded() > cur {
-            self.vtnc.store(watermark.encoded(), Ordering::Release);
-            let _waiters = self.visible_mu.lock();
-            self.visible_cv.notify_all();
-        }
+        self.advance(&inner, watermark);
     }
 
     /// Current visible bound.
@@ -193,15 +203,22 @@ impl DistVc {
     /// module's wait helper verbatim: the deadline comes from the
     /// attached clock, never from wall time directly.
     pub fn wait_visible(&self, g: Gtn, timeout: Duration) -> Option<Gtn> {
-        mvcc_core::vc::wait_visible_with(
+        // A satisfied wait or a zero-timeout poll never parks.
+        let v = self.vtnc();
+        if v >= g || timeout.is_zero() {
+            return (v >= g).then_some(v);
+        }
+        self.inner.lock().waiters += 1;
+        let res = mvcc_core::vc::wait_visible_with(
             &self.vtnc,
             &self.visible_mu,
             &self.visible_cv,
             self.clock.get(),
             g.encoded(),
             timeout,
-        )
-        .map(Gtn)
+        );
+        self.inner.lock().waiters -= 1;
+        res.map(Gtn)
     }
 
     /// Number of registered (in-doubt or pre-barrier) transactions.

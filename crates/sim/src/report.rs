@@ -44,6 +44,8 @@ pub struct RunReport {
     /// Successful read-only reads.
     pub ro_reads: u64,
     /// Read-only transactions cut short (pruned version, visibility wait).
+    /// Always 0 in single-node runs, where any such read is an
+    /// `ro_never_aborts` violation.
     pub ro_aborts: u64,
     /// Read-write transactions aborted with `DeadlineExceeded` (nonzero
     /// only when the spec sets a deadline).

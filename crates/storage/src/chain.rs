@@ -53,10 +53,6 @@ pub struct VersionChain {
     history: Option<Box<Vec<CommittedVersion>>>,
 }
 
-/// GC keeps a drained history with more slots than this (a hot chain's);
-/// a cold chain's next install lands in `prev` and allocates nothing.
-const HOT_HISTORY: usize = 4;
-
 impl Default for VersionChain {
     fn default() -> Self {
         Self::new()
@@ -182,8 +178,9 @@ impl VersionChain {
     /// watermark, one of the garbage-collection policies Section 6
     /// invites experimentation with.
     ///
-    /// The newest version is never pruned. A drained history buffer is
-    /// freed unless it holds more than four slots (a hot chain's).
+    /// The newest version is never pruned, and a drained history is
+    /// freed: a chain pruned at every install holds its two newest
+    /// versions inline and needs no heap block.
     pub fn prune_keep_recent(&mut self, watermark: VersionNo, keep: usize) -> usize {
         let history = self.history().len();
         let visible = self
@@ -193,7 +190,7 @@ impl VersionChain {
         let doomed = visible.saturating_sub(keep.max(1));
         if let Some(h) = &mut self.history {
             h.drain(..doomed.min(history));
-            if h.is_empty() && h.capacity() <= HOT_HISTORY {
+            if h.is_empty() {
                 self.history = None;
             }
         }
@@ -380,36 +377,20 @@ mod tests {
         assert_eq!(c.at(0).unwrap().number, 0);
     }
 
-    /// The retention rule: a cold chain's drained history is freed, so its
-    /// next install lands in `prev`; a hot chain's (more than
-    /// [`HOT_HISTORY`] slots) is kept, and its next writes reuse it.
+    /// A drained history is freed, however large it grew, so the chain's
+    /// next install lands in `prev` and allocates nothing.
     #[test]
-    fn gc_frees_a_cold_drained_history_and_keeps_a_hot_one() {
-        let mut cold = VersionChain::new();
-        for n in 1..=3 {
-            cold.insert_committed(n, v(n)).unwrap();
-        }
-        assert!(cold.history.as_ref().unwrap().capacity() <= HOT_HISTORY);
-        assert_eq!(cold.prune_below(10), 3);
-        assert!(cold.history.is_none() && cold.prev.is_none());
-        cold.insert_committed(4, v(4)).unwrap();
-        assert!(cold.history.is_none());
-
-        let mut hot = VersionChain::new();
+    fn gc_frees_a_drained_history() {
+        let mut c = VersionChain::new();
         for n in 1..=8 {
-            hot.insert_committed(n, v(n)).unwrap();
+            c.insert_committed(n, v(n)).unwrap();
         }
-        let cap = hot.history.as_ref().unwrap().capacity();
-        assert!(cap > HOT_HISTORY);
-        assert_eq!(hot.prune_below(10), 8);
-        assert!(hot.history().is_empty() && hot.prev.is_none());
-        assert_eq!(hot.history.as_ref().unwrap().capacity(), cap);
-        for n in 9..=16 {
-            hot.insert_committed(n, v(n)).unwrap();
-        }
-        assert_eq!(hot.history.as_ref().unwrap().capacity(), cap);
-        assert_eq!(hot.latest().number, 16);
-        assert_eq!(hot.at(9).unwrap().number, 9);
+        assert!(c.history.as_ref().unwrap().capacity() > 4);
+        assert_eq!(c.prune_below(10), 8);
+        assert!(c.history.is_none() && c.prev.is_none());
+        c.insert_committed(9, v(9)).unwrap();
+        assert!(c.history.is_none());
+        assert_eq!(c.at(8).unwrap().number, 8);
     }
 
     /// Pruning that keeps history below the watermark keeps the tiers

@@ -2,19 +2,17 @@
 //!
 //! "The only restriction the version control mechanism imposes on the
 //! garbage collection scheme is that it must not discard any version of
-//! objects as young as or younger than `vtnc`." A GC pass therefore prunes
-//! against a *watermark* no larger than `vtnc`; and because versions older
+//! objects as young as or younger than `vtnc`." Pruning therefore runs
+//! against a *floor* no larger than `vtnc`; and because versions older
 //! than `vtnc` may still be needed by *currently running* read-only
 //! transactions (whose start numbers were earlier values of `vtnc`), the
-//! watermark is further lowered to the minimum live start number tracked
-//! by [`RoScanRegistry`]. The paper notes this integration is easy
+//! floor is further lowered to the oldest start number announced in
+//! [`RoScanRegistry`]. The paper notes this integration is easy
 //! precisely because RO transactions are invisible to concurrency control:
 //! "a garbage collection algorithm, which keeps the information about
 //! read-only transactions, can be easily integrated".
 
 use crate::VersionNo;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Statistics of one GC pass.
@@ -30,31 +28,54 @@ pub struct GcStats {
     pub versions_retained: usize,
 }
 
-/// Multiset of live read-only start numbers, sharded into per-thread
-/// *slots* so read-only transactions never contend with each other.
+/// One announcement slot, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot {
+    /// Readers announced here and not yet retired.
+    count: AtomicU64,
+    /// While `count > 0`: a number no larger than any of those readers'
+    /// start numbers. Meaningless while `count` is 0.
+    pin: AtomicU64,
+}
+
+/// An atomic alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Line(AtomicU64);
+
+/// Number of announcement slots.
+const SLOTS: usize = 16;
+
+/// The snapshots garbage collection must not break, and the floor it
+/// prunes against.
 ///
-/// Each RO transaction registers its start number when it begins and
-/// deregisters on completion; [`RoScanRegistry::min_active`] bounds the GC
-/// watermark from below. Registration is the *only* bookkeeping an RO
-/// transaction performs besides `VCstart()`, and it is with the GC — not
-/// with concurrency control — preserving the paper's separation.
+/// A read-only transaction (or a checkpoint) *announces* itself in a
+/// slot before it takes its start number and *retires* when it is done.
+/// [`scan`](Self::scan) reads `vtnc`, then every slot, and returns
+/// `min(vtnc, oldest pin)`: no live or future reader's start number is
+/// below it. [`publish`](Self::publish) raises the published
+/// [`floor`](Self::floor) to a fresh scan; it only ever grows, so a stale
+/// read of it prunes less and stays safe.
 ///
-/// # Why slots, not a key-sharded map
+/// A thread announces in its home slot (round-robin on first use), so
+/// with at least as many slots as reader threads no two threads share a
+/// line. Announcing is two read-modify-writes on that line and retiring
+/// one: no lock, no allocation, and start numbers are full `u64`s.
 ///
-/// Most concurrent RO transactions carry the *same* start number (the
-/// current `vtnc`), so sharding by `sn` would funnel them all into one
-/// shard. Instead each worker thread is pinned to a slot (round-robin
-/// assignment on first use, cached in a thread-local), and a slot is a
-/// small independent multiset. `register`/`deregister` touch only the
-/// calling thread's slot; only the rare GC-side reads (`min_active`,
-/// `active_count`) sweep all slots. With at least as many slots as worker
-/// threads, the RO hot path is contention-free — the structural version
-/// of the paper's Section 4.2 "almost negligible overhead" claim.
+/// # The handshake
+///
+/// `announce` pins the slot at `vtnc` (storing the pin if the slot's
+/// count was 0, else lowering the slot to it) before it reads `sn`, so
+/// `pin ≤ sn`; every step, and every load of a scan, is sequentially
+/// consistent. A scan that misses an announcement read a `vtnc` no
+/// larger than that reader's `sn` (DESIGN.md §21). A slot keeps its
+/// oldest pin until its count returns to 0: conservative for a nested or
+/// co-located reader, never unsafe.
 pub struct RoScanRegistry {
-    slots: Box<[Mutex<BTreeMap<VersionNo, usize>>]>,
-    /// Times a slot lock was observed contended (`try_lock` failed and
-    /// the caller had to block). Stays 0 when slots ≥ threads.
-    contention: AtomicU64,
+    slots: Box<[Slot]>,
+    /// The published floor (see [`floor`](Self::floor)).
+    floor: Line,
 }
 
 impl Default for RoScanRegistry {
@@ -70,120 +91,71 @@ thread_local! {
     static SLOT_SEED: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
 }
 
+/// The calling thread's slot index.
+fn home_slot() -> usize {
+    SLOT_SEED.with(|s| {
+        if s.get() == usize::MAX {
+            s.set(NEXT_SLOT_SEED.fetch_add(1, Ordering::Relaxed));
+        }
+        s.get() % SLOTS
+    })
+}
+
 impl RoScanRegistry {
-    /// Registry with a default slot count suited to benchmark thread
-    /// counts.
+    /// A registry with no reader announced and a published floor of 0.
     pub fn new() -> Self {
-        Self::with_slots(16)
-    }
-
-    /// Registry with an explicit slot count, rounded up to a power of two
-    /// (min 1). One slot degenerates to the old global-mutex registry.
-    pub fn with_slots(n: usize) -> Self {
-        let n = crate::shard::pow2_shards(n);
         RoScanRegistry {
-            slots: (0..n)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            contention: AtomicU64::new(0),
+            slots: (0..SLOTS).map(|_| Slot::default()).collect(),
+            floor: Line::default(),
         }
     }
 
-    /// Number of slots (always a power of two).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The calling thread's slot index.
-    fn home_slot(&self) -> usize {
-        let seed = SLOT_SEED.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                v = NEXT_SLOT_SEED.fetch_add(1, Ordering::Relaxed);
-                s.set(v);
-            }
-            v
-        });
-        seed & (self.slots.len() - 1)
-    }
-
-    /// Lock `slot`, counting the acquisition as contended if another
-    /// thread currently holds it.
-    fn lock_slot(&self, slot: usize) -> parking_lot::MutexGuard<'_, BTreeMap<VersionNo, usize>> {
-        match self.slots[slot].try_lock() {
-            Some(g) => g,
-            None => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                self.slots[slot].lock()
-            }
+    /// Announce a reader, then take its start number from `vtnc` (which
+    /// must be a sequentially consistent load of `vtnc`). Returns the
+    /// slot to pass to [`retire`](Self::retire) and the start number.
+    pub fn announce(&self, vtnc: impl Fn() -> VersionNo) -> (usize, VersionNo) {
+        let i = home_slot();
+        let slot = &self.slots[i];
+        let pin = vtnc();
+        if slot.count.fetch_add(1, Ordering::SeqCst) == 0 {
+            slot.pin.store(pin, Ordering::SeqCst);
+        } else {
+            slot.pin.fetch_min(pin, Ordering::SeqCst);
         }
+        (i, vtnc())
     }
 
-    /// Record a read-only transaction starting with start number `sn`.
-    /// Returns the slot the registration landed in; pass it back to
-    /// [`deregister`](Self::deregister) on completion.
-    pub fn register(&self, sn: VersionNo) -> usize {
-        let slot = self.home_slot();
-        *self.lock_slot(slot).entry(sn).or_insert(0) += 1;
-        slot
+    /// Retire a reader announced in `slot`: its snapshot no longer needs
+    /// protecting. `Release` pairs with the scan's count load, so the
+    /// reader's reads happen before any prune that no longer counts it.
+    pub fn retire(&self, slot: usize) {
+        self.slots[slot].count.fetch_sub(1, Ordering::Release);
     }
 
-    /// Record the completion of a read-only transaction that had start
-    /// number `sn`, registered in `slot`. Returns `false` if no such
-    /// registration existed.
-    pub fn deregister(&self, slot: usize, sn: VersionNo) -> bool {
-        let mut map = self.lock_slot(slot & (self.slots.len() - 1));
-        match map.get_mut(&sn) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                true
-            }
-            Some(_) => {
-                map.remove(&sn);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The smallest live start number, if any RO transaction is running.
-    /// (GC-side sweep over every slot — rare, so its cost is off the RO
-    /// hot path.)
-    pub fn min_active(&self) -> Option<VersionNo> {
+    /// `min(vtnc, oldest announced pin)`, reading `vtnc` (a sequentially
+    /// consistent load, as for [`announce`](Self::announce)) first: every
+    /// live and future start number is at least this.
+    pub fn scan(&self, vtnc: impl Fn() -> VersionNo) -> VersionNo {
+        let v = vtnc();
         self.slots
             .iter()
-            .filter_map(|s| s.lock().keys().next().copied())
-            .min()
+            .filter(|s| s.count.load(Ordering::SeqCst) != 0)
+            .map(|s| s.pin.load(Ordering::SeqCst))
+            .fold(v, VersionNo::min)
     }
 
-    /// Number of live registrations.
-    pub fn active_count(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.lock().values().sum::<usize>())
-            .sum()
+    /// Raise the published floor to a fresh [`scan`](Self::scan); returns
+    /// the floor now published.
+    pub fn publish(&self, vtnc: impl Fn() -> VersionNo) -> VersionNo {
+        let fresh = self.scan(vtnc);
+        self.floor.0.fetch_max(fresh, Ordering::AcqRel).max(fresh)
     }
 
-    /// The GC watermark given the current `vtnc`: the largest number `w`
-    /// such that every live *and future* start number is `≥ w`.
-    pub fn watermark(&self, vtnc: VersionNo) -> VersionNo {
-        match self.min_active() {
-            Some(m) => m.min(vtnc),
-            None => vtnc,
-        }
-    }
-
-    /// Times a slot lock acquisition found the slot held by another
-    /// thread (monotone counter; see `gc_slot_contention` in
-    /// `mvcc-core`'s metrics).
-    pub fn contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
-    }
-
-    /// Zero the contention counter (between experiment phases).
-    pub fn reset_contention(&self) {
-        self.contention.store(0, Ordering::Relaxed);
+    /// The published floor: the largest [`scan`](Self::scan) published so
+    /// far. Never above `vtnc` and never above a live reader's start
+    /// number, so pruning against it is always safe.
+    pub fn floor(&self) -> VersionNo {
+        self.floor.0.load(Ordering::Acquire)
     }
 }
 
@@ -192,99 +164,100 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_registry_watermark_is_vtnc() {
+    fn empty_registry_floor_is_vtnc() {
         let r = RoScanRegistry::new();
-        assert_eq!(r.min_active(), None);
-        assert_eq!(r.watermark(42), 42);
-        assert_eq!(r.active_count(), 0);
+        assert_eq!(r.scan(|| 42), 42);
+        assert_eq!(r.floor(), 0);
+        assert_eq!(r.publish(|| 42), 42);
+        assert_eq!(r.floor(), 42);
     }
 
     #[test]
-    fn watermark_clamped_by_oldest_reader() {
+    fn floor_clamped_by_oldest_reader_until_it_retires() {
         let r = RoScanRegistry::new();
-        let s10 = r.register(10);
-        let s20 = r.register(20);
-        assert_eq!(r.watermark(25), 10);
-        assert!(r.deregister(s10, 10));
-        assert_eq!(r.watermark(25), 20);
-        assert!(r.deregister(s20, 20));
-        assert_eq!(r.watermark(25), 25);
+        let (a, sn_a) = r.announce(|| 10);
+        let (b, sn_b) = r.announce(|| 20);
+        assert_eq!((sn_a, sn_b), (10, 20));
+        assert_eq!(r.scan(|| 25), 10);
+        // Both share this thread's slot: it keeps the older pin.
+        r.retire(a);
+        assert_eq!(r.scan(|| 25), 10);
+        r.retire(b);
+        assert_eq!(r.scan(|| 25), 25);
+        // The next announcement in the idle slot replaces the old pin.
+        let (c, _) = r.announce(|| 30);
+        assert_eq!(r.scan(|| 31), 30);
+        r.retire(c);
     }
 
     #[test]
-    fn multiset_semantics() {
+    fn published_floor_never_goes_down_or_above_vtnc() {
         let r = RoScanRegistry::new();
-        let a = r.register(5);
-        let b = r.register(5);
-        assert_eq!(r.active_count(), 2);
-        assert!(r.deregister(a, 5));
-        assert_eq!(r.min_active(), Some(5));
-        assert!(r.deregister(b, 5));
-        assert_eq!(r.min_active(), None);
-        assert!(!r.deregister(a, 5));
+        assert_eq!(r.publish(|| 7), 7);
+        let (s, _) = r.announce(|| 3); // a reader "behind" the floor
+        assert_eq!(r.publish(|| 9), 7);
+        r.retire(s);
+        assert_eq!(r.publish(|| 9), 9);
+        // A reader announced "in the future" never lifts it past vtnc.
+        let (s, _) = r.announce(|| 100);
+        assert_eq!(r.scan(|| 12), 12);
+        r.retire(s);
     }
 
     #[test]
-    fn watermark_never_exceeds_vtnc() {
+    fn the_pin_is_read_before_the_start_number() {
         let r = RoScanRegistry::new();
-        r.register(100); // reader started "in the future" relative to vtnc 7
-        assert_eq!(r.watermark(7), 7);
+        let vtnc = AtomicU64::new(5);
+        // `vtnc` advances between the two reads: the slot is pinned at the
+        // first, the reader gets the second.
+        let (s, sn) = r.announce(|| vtnc.fetch_add(1, Ordering::SeqCst));
+        assert_eq!(sn, 6);
+        assert_eq!(r.scan(|| 50), 5);
+        r.retire(s);
     }
 
     #[test]
-    fn slot_counts_are_pow2_and_single_slot_works() {
-        let r = RoScanRegistry::with_slots(5);
-        assert_eq!(r.slot_count(), 8);
-        let r1 = RoScanRegistry::with_slots(1);
-        assert_eq!(r1.slot_count(), 1);
-        let s = r1.register(3);
-        assert_eq!(s, 0);
-        assert_eq!(r1.min_active(), Some(3));
-        assert!(r1.deregister(s, 3));
+    fn slots_are_cache_lines() {
+        assert_eq!(std::mem::align_of::<Slot>(), 64);
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
     }
 
+    /// Threads announce and retire while a scanner checks that every
+    /// reader's start number is at or above every floor published while
+    /// it was live.
     #[test]
-    fn cross_slot_min_is_global_min() {
-        let r = RoScanRegistry::with_slots(4);
-        // Force registrations into distinct slots by writing directly.
-        *r.slots[0].lock().entry(30).or_insert(0) += 1;
-        *r.slots[1].lock().entry(10).or_insert(0) += 1;
-        *r.slots[3].lock().entry(20).or_insert(0) += 1;
-        assert_eq!(r.min_active(), Some(10));
-        assert_eq!(r.active_count(), 3);
-        assert_eq!(r.watermark(50), 10);
-    }
-
-    #[test]
-    fn concurrent_register_deregister() {
-        use std::sync::Arc;
-        let r = Arc::new(RoScanRegistry::new());
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let r = Arc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    let sn = t * 1000 + i;
-                    let slot = r.register(sn);
-                    assert!(r.deregister(slot, sn));
+    fn concurrent_announcements_are_never_passed() {
+        use std::sync::atomic::AtomicBool;
+        let r = RoScanRegistry::new();
+        let vtnc = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    vtnc.fetch_add(1, Ordering::SeqCst);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.active_count(), 0);
-    }
-
-    #[test]
-    fn contention_counter_stays_zero_single_threaded() {
-        let r = RoScanRegistry::new();
-        for i in 0..100 {
-            let s = r.register(i);
-            r.deregister(s, i);
-        }
-        assert_eq!(r.contention(), 0);
-        r.reset_contention();
-        assert_eq!(r.contention(), 0);
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    r.publish(|| vtnc.load(Ordering::SeqCst));
+                }
+            });
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..20_000 {
+                            let (slot, sn) = r.announce(|| vtnc.load(Ordering::SeqCst));
+                            let floor = r.floor();
+                            assert!(floor <= sn, "floor {floor} passed live sn {sn}");
+                            r.retire(slot);
+                        }
+                    })
+                })
+                .collect();
+            for h in readers {
+                h.join().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 }

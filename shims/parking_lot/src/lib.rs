@@ -132,8 +132,10 @@ impl WaitTimeoutResult {
 ///   `wait_visible` keeps under the `inner` mutex, counting itself
 ///   before its first `vtnc` check, so an advance either sees the count
 ///   or happens-before that check;
-/// - `dist::vc` `DistVc::drain` and `resume`: `vtnc` is stored before
-///   the notifier takes `visible_mu`, as in `core::vc`.
+/// - `dist::vc` `DistVc::advance` (from `drain` and `resume`): `vtnc`
+///   is stored before the notifier takes `visible_mu`, and the notify is
+///   gated on a waiter count kept under the site's `inner` mutex, as in
+///   `core::vc`.
 pub struct Condvar {
     inner: std::sync::Condvar,
     /// Threads parked (or about to park) in a wait on this condvar. On

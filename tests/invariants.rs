@@ -2,7 +2,7 @@
 //! observed through real engine behaviour, snapshot stability, GC safety,
 //! and post-chaos cleanliness of every shared structure.
 
-use mvdb::cc::presets;
+use mvdb::cc::{presets, Optimistic, TimestampOrdering, TwoPhaseLocking};
 use mvdb::core::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -90,62 +90,113 @@ fn counter_properties_hold_under_load() {
     assert_eq!(db.vc().lag(), 0);
 }
 
-/// GC safety as a property: run updates + GC concurrently with many
-/// snapshot readers; no reader may ever observe `VersionPruned` as long
-/// as the watermark honors the registry.
+/// GC safety under real threads, for every protocol: two writers move
+/// units between 4 hot keys (so every commit replaces versions a reader
+/// may hold, and installs prune as they go), a `collect_garbage` loop
+/// and a checkpoint loop run beside them, and two readers run 20k
+/// read-only transactions that each must see the conserved total — a
+/// pruned version would surface as `VersionPruned` or a wrong sum. The
+/// last checkpoint, taken mid-traffic, restores to the same total. CI
+/// also runs it in release, where the races are tighter.
 #[test]
 fn gc_never_breaks_live_snapshots() {
-    let db = presets::vc_occ(DbConfig::default());
-    for o in 0..16u64 {
-        db.seed(ObjectId(o), Value::from_u64(1));
+    gc_stress(presets::vc_2pl(DbConfig::default()), TwoPhaseLocking::new());
+    gc_stress(
+        presets::vc_to(DbConfig::default()),
+        TimestampOrdering::new(),
+    );
+    gc_stress(presets::vc_occ(DbConfig::default()), Optimistic::new());
+}
+
+fn gc_stress<C: ConcurrencyControl>(db: MvDatabase<C>, fresh: C) {
+    const HOT: u64 = 4;
+    const TOTAL: u64 = 4_000;
+    const RO_TXNS: u64 = 20_000;
+    let name = db.cc().name();
+    for k in 0..HOT {
+        db.seed(ObjectId(k), Value::from_u64(TOTAL / HOT));
     }
+    let total = |r: &mut RoTxn<'_>| -> u64 {
+        (0..HOT)
+            .map(|k| {
+                r.read_u64(ObjectId(k))
+                    .expect("GC must never break a live snapshot")
+                    .unwrap()
+            })
+            .sum()
+    };
     let stop = AtomicBool::new(false);
+    let last_checkpoint = std::sync::Mutex::new(Vec::new());
     thread::scope(|scope| {
-        // writers
         for t in 0..2u64 {
-            let db = &db;
-            let stop = &stop;
+            let (db, stop) = (&db, &stop);
             scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(t + 99);
                 while !stop.load(Ordering::Relaxed) {
-                    let obj = ObjectId(rng.random_range(0..16));
+                    let from = ObjectId(rng.random_range(0..HOT));
+                    let to = ObjectId((from.0 + rng.random_range(1..HOT)) % HOT);
                     let _ = db.run_rw(50, |txn| {
-                        let v = txn.read_u64(obj)?.unwrap_or(0);
-                        txn.write(obj, Value::from_u64(v + 1))
+                        let f = txn.read_for_update(from)?.as_u64().unwrap();
+                        let g = txn.read_for_update(to)?.as_u64().unwrap();
+                        if f > 0 {
+                            txn.write(from, Value::from_u64(f - 1))?;
+                            txn.write(to, Value::from_u64(g + 1))?;
+                        }
+                        Ok(())
                     });
                 }
             });
         }
-        // aggressive GC loop
         {
-            let db = &db;
-            let stop = &stop;
+            let (db, stop) = (&db, &stop);
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     db.collect_garbage();
                 }
             });
         }
-        // snapshot readers — never an error
-        for t in 0..3u64 {
-            let db = &db;
-            let stop = &stop;
+        {
+            let (db, stop, last) = (&db, &stop, &last_checkpoint);
             scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(t + 7);
-                let mut count = 0;
-                while count < 400 {
-                    let mut r = db.begin_read_only();
-                    for _ in 0..4 {
-                        let obj = ObjectId(rng.random_range(0..16));
-                        r.read(obj).expect("GC must never break a live snapshot");
-                    }
-                    r.finish();
-                    count += 1;
+                while !stop.load(Ordering::Relaxed) {
+                    let mut bytes = Vec::new();
+                    db.checkpoint(&mut bytes).unwrap();
+                    *last.lock().unwrap() = bytes;
                 }
-                stop.store(true, Ordering::Relaxed);
             });
         }
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let db = &db;
+                scope.spawn(move || {
+                    for _ in 0..RO_TXNS / 2 {
+                        let mut r = db.begin_read_only();
+                        assert_eq!(total(&mut r), TOTAL, "{name}: snapshot at {}", r.sn());
+                        r.finish();
+                    }
+                })
+            })
+            .collect();
+        // Stop the loops before re-raising a reader's panic, so a broken
+        // snapshot fails the test instead of hanging it.
+        let outcomes: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        for outcome in outcomes {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
+    let bytes = last_checkpoint.into_inner().unwrap();
+    assert!(!bytes.is_empty(), "{name}: no checkpoint was taken");
+    let restored = MvDatabase::restore(fresh, DbConfig::default(), &mut &bytes[..]).unwrap();
+    let mut r = restored.begin_read_only();
+    assert_eq!(total(&mut r), TOTAL, "{name}: restored checkpoint");
+    r.finish();
+    assert!(
+        db.metrics().rw_committed > 0,
+        "{name}: no transfer committed"
+    );
 }
 
 /// After a run mixing commits, aborts, and handle drops, all shared

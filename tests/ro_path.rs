@@ -7,7 +7,8 @@
 //! buffer without `DbConfig::trace`, no chain materialized by a read, no
 //! heap payload for a small value — whether the snapshot selects each
 //! chain's newest version, the inline one below it, or one in the heap
-//! history. It also pins that observability switched off costs no
+//! history — and a warmed begin/read/finish loop allocates nothing
+//! either. It also pins that observability switched off costs no
 //! memory: a default `Obs` allocates no event ring. Run it in release too
 //! (`cargo test --release --test ro_path`): the benchmark measures the
 //! optimised build.
@@ -104,7 +105,8 @@ fn warm_snapshot_scan_allocates_nothing() {
 /// A warmed scan by a snapshot taken before `later` more committed
 /// writes of every key still reads the loaded versions: with one later
 /// write each is the chain's `prev`, with two it sits in the heap
-/// history. Neither allocates.
+/// history. Neither allocates. The seeded version below the snapshot is
+/// gone: the first later install pruned it against the reader's pin.
 #[test]
 fn warm_scan_of_older_versions_allocates_nothing() {
     for later in [1, 2] {
@@ -120,7 +122,7 @@ fn warm_scan_of_older_versions_allocates_nothing() {
         }
         assert_eq!(
             db.store().with(ObjectId(0), |c| c.committed_len()),
-            2 + later as usize
+            1 + later as usize
         );
         let before = allocs();
         let mut sum = 0;
@@ -135,6 +137,27 @@ fn warm_scan_of_older_versions_allocates_nothing() {
             "a {KEYS}-read scan {later} version(s) back allocated {n} times"
         );
     }
+}
+
+/// Begin and finish announce and retire the snapshot in a slot of
+/// atomics, so a warmed loop of one-read transactions allocates nothing
+/// (a registry of `BTreeMap`s allocated a node per begin).
+#[test]
+fn warm_begin_read_finish_loop_allocates_nothing() {
+    let db = loaded_db();
+    let read_one = |k: u64| {
+        let mut ro = db.begin_read_only();
+        let v = ro.read_u64(ObjectId(k)).unwrap().unwrap();
+        ro.finish();
+        v
+    };
+    assert_eq!(read_one(0), 1);
+    let before = allocs();
+    for k in 0..1000 {
+        assert_eq!(read_one(k % KEYS), k % KEYS + 1);
+    }
+    let n = allocs() - before;
+    assert_eq!(n, 0, "1000 begin/read/finish loops allocated {n} times");
 }
 
 #[test]

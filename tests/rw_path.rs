@@ -13,6 +13,9 @@
 //! (`cargo test --release --test rw_path`): the benchmark measures the
 //! optimised build.
 //!
+//! Two tests pin where a superseded version dies: at the install that
+//! replaces it, unless a live reader still selects it.
+//!
 //! The rest pins what buffering must keep: a 2PL writer reads its own
 //! write, the last write to an object wins, nothing a transaction wrote
 //! reaches the store unless it commits, and reads of a never-written
@@ -90,48 +93,26 @@ fn increment<C: ConcurrencyControl>(db: &MvDatabase<C>) -> u64 {
     sum
 }
 
-/// Allocations of each of `measured` consecutive warmed [`increment`]s.
-/// The `warm` warm-up runs, each followed by a GC sweep if `sweep_each`,
-/// give every touched lock-table slot and thread-local its steady-state
-/// capacity; a final sweep then trims the chains back to their latest
-/// version, as a running engine's sweeps do. A sweep may free a chain's
-/// heap history, because the next install lands in the chain's inline
-/// `prev` slot and allocates nothing; only a chain's third version needs
-/// the heap.
-fn allocs_after_sweep<C: ConcurrencyControl>(
-    db: MvDatabase<C>,
-    warm: u64,
-    sweep_each: bool,
-    measured: usize,
-) -> Vec<u64> {
+/// Seed keys 0–7, then run `warm` back-to-back [`increment`]s.
+fn warmed<C: ConcurrencyControl>(db: MvDatabase<C>, warm: u64) -> MvDatabase<C> {
     for k in 0..8 {
         db.seed(obj(k), v(0));
     }
     for _ in 0..warm {
         increment(&db);
-        if sweep_each {
-            db.collect_garbage();
-        }
     }
-    db.collect_garbage();
-    let counts = (0..measured)
-        .map(|_| {
-            let before = allocs();
-            increment(&db);
-            allocs() - before
-        })
-        .collect();
-    assert_eq!(
-        db.peek_latest(obj(7)).as_u64(),
-        Some(warm + measured as u64)
-    );
-    counts
+    db
 }
 
-/// Allocations of one warmed [`increment`] after a sweep, warmed by 8
-/// back-to-back increments.
+/// Allocations of one warmed [`increment`], measured after a GC sweep:
+/// the 8 warm-up runs give every touched lock-table slot and
+/// thread-local its steady-state capacity.
 fn warmed_allocs<C: ConcurrencyControl>(db: MvDatabase<C>) -> u64 {
-    allocs_after_sweep(db, 8, false, 1)[0]
+    let db = warmed(db, 8);
+    db.collect_garbage();
+    let before = allocs();
+    increment(&db);
+    allocs() - before
 }
 
 #[test]
@@ -155,62 +136,62 @@ fn warm_occ_rw_txn_allocates_at_most_three_times() {
     assert!(n <= 3, "a warmed OCC RW transaction allocated {n} times");
 }
 
-/// Two consecutive warmed transactions write the same four keys after
-/// a sweep. The first install of each key lands in `prev`. The second
-/// pushes `prev` onto the chain's heap history. The chains here were hot
-/// before the sweep (9 versions each, a history of 8 slots), so the sweep
-/// kept their drained history and the second transaction allocates no
-/// more than the first. Had they been cold, it would allocate that
-/// history: see [`cold_chains_allocate_their_history_on_the_third_version`].
-#[test]
-fn second_write_after_a_sweep_reuses_a_hot_chains_history() {
-    for (name, counts, bound) in [
-        (
-            "2PL",
-            allocs_after_sweep(presets::vc_2pl(DbConfig::default()), 8, false, 2),
-            2,
-        ),
-        (
-            "TO",
-            allocs_after_sweep(presets::vc_to(DbConfig::default()), 8, false, 2),
-            1,
-        ),
-        (
-            "OCC",
-            allocs_after_sweep(presets::vc_occ(DbConfig::default()), 8, false, 2),
-            3,
-        ),
-    ] {
-        assert!(
-            counts.iter().all(|&n| n <= bound),
-            "{name}: warmed RW transactions after a sweep allocated {counts:?} times"
-        );
-    }
+/// Versions held by each of keys 0–7.
+fn chain_lens<C: ConcurrencyControl>(db: &MvDatabase<C>) -> Vec<usize> {
+    (0..8)
+        .map(|k| db.store().with(obj(k), |c| c.committed_len()))
+        .collect()
 }
 
-/// Chains swept after every write never hold more than two versions, so
-/// they own no heap history. After a sweep, the first of two consecutive
-/// transactions writing the same four keys allocates nothing in the
-/// store; the second starts a history for each key: two allocations
-/// per key, the boxed `Vec` and its buffer.
+/// With no reader pinned, each install prunes the version it replaces:
+/// a hot-key increment loop with no GC sweep keeps every written chain
+/// at its two inline versions, so no chain ever allocates a heap
+/// history, and every warmed transaction stays within the bounds above.
 #[test]
-fn cold_chains_allocate_their_history_on_the_third_version() {
-    for (name, counts) in [
-        (
-            "2PL",
-            allocs_after_sweep(presets::vc_2pl(DbConfig::default()), 8, true, 2),
-        ),
-        (
-            "TO",
-            allocs_after_sweep(presets::vc_to(DbConfig::default()), 8, true, 2),
-        ),
-        (
-            "OCC",
-            allocs_after_sweep(presets::vc_occ(DbConfig::default()), 8, true, 2),
-        ),
-    ] {
-        assert_eq!(counts[1], counts[0] + 8, "{name}: {counts:?}");
+fn hot_chains_stay_inline_without_a_sweep() {
+    fn check<C: ConcurrencyControl>(name: &str, db: MvDatabase<C>, bound: u64) {
+        let db = warmed(db, 8);
+        let counts: Vec<u64> = (0..200)
+            .map(|_| {
+                let before = allocs();
+                increment(&db);
+                allocs() - before
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&n| n <= bound),
+            "{name}: warmed RW transactions allocated {counts:?} times"
+        );
+        assert_eq!(chain_lens(&db), [1, 1, 1, 1, 2, 2, 2, 2], "{name}");
+        assert_eq!(db.peek_latest(obj(7)).as_u64(), Some(208), "{name}");
     }
+    check("2PL", presets::vc_2pl(DbConfig::default()), 2);
+    check("TO", presets::vc_to(DbConfig::default()), 1);
+    check("OCC", presets::vc_occ(DbConfig::default()), 3);
+}
+
+/// A live reader pins the version its snapshot selects: installs keep
+/// every version above its start number, so the hot chains grow a heap
+/// history. Once it finishes, the next install rescans the floor and
+/// drains that history, with no sweep.
+#[test]
+fn a_finished_readers_history_drains_at_the_next_install() {
+    fn check<C: ConcurrencyControl>(name: &str, db: MvDatabase<C>) {
+        let db = warmed(db, 4);
+        let mut ro = db.begin_read_only();
+        for _ in 0..8 {
+            increment(&db);
+        }
+        assert_eq!(chain_lens(&db)[4..], [9, 9, 9, 9], "{name}");
+        assert_eq!(ro.read_u64(obj(7)).unwrap(), Some(4), "{name}");
+        ro.finish();
+        increment(&db);
+        assert_eq!(chain_lens(&db)[4..], [2, 2, 2, 2], "{name}");
+        assert_eq!(db.peek_latest(obj(7)).as_u64(), Some(13), "{name}");
+    }
+    check("2PL", presets::vc_2pl(DbConfig::default()));
+    check("TO", presets::vc_to(DbConfig::default()));
+    check("OCC", presets::vc_occ(DbConfig::default()));
 }
 
 #[test]
