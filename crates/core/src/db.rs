@@ -324,45 +324,9 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     pub fn run_rw_with<R>(
         &self,
         policy: &RetryPolicy,
-        mut body: impl FnMut(&mut RwTxn<'_, C>) -> Result<R, DbError>,
+        body: impl FnMut(&mut RwTxn<'_, C>) -> Result<R, DbError>,
     ) -> Result<(u64, R), DbError> {
-        let config = &self.core.ctx.config;
-        let obs = &self.core.ctx.obs;
-        // Sample the trace decision once per *run*, not per attempt, so a
-        // sampled transaction's retries land in one span tree.
-        let run_trace = obs.span_sampled().then(|| crate::obs::TraceCtx {
-            trace_id: obs.tracer().auto_id(),
-        });
-        let run_opts = match run_trace {
-            Some(t) => TxnOptions::default().with_trace(t),
-            None => TxnOptions::default(),
-        };
-        let mut jitter = policy.jitter_stream_with(config.rng.as_deref());
-        let mut last_err = DbError::Internal("run_rw: zero attempts".into());
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                record_retry(&self.core.ctx.metrics, &last_err);
-                let sleep = policy.backoff_for(attempt - 1, &mut jitter);
-                if !sleep.is_zero() {
-                    self.sleep_traced(sleep, run_trace, attempt);
-                }
-            }
-            let mut txn = self.begin_read_write_with(&run_opts)?;
-            match body(&mut txn) {
-                Ok(r) => match txn.commit() {
-                    Ok(tn) => return Ok((tn, r)),
-                    Err(e) if e.is_retryable() => last_err = e,
-                    Err(e) => return Err(e),
-                },
-                Err(e) if e.is_retryable() => {
-                    drop(txn);
-                    last_err = e;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+        self.run_rw_deadline(policy, &TxnOptions::default(), body)
     }
 
     /// [`run_rw_with`](Self::run_rw_with) under a shared deadline budget:
@@ -501,27 +465,10 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     /// [`VersionControl::reap`] for the safety argument. Returns the
     /// reaped transaction numbers.
     pub fn reap_stalled(&self) -> Vec<u64> {
-        let reaped = self.core.ctx.vc.reap();
-        if !reaped.is_empty() {
-            let m = self.core.ctx.metrics.local();
-            let n = reaped.len() as u64;
-            m.reaper_force_discards.fetch_add(n, Ordering::Relaxed);
-            m.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
-            // A reaper firing means a transaction stalled long enough to
-            // pin vtnc past its TTL — exactly the anomaly the flight
-            // recorder exists for. The first victim anchors the timeline.
-            self.core.ctx.obs.dump(
-                FlightTrigger::ReaperFire,
-                &DumpContext {
-                    victim: reaped.first().copied(),
-                    detail: format!("stall reaper force-discarded tns {reaped:?}"),
-                    waits_for: self.cc.waits_for_snapshot(),
-                    vc: Some(self.core.ctx.vc.view()),
-                    trace_id: None,
-                },
-            );
-        }
-        reaped
+        let ctx = &self.core.ctx;
+        reap_pass(&ctx.vc, &ctx.metrics, &ctx.obs, "stall", || {
+            self.cc.waits_for_snapshot()
+        })
     }
 
     /// Spawn a background thread that runs [`reap_stalled`](Self::reap_stalled)
@@ -705,6 +652,39 @@ fn record_retry(metrics: &Metrics, err: &DbError) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
+/// One stall-reaper pass over `vc`: force-discard the expired
+/// registrations, count them, and dump the flight recorder — a reaper
+/// firing means a transaction stalled long enough to pin vtnc past its
+/// TTL, exactly the anomaly the recorder exists for. The first victim
+/// anchors the timeline. `who` names the reaper in the dump's detail
+/// line; `waits_for` runs only when something was reaped.
+fn reap_pass(
+    vc: &VersionControl,
+    metrics: &Metrics,
+    obs: &Obs,
+    who: &str,
+    waits_for: impl FnOnce() -> Option<Vec<(u64, Vec<u64>)>>,
+) -> Vec<u64> {
+    let reaped = vc.reap();
+    if !reaped.is_empty() {
+        let n = reaped.len() as u64;
+        let m = metrics.local();
+        m.reaper_force_discards.fetch_add(n, Ordering::Relaxed);
+        m.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
+        obs.dump(
+            FlightTrigger::ReaperFire,
+            &DumpContext {
+                victim: reaped.first().copied(),
+                detail: format!("{who} reaper force-discarded tns {reaped:?}"),
+                waits_for: waits_for(),
+                vc: Some(vc.view()),
+                trace_id: None,
+            },
+        );
+    }
+    reaped
+}
+
 /// Handle to a background stall-reaper thread (see
 /// [`MvDatabase::spawn_reaper`]). Stops and joins the thread on drop.
 pub struct ReaperHandle {
@@ -723,25 +703,9 @@ impl ReaperHandle {
         let stop2 = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
-                let reaped = vc.reap();
-                if !reaped.is_empty() {
-                    let n = reaped.len() as u64;
-                    let m = metrics.local();
-                    m.reaper_force_discards.fetch_add(n, Ordering::Relaxed);
-                    m.vc_discard_calls.fetch_add(n, Ordering::Relaxed);
-                    // No protocol handle on this thread, so no waits-for
-                    // edges; the VC view and event window still land.
-                    obs.dump(
-                        FlightTrigger::ReaperFire,
-                        &DumpContext {
-                            victim: reaped.first().copied(),
-                            detail: format!("background reaper force-discarded tns {reaped:?}"),
-                            waits_for: None,
-                            vc: Some(vc.view()),
-                            trace_id: None,
-                        },
-                    );
-                }
+                // No protocol handle on this thread, so no waits-for
+                // edges; the VC view and event window still land.
+                reap_pass(&vc, &metrics, &obs, "background", || None);
                 std::thread::sleep(interval);
             }
         });

@@ -33,79 +33,35 @@
 //! atomic on its own cache line so `VCstart` never takes the mutex or
 //! its line. A protocol reaches this module only through `register`,
 //! `start_complete`, `complete` and `discard` (DESIGN.md §15).
+//!
+//! Each `mvcc-dist` site runs this module too (paper §6), numbered in
+//! Lamport pairs ([`for_site`](VersionControl::for_site)); there a commit
+//! may finish above its registered number
+//! ([`complete_as`](VersionControl::complete_as)). DESIGN.md §15.
 
 use crate::clock::SharedClock;
 use crate::obs::event::Padded;
 use crate::obs::{DumpContext, EventKind, FlightTrigger, Obs, VcView, WaitPoint};
 use crate::vcqueue::VcQueue;
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Block until `*vtnc ≥ tn`, parking on `cv` under `mu`, with the timeout
-/// decided **solely** by comparing the clock against the deadline — never
-/// by the condvar's own wall-clock timeout.
-///
-/// With no clock attached (or a real one) the wait parks precisely until
-/// the deadline or a visibility notify — no periodic wakeups. A
-/// *simulated* clock's deadline may lie in the real future, so a real
-/// condvar cannot park until it; that case parks in short real-time
-/// slices and re-reads virtual time on every wake, so a run that
-/// advances virtual time past the deadline observes the timeout on the
-/// next slice boundary, making replayed visibility waits byte-stable.
-///
-/// Zero timeout is a fail-fast poll that never parks (the path simulated
-/// runs use exclusively, see DESIGN.md §13).
-///
-/// Shared with `mvcc-dist`'s site sequencer; public for that reuse, not
-/// part of the supported API surface.
-#[doc(hidden)]
-pub fn wait_visible_with(
-    vtnc: &AtomicU64,
-    mu: &Mutex<()>,
-    cv: &Condvar,
-    clock: Option<&SharedClock>,
-    tn: u64,
-    timeout: Duration,
-) -> Option<u64> {
-    let now = || match clock {
-        Some(c) => c.now(),
-        None => Instant::now(),
-    };
-    if timeout.is_zero() {
-        let v = vtnc.load(Ordering::Acquire);
-        return (v >= tn).then_some(v);
-    }
-    let deadline = now() + timeout;
-    let sliced = clock.is_some_and(|c| c.is_simulated());
-    let mut guard = mu.lock();
-    loop {
-        let v = vtnc.load(Ordering::Acquire);
-        if v >= tn {
-            return Some(v);
-        }
-        let t = now();
-        if t >= deadline {
-            let v = vtnc.load(Ordering::Acquire);
-            return (v >= tn).then_some(v);
-        }
-        if sliced {
-            let slice = deadline
-                .saturating_duration_since(t)
-                .min(Duration::from_millis(25));
-            let _ = cv.wait_for(&mut guard, slice);
-        } else {
-            let _ = cv.wait_until(&mut guard, deadline);
-        }
-    }
-}
-
 struct VcInner {
     /// Next transaction number to assign. Paper's `tnc` with
-    /// post-increment semantics (`tn(T) ← tnc++`).
+    /// post-increment semantics (`tn(T) ← tnc++`); at a site, the Lamport
+    /// time of the next number.
     tnc: u64,
+    /// Numbering: `register` hands out `(tnc << shift) | tag`. Both are 0
+    /// (`tn = tnc`) except at a site, where `tag` is the site id.
+    shift: u32,
+    tag: u64,
     queue: VcQueue,
+    /// Boosted finals ([`VersionControl::complete_as`] with `f > p`)
+    /// drained off the queue but not yet below the barrier.
+    holdover: BTreeSet<u64>,
     /// Registration time-to-live: how long a registered transaction may
     /// stay `Active` before the stall reaper may force-discard it.
     /// `None` (the default) disables reaping entirely.
@@ -117,6 +73,13 @@ struct VcInner {
     /// blocked, bumped once the mutex is held.
     lock_waits: u64,
     lock_wait_ns: u64,
+}
+
+impl VcInner {
+    /// Lamport receive rule (a no-op on one site, where `g < tnc`).
+    fn observe(&mut self, g: u64) {
+        self.tnc = self.tnc.max((g >> self.shift) + 1);
+    }
 }
 
 /// Thread-safe implementation of paper Figure 1: one mutex around `tnc`
@@ -177,10 +140,24 @@ impl VersionControl {
     /// number `≤ vtnc` is treated as completed, and the next assignment
     /// is `vtnc + 1`.
     pub fn resumed(vtnc: u64) -> Self {
+        Self::numbered(vtnc, 0, 0)
+    }
+
+    /// Fresh counters for one site of a multi-site cluster: numbers are
+    /// Lamport pairs `(time << bits) | site` with `tnc` as the time, so
+    /// no two sites ever issue the same number.
+    pub fn for_site(bits: u32, site: u16) -> Self {
+        Self::numbered(0, bits, site as u64)
+    }
+
+    fn numbered(vtnc: u64, shift: u32, tag: u64) -> Self {
         VersionControl {
             inner: Padded(Mutex::new(VcInner {
-                tnc: vtnc + 1,
+                tnc: (vtnc >> shift) + 1,
+                shift,
+                tag,
                 queue: VcQueue::new(),
+                holdover: BTreeSet::new(),
                 register_ttl: None,
                 waiters: 0,
                 lock_waits: 0,
@@ -305,7 +282,7 @@ impl VersionControl {
         let stamp = obs.is_some_and(|o| o.phase_sample());
         let tn = {
             let mut inner = self.inner();
-            let tn = inner.tnc;
+            let tn = (inner.tnc << inner.shift) | inner.tag;
             inner.tnc += 1;
             // Read the clock only when someone consumes the stamp (the
             // reaper's deadline or the register→complete histogram).
@@ -430,7 +407,16 @@ impl VersionControl {
     /// applied (paper Figure 3/4: "perform database updates; …;
     /// VCcomplete(T)") — advancing visibility first would let a read-only
     /// transaction with the new start number miss the updates.
+    #[inline]
     pub fn complete(&self, tn: u64) -> u64 {
+        self.complete_as(tn, tn)
+    }
+
+    /// [`complete`](Self::complete) for a transaction registered as `tn`
+    /// that committed as `fin ≥ tn` (at a site, two-phase commit's final
+    /// number). A boosted final waits in the holdover: see `drain_locked`.
+    pub fn complete_as(&self, tn: u64, fin: u64) -> u64 {
+        debug_assert!(fin >= tn, "final {fin} below tn {tn}");
         let obs = self.obs_on();
         let (advanced, wake, vtnc_before, registered_at) = {
             let mut inner = self.inner();
@@ -443,8 +429,9 @@ impl VersionControl {
             } else {
                 None
             };
-            let marked = inner.queue.mark_complete(tn);
+            let marked = inner.queue.mark_complete(tn, fin);
             debug_assert!(marked, "VCcomplete for unregistered tn {tn}");
+            inner.observe(fin);
             let advanced = self.drain_locked(&mut inner);
             let wake = advanced && inner.waiters != 0;
             (advanced, wake, vtnc_before, registered_at)
@@ -474,13 +461,26 @@ impl VersionControl {
     /// finally completes and releases a long completed suffix). Returns
     /// whether `vtnc` advanced.
     ///
+    /// A popped entry that kept its own number is below any barrier (every
+    /// later entry and future number is larger). A boosted final waits in
+    /// the holdover until it is below the barrier: the head's number, or
+    /// the next number the clock could issue with site bits 0.
+    ///
     /// Runs under the inner mutex but performs **no side effects beyond
     /// the store**; a caller that advanced reads `waiters` in the same
     /// critical section and, if non-zero, notifies after releasing it.
     fn drain_locked(&self, inner: &mut VcInner) -> bool {
-        match inner.queue.drain_completed() {
+        let mut new_vtnc = inner.queue.drain_completed(&mut inner.holdover);
+        if !inner.holdover.is_empty() {
+            let barrier = inner.queue.head_tn().unwrap_or(inner.tnc << inner.shift);
+            while let Some(f) = inner.holdover.first().copied().filter(|&f| f < barrier) {
+                inner.holdover.pop_first();
+                new_vtnc = new_vtnc.max(Some(f));
+            }
+        }
+        match new_vtnc {
             Some(new_vtnc) => {
-                debug_assert!(new_vtnc < inner.tnc);
+                debug_assert!(new_vtnc >> inner.shift < inner.tnc);
                 self.vtnc.store(new_vtnc, Ordering::Release);
                 true
             }
@@ -498,12 +498,37 @@ impl VersionControl {
         self.visible_cv.notify_all();
     }
 
+    /// Absorb a number observed from another site (Lamport receive rule):
+    /// every number this module issues from now on exceeds it.
+    pub fn observe(&self, g: u64) {
+        self.inner().observe(g);
+    }
+
+    /// Rebuild after a site crash. The queue and holdover are volatile and
+    /// dropped; `watermark` is the recovery point from durable state (the
+    /// largest committed version number). The clock passes it, and
+    /// visibility moves up to it but never backwards: snapshots taken at
+    /// the old `vtnc` stay valid because committed versions survive.
+    pub fn resume(&self, watermark: u64) {
+        let wake = {
+            let mut inner = self.inner();
+            inner.queue = VcQueue::new();
+            inner.holdover.clear();
+            inner.observe(watermark);
+            let advanced = self.vtnc.fetch_max(watermark, Ordering::Release) < watermark;
+            advanced && inner.waiters != 0
+        };
+        if wake {
+            self.notify_visible();
+        }
+    }
+
     /// Current `vtnc` (same as [`start`](Self::start)).
     pub fn vtnc(&self) -> u64 {
         self.vtnc.load(Ordering::Acquire)
     }
 
-    /// Current `tnc` (next number to assign).
+    /// Current `tnc` (next number to assign; its Lamport time at a site).
     pub fn tnc(&self) -> u64 {
         self.inner().tnc
     }
@@ -516,9 +541,11 @@ impl VersionControl {
         (inner.tnc - 1).saturating_sub(self.vtnc.load(Ordering::Acquire))
     }
 
-    /// Number of registered, not-yet-finished transactions.
+    /// Number of registered transactions not yet visible (boosted finals
+    /// held back included).
     pub fn queue_len(&self) -> usize {
-        self.inner().queue.len()
+        let inner = self.inner();
+        inner.queue.len() + inner.holdover.len()
     }
 
     /// One-shot snapshot of the whole version-control state, for gauges
@@ -540,8 +567,16 @@ impl VersionControl {
     /// Section 6 rectification: block until `vtnc ≥ tn` (so a read-only
     /// transaction started afterwards is guaranteed to see `tn`'s
     /// updates). Returns the satisfying `vtnc`, or `None` on timeout.
-    /// The timeout is measured on the attached clock (see
-    /// [`wait_visible_with`]), so simulated waits replay byte-stable.
+    ///
+    /// The timeout is decided **solely** by the attached clock, never by
+    /// the condvar's own wall-clock timeout. With no clock (or a real
+    /// one) the wait parks until the deadline or a visibility notify. A
+    /// *simulated* clock's deadline may lie in the real future, so that
+    /// case parks in short real-time slices and re-reads virtual time on
+    /// every wake: a run that advances virtual time past the deadline
+    /// sees the timeout at the next slice, and replayed waits are
+    /// byte-stable. Zero timeout is a fail-fast poll that never parks
+    /// (the path simulated runs use exclusively, see DESIGN.md §13).
     pub fn wait_visible(&self, tn: u64, timeout: Duration) -> Option<u64> {
         // A satisfied wait or a zero-timeout poll never parks.
         let vtnc = self.vtnc.load(Ordering::Acquire);
@@ -556,17 +591,27 @@ impl VersionControl {
             inner.waiters += 1;
             inner.queue.head_tn().unwrap_or(0)
         };
-        let started = attr.as_ref().map(|_| self.now());
-        let res = wait_visible_with(
-            &self.vtnc,
-            &self.visible_mu,
-            &self.visible_cv,
-            self.clock.get(),
-            tn,
-            timeout,
-        );
+        let started = self.now();
+        let deadline = started + timeout;
+        let sliced = self.clock.get().is_some_and(|c| c.is_simulated());
+        let mut guard = self.visible_mu.lock();
+        let res = loop {
+            let t = self.now();
+            let v = self.vtnc.load(Ordering::Acquire);
+            if v >= tn || t >= deadline {
+                break (v >= tn).then_some(v);
+            }
+            let _ = if sliced {
+                let slice = deadline.saturating_duration_since(t);
+                self.visible_cv
+                    .wait_for(&mut guard, slice.min(Duration::from_millis(25)))
+            } else {
+                self.visible_cv.wait_until(&mut guard, deadline)
+            };
+        };
+        drop(guard);
         self.inner().waiters -= 1;
-        if let (Some(attr), Some(started)) = (attr, started) {
+        if let Some(attr) = attr {
             let ns = self.now().saturating_duration_since(started).as_nanos() as u64;
             attr.blame()
                 .record(WaitPoint::VisibilityWait, tn, blocker, ns);
@@ -580,13 +625,16 @@ impl VersionControl {
         let res = {
             let inner = self.inner();
             let vtnc = self.vtnc.load(Ordering::Acquire);
-            if vtnc >= inner.tnc {
-                Err(format!("vtnc {} >= tnc {}", vtnc, inner.tnc))
+            let held = inner.holdover.first().filter(|&&f| f <= vtnc);
+            if vtnc >= inner.tnc << inner.shift {
+                Err(format!("vtnc {vtnc} >= tnc {}", inner.tnc << inner.shift))
             } else if inner.queue.head_tn().is_some_and(|head| head <= vtnc) {
                 Err(format!(
                     "queued tn {} <= vtnc {vtnc}",
                     inner.queue.head_tn().unwrap_or(0)
                 ))
+            } else if let Some(f) = held {
+                Err(format!("held final {f} <= vtnc {vtnc}"))
             } else {
                 Ok(())
             }
@@ -940,5 +988,146 @@ mod tests {
         sim.advance(Duration::from_millis(6));
         assert_eq!(waiter.join().unwrap(), None);
         vc.complete(t2);
+    }
+
+    /// A Lamport number `(time, site)` as a site's module issues it.
+    fn lamport(time: u64, site: u64) -> u64 {
+        (time << 16) | site
+    }
+
+    #[test]
+    fn site_numbering_is_lamport_pairs() {
+        let vc = VersionControl::for_site(16, 1);
+        assert_eq!(vc.start(), 0);
+        vc.validate().unwrap();
+        let p = vc.register();
+        assert_eq!(p, lamport(1, 1));
+        assert_eq!(vc.start(), 0, "in doubt");
+        assert_eq!(vc.complete_as(p, p), p, "a local final is its proposal");
+        assert_eq!(vc.register(), lamport(2, 1));
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn boosted_final_held_until_barrier() {
+        // T1 finalizes far above its proposal (another site boosted it)
+        // while a later local proposal p2 < f1 is still in doubt: vtnc
+        // must not reach f1 until p2 resolves.
+        let vc = VersionControl::for_site(16, 1);
+        let p1 = vc.register();
+        let p2 = vc.register();
+        let f1 = lamport(10, 2);
+        vc.complete_as(p1, f1);
+        assert_eq!(vc.start(), 0, "p2 bars f1");
+        assert_eq!(vc.queue_len(), 2, "p2 queued, f1 held");
+        vc.validate().unwrap();
+        vc.complete_as(p2, p2);
+        assert_eq!(vc.start(), f1, "both drain; vtnc is the larger final");
+        assert_eq!(vc.queue_len(), 0);
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn boosted_final_behind_a_later_proposal_waits_for_it() {
+        // f1 is held behind p2; p3, issued after f1 was seen, is above
+        // it, so completing p2 publishes f1 while p3 stays in doubt.
+        let vc = VersionControl::for_site(16, 1);
+        let p1 = vc.register();
+        let p2 = vc.register();
+        let f1 = lamport(5, 2);
+        vc.complete_as(p1, f1);
+        let p3 = vc.register();
+        assert_eq!(p3, lamport(6, 1), "the clock passed f1");
+        vc.complete_as(p2, p2);
+        assert_eq!(vc.start(), f1);
+        vc.discard(p3);
+        assert_eq!(vc.start(), f1);
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn site_discard_of_blocker_releases() {
+        let vc = VersionControl::for_site(16, 1);
+        let p1 = vc.register();
+        let p2 = vc.register();
+        vc.complete_as(p2, p2);
+        assert_eq!(vc.start(), 0);
+        assert!(vc.discard(p1));
+        assert_eq!(vc.start(), p2);
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn observe_advances_clock_above_finals() {
+        let vc = VersionControl::for_site(16, 1);
+        vc.observe(lamport(100, 3));
+        assert!(
+            vc.register() >> 16 > 100,
+            "future proposals dominate observed finals"
+        );
+        // On one site every number observed is already below `tnc`.
+        let central = VersionControl::new();
+        central.register();
+        central.observe(1);
+        assert_eq!(central.tnc(), 2);
+    }
+
+    #[test]
+    fn future_proposals_stay_above_vtnc() {
+        let vc = VersionControl::for_site(16, 1);
+        for _ in 0..10 {
+            let p = vc.register();
+            vc.complete_as(p, lamport((p >> 16) + 5, 9));
+            vc.validate().unwrap();
+            let next = vc.register();
+            assert!(next > vc.vtnc(), "proposal {next} <= vtnc {}", vc.vtnc());
+            vc.discard(next);
+            vc.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn resume_drops_the_queue_and_never_lowers_vtnc() {
+        let vc = VersionControl::for_site(16, 1);
+        let p1 = vc.register();
+        vc.complete_as(p1, p1);
+        let p2 = vc.register();
+        let p3 = vc.register();
+        vc.complete_as(p3, lamport(9, 2)); // held behind p2
+        vc.resume(0);
+        assert_eq!(vc.start(), p1, "a lower watermark keeps vtnc");
+        assert_eq!(vc.queue_len(), 0, "queue and holdover are gone");
+        assert!(!vc.discard(p2));
+        vc.resume(lamport(12, 2));
+        assert_eq!(vc.start(), lamport(12, 2));
+        assert_eq!(vc.register(), lamport(13, 1), "the clock passed it");
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn site_concurrent_stress_keeps_invariants() {
+        let vc = Arc::new(VersionControl::for_site(16, 3));
+        let mut hs = Vec::new();
+        for t in 0..6u64 {
+            let vc = Arc::clone(&vc);
+            hs.push(thread::spawn(move || {
+                for i in 0..300u64 {
+                    let p = vc.register();
+                    if (t + i) % 5 == 0 {
+                        vc.discard(p);
+                    } else {
+                        // final boosted by a pseudo-remote site
+                        let f = lamport((p >> 16) + i % 3, t % 4).max(p);
+                        vc.complete_as(p, f);
+                    }
+                    vc.validate().unwrap();
+                }
+            }));
+        }
+        for h in hs {
+            h.join().unwrap();
+        }
+        assert_eq!(vc.queue_len(), 0);
+        vc.validate().unwrap();
     }
 }

@@ -7,9 +7,9 @@
 //! insert is a `push_back`; an out-of-order tn from a standalone caller
 //! falls back to a binary search (`partition_point`) insertion.
 //! `drain_completed` pops completed entries off the head and reports the
-//! last popped number — the new `vtnc`.
+//! last one whose final number is its own — a `vtnc` candidate.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
 /// Lifecycle state of a queue entry (paper: `E(T).type`, plus the
@@ -33,6 +33,9 @@ pub enum EntryState {
 struct Entry {
     tn: u64,
     state: EntryState,
+    /// The number the transaction committed as, set by `mark_complete`:
+    /// `tn` itself, or a larger final at a multi-site commit.
+    fin: u64,
     /// Registration deadline: an `Active` entry older than this may be
     /// force-discarded by the reaper. `None` = never reaped.
     deadline: Option<Instant>,
@@ -76,6 +79,7 @@ impl VcQueue {
         let entry = Entry {
             tn,
             state: EntryState::Active,
+            fin: tn,
             deadline,
             registered_at,
         };
@@ -134,12 +138,14 @@ impl VcQueue {
         }
     }
 
-    /// Mark a transaction complete (paper `VCcomplete`, first line).
-    /// Returns `false` if no entry with that number exists.
-    pub fn mark_complete(&mut self, tn: u64) -> bool {
+    /// Mark a transaction complete with final number `fin ≥ tn` (paper
+    /// `VCcomplete`, first line). Returns `false` if no entry with that
+    /// number exists.
+    pub fn mark_complete(&mut self, tn: u64, fin: u64) -> bool {
         match self.position(tn) {
             Some(i) => {
                 self.entries[i].state = EntryState::Complete;
+                self.entries[i].fin = fin;
                 true
             }
             None => false,
@@ -147,16 +153,21 @@ impl VcQueue {
     }
 
     /// Paper `VCcomplete`, the `WHILE` loop: pop completed entries off the
-    /// head; the last popped transaction number is the new `vtnc`.
-    /// Returns `None` if the head is active (or the queue is empty and
-    /// nothing was popped).
-    pub fn drain_completed(&mut self) -> Option<u64> {
+    /// head. Returns the last popped entry whose final is its own number
+    /// (the new `vtnc` when no final was boosted); a boosted final
+    /// (`fin > tn`) goes into `holdover` instead. `None` if nothing such
+    /// was popped.
+    pub fn drain_completed(&mut self, holdover: &mut BTreeSet<u64>) -> Option<u64> {
         let mut new_vtnc = None;
         while let Some(head) = self.entries.front() {
             if head.state != EntryState::Complete {
                 break;
             }
-            new_vtnc = Some(head.tn);
+            if head.fin == head.tn {
+                new_vtnc = Some(head.tn);
+            } else {
+                holdover.insert(head.fin);
+            }
             self.entries.pop_front();
         }
         new_vtnc
@@ -207,6 +218,28 @@ impl VcQueue {
 mod tests {
     use super::*;
 
+    /// Drain a queue whose finals are never boosted.
+    fn drain(q: &mut VcQueue) -> Option<u64> {
+        let mut holdover = BTreeSet::new();
+        let vtnc = q.drain_completed(&mut holdover);
+        assert!(holdover.is_empty());
+        vtnc
+    }
+
+    #[test]
+    fn boosted_finals_drain_into_the_holdover() {
+        let mut q = VcQueue::new();
+        for tn in [1, 2, 3] {
+            q.insert(tn, None);
+        }
+        q.mark_complete(1, 1);
+        q.mark_complete(2, 9);
+        let mut holdover = BTreeSet::new();
+        assert_eq!(q.drain_completed(&mut holdover), Some(1));
+        assert_eq!(holdover, BTreeSet::from([9]));
+        assert_eq!(q.head_tn(), Some(3));
+    }
+
     #[test]
     fn insert_and_query() {
         let mut q = VcQueue::new();
@@ -224,10 +257,10 @@ mod tests {
         let mut q = VcQueue::new();
         q.insert(1, None);
         q.insert(2, None);
-        assert!(q.mark_complete(1));
-        assert_eq!(q.drain_completed(), Some(1));
-        assert!(q.mark_complete(2));
-        assert_eq!(q.drain_completed(), Some(2));
+        assert!(q.mark_complete(1, 1));
+        assert_eq!(drain(&mut q), Some(1));
+        assert!(q.mark_complete(2, 2));
+        assert_eq!(drain(&mut q), Some(2));
         assert!(q.is_empty());
     }
 
@@ -237,10 +270,10 @@ mod tests {
         let mut q = VcQueue::new();
         q.insert(1, None);
         q.insert(2, None);
-        assert!(q.mark_complete(2));
-        assert_eq!(q.drain_completed(), None); // head (1) still active
-        assert!(q.mark_complete(1));
-        assert_eq!(q.drain_completed(), Some(2)); // both drain; vtnc jumps to 2
+        assert!(q.mark_complete(2, 2));
+        assert_eq!(drain(&mut q), None); // head (1) still active
+        assert!(q.mark_complete(1, 1));
+        assert_eq!(drain(&mut q), Some(2)); // both drain; vtnc jumps to 2
         assert!(q.is_empty());
     }
 
@@ -250,11 +283,11 @@ mod tests {
         q.insert(1, None);
         q.insert(2, None);
         q.insert(3, None);
-        q.mark_complete(2);
-        q.mark_complete(3);
-        assert_eq!(q.drain_completed(), None);
+        q.mark_complete(2, 2);
+        q.mark_complete(3, 3);
+        assert_eq!(drain(&mut q), None);
         assert!(q.discard(1)); // T1 aborts
-        assert_eq!(q.drain_completed(), Some(3));
+        assert_eq!(drain(&mut q), Some(3));
     }
 
     #[test]
@@ -262,7 +295,7 @@ mod tests {
         let mut q = VcQueue::new();
         q.insert(1, None);
         assert!(!q.discard(9));
-        assert!(!q.mark_complete(9));
+        assert!(!q.mark_complete(9, 9));
     }
 
     #[test]
@@ -273,15 +306,15 @@ mod tests {
         }
         assert!(q.discard(2));
         assert_eq!(q.len(), 3);
-        q.mark_complete(1);
-        assert_eq!(q.drain_completed(), Some(1));
+        q.mark_complete(1, 1);
+        assert_eq!(drain(&mut q), Some(1));
         assert_eq!(q.head_tn(), Some(3));
     }
 
     #[test]
     fn drain_on_empty_is_none() {
         let mut q = VcQueue::new();
-        assert_eq!(q.drain_completed(), None);
+        assert_eq!(drain(&mut q), None);
     }
 
     #[test]
@@ -294,9 +327,9 @@ mod tests {
         assert_eq!(q.head_tn(), Some(1));
         assert_eq!(q.state_of(4), Some(EntryState::Active));
         for tn in [1, 3, 4, 5] {
-            assert!(q.mark_complete(tn));
+            assert!(q.mark_complete(tn, tn));
         }
-        assert_eq!(q.drain_completed(), Some(5));
+        assert_eq!(drain(&mut q), Some(5));
         assert!(q.is_empty());
     }
 
@@ -320,7 +353,7 @@ mod tests {
         // Already claimed, absent, or complete: claim fails.
         assert!(!q.start_committing(1));
         assert!(!q.start_committing(9));
-        q.mark_complete(2);
+        q.mark_complete(2, 2);
         assert!(!q.start_committing(2));
     }
 
@@ -330,11 +363,11 @@ mod tests {
         q.insert(1, None);
         q.insert(2, None);
         q.start_committing(1);
-        q.mark_complete(2);
+        q.mark_complete(2, 2);
         // Head is mid-commit: nothing becomes visible yet.
-        assert_eq!(q.drain_completed(), None);
-        q.mark_complete(1);
-        assert_eq!(q.drain_completed(), Some(2));
+        assert_eq!(drain(&mut q), None);
+        q.mark_complete(1, 1);
+        assert_eq!(drain(&mut q), Some(2));
     }
 
     #[test]
@@ -364,7 +397,7 @@ mod tests {
         q.insert(4, None); // no deadline → survives
         q.insert(5, Some(past)); // expired, Complete → survives
         q.start_committing(2);
-        q.mark_complete(5);
+        q.mark_complete(5, 5);
         assert_eq!(q.reap_expired(now), vec![1]);
         assert_eq!(q.state_of(1), None);
         assert_eq!(q.state_of(2), Some(EntryState::Committing));
@@ -379,9 +412,9 @@ mod tests {
         q.insert(1, Some(past));
         q.insert(2, Some(past));
         q.insert(3, None);
-        q.mark_complete(3);
-        assert_eq!(q.drain_completed(), None); // pinned by stalled 1, 2
+        q.mark_complete(3, 3);
+        assert_eq!(drain(&mut q), None); // pinned by stalled 1, 2
         assert_eq!(q.reap_expired(now), vec![1, 2]);
-        assert_eq!(q.drain_completed(), Some(3)); // vtnc advances again
+        assert_eq!(drain(&mut q), Some(3)); // vtnc advances again
     }
 }

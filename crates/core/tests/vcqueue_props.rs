@@ -16,7 +16,7 @@
 
 use mvcc_core::vcqueue::VcQueue;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +24,15 @@ enum Model {
     Active { expired: bool },
     Committing,
     Complete,
+}
+
+/// `drain_completed` for a queue whose finals are never boosted: every
+/// popped entry is a `vtnc` candidate and nothing is held over.
+fn drain_local(q: &mut VcQueue) -> Option<u64> {
+    let mut holdover = BTreeSet::new();
+    let vtnc = q.drain_completed(&mut holdover);
+    assert!(holdover.is_empty(), "unboosted finals were held over");
+    vtnc
 }
 
 fn check_invariants(
@@ -65,7 +74,7 @@ proptest! {
                          model: &mut BTreeMap<u64, Model>,
                          vtnc: &mut Option<u64>,
                          completed: &[u64]| {
-            if let Some(new) = q.drain_completed() {
+            if let Some(new) = drain_local(q) {
                 assert!(vtnc.is_none_or(|old| old < new), "vtnc went backwards");
                 // Drained entries must form the completed prefix of the model.
                 while let Some((&tn, &st)) = model.iter().next() {
@@ -109,7 +118,7 @@ proptest! {
                         model.insert(tn, Model::Committing);
                     }
                     if matches!(model[&tn], Model::Committing) {
-                        assert!(q.mark_complete(tn));
+                        assert!(q.mark_complete(tn, tn));
                         model.insert(tn, Model::Complete);
                         completed.push(tn);
                         drain(&mut q, &mut model, &mut vtnc, &completed);
@@ -149,7 +158,7 @@ proptest! {
                 assert!(q.start_committing(tn));
                 model.insert(tn, Model::Committing);
             }
-            assert!(q.mark_complete(tn));
+            assert!(q.mark_complete(tn, tn));
             model.insert(tn, Model::Complete);
             completed.push(tn);
         }
@@ -172,10 +181,10 @@ proptest! {
         prop_assert_eq!(reaped.len() as u64, n);
         for tn in 1..=n {
             prop_assert!(!q.start_committing(tn), "claimed a reaped tn");
-            prop_assert!(!q.mark_complete(tn));
+            prop_assert!(!q.mark_complete(tn, tn));
         }
         prop_assert!(q.is_empty());
-        prop_assert!(q.drain_completed().is_none());
+        prop_assert!(drain_local(&mut q).is_none());
     }
 
     /// Insert-order independence: the queue's observable behavior is a
@@ -218,10 +227,10 @@ proptest! {
         let mut done_a = None;
         let mut done_b = None;
         for &tn in shuffled.iter().rev() {
-            prop_assert!(a.start_committing(tn) && a.mark_complete(tn));
-            prop_assert!(b.start_committing(tn) && b.mark_complete(tn));
-            if let Some(v) = a.drain_completed() { done_a = Some(v); }
-            if let Some(v) = b.drain_completed() { done_b = Some(v); }
+            prop_assert!(a.start_committing(tn) && a.mark_complete(tn, tn));
+            prop_assert!(b.start_committing(tn) && b.mark_complete(tn, tn));
+            if let Some(v) = drain_local(&mut a) { done_a = Some(v); }
+            if let Some(v) = drain_local(&mut b) { done_b = Some(v); }
             prop_assert_eq!(done_a, done_b, "queues diverged at tn {}", tn);
         }
         prop_assert_eq!(done_a, sorted.last().copied());
@@ -242,9 +251,9 @@ proptest! {
         }
         prop_assert_eq!(q.len() as u64, n);
         for tn in 1..=n {
-            prop_assert!(q.mark_complete(tn));
+            prop_assert!(q.mark_complete(tn, tn));
         }
-        prop_assert_eq!(q.drain_completed(), Some(n));
+        prop_assert_eq!(drain_local(&mut q), Some(n));
         prop_assert!(q.is_empty());
     }
 }

@@ -330,8 +330,11 @@ impl Cluster {
     /// messages): this models an operator's dashboard scrape, not a
     /// protocol action.
     pub fn visibility_skew(&self) -> SiteSkew {
-        let per_site: Vec<(SiteId, Gtn)> =
-            self.sites.iter().map(|s| (s.id(), s.vc().vtnc())).collect();
+        let per_site: Vec<(SiteId, Gtn)> = self
+            .sites
+            .iter()
+            .map(|s| (s.id(), Gtn(s.vc().vtnc())))
+            .collect();
         let times = per_site.iter().map(|&(_, g)| g.time());
         let skew = times
             .clone()
@@ -1047,14 +1050,14 @@ mod tests {
         assert_eq!(c.site(SiteId(1)).in_doubt_len(), 1);
         assert_eq!(c.site(SiteId(2)).in_doubt_len(), 1);
         // In doubt pins visibility at both sites.
-        assert_eq!(c.site(SiteId(1)).vc().vtnc(), Gtn::ZERO);
+        assert_eq!(Gtn(c.site(SiteId(1)).vc().vtnc()), Gtn::ZERO);
         let stats = c.resolve_in_doubt(Duration::ZERO);
         assert_eq!(stats.resolved_commit, 2);
         assert_eq!(stats.resolved_abort, 0);
         for site in c.site_ids() {
             let s = c.site(site);
             assert_eq!(s.in_doubt_len(), 0);
-            assert_eq!(s.vc().vtnc(), fin);
+            assert_eq!(Gtn(s.vc().vtnc()), fin);
             s.vc().validate().unwrap();
         }
         let mut r = c.begin_ro(RoMode::GlobalMin);
@@ -1080,7 +1083,7 @@ mod tests {
         let fin = t.commit().unwrap();
         for site in c.site_ids() {
             let s = c.site(site);
-            assert_eq!(s.vc().vtnc(), fin);
+            assert_eq!(Gtn(s.vc().vtnc()), fin);
             // one completion per site despite two deliveries
             assert_eq!(s.metrics().snapshot().vc_complete_calls, 1);
             s.vc().validate().unwrap();
@@ -1120,7 +1123,7 @@ mod tests {
         c.crash_site(SiteId(2));
         let watermark = c.recover_site(SiteId(2));
         assert_eq!(watermark, fin, "watermark = largest committed version");
-        assert_eq!(c.site(SiteId(2)).vc().vtnc(), fin);
+        assert_eq!(Gtn(c.site(SiteId(2)).vc().vtnc()), fin);
         c.site(SiteId(2)).vc().validate().unwrap();
         // committed state survived; the cluster keeps working
         let mut r = c.begin_ro(RoMode::GlobalMin);
@@ -1172,7 +1175,7 @@ mod tests {
         assert_eq!(err, DbError::Aborted(AbortReason::DeadlineExceeded));
         // No decision was logged, nothing became visible, and the locks
         // are free again.
-        assert_eq!(c.site(SiteId(1)).vc().vtnc(), Gtn::ZERO);
+        assert_eq!(Gtn(c.site(SiteId(1)).vc().vtnc()), Gtn::ZERO);
         assert_eq!(
             c.site(SiteId(1)).store().read_latest(obj(0)).1,
             Value::empty()

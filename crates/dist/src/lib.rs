@@ -16,11 +16,12 @@
 //!   pairs encoded into a `u64`, so version numbers remain ordinary
 //!   storage version numbers and the oracle's tn-order MVSG applies
 //!   globally. One number per distributed read-write transaction.
-//! * [`vc`] — the per-site distributed version-control module: proposals
-//!   registered at **prepare** time, finals at commit, and a site `vtnc`
-//!   that never passes an in-doubt transaction (the "care" the paper
-//!   mentions).
-//! * [`site`] — a database site: storage + locks + distributed VC.
+//! * [`site`] — a database site: storage + locks + core's
+//!   `VersionControl`, numbering in Lamport pairs. A transaction registers
+//!   its **proposal** at prepare and completes with its **final** number
+//!   at commit; the site's `vtnc` never passes an in-doubt transaction
+//!   (the "care" the paper mentions). No separate distributed module is
+//!   needed.
 //! * [`cluster`] — the client surface: distributed read-write
 //!   transactions under two-phase commit with per-site strict 2PL, and
 //!   distributed read-only transactions with a **single global start
@@ -38,9 +39,7 @@
 pub mod cluster;
 pub mod gtn;
 pub mod site;
-pub mod vc;
 
 pub use cluster::{Cluster, ClusterConfig, DistRoTxn, DistRwTxn, InDoubtStats, RoMode, SiteSkew};
 pub use gtn::Gtn;
 pub use site::{Site, SiteId};
-pub use vc::DistVc;

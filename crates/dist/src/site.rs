@@ -1,13 +1,13 @@
-//! A database site: multiversion storage + lock manager + distributed
-//! version control. Methods on [`Site`] are the "RPC handlers" of the
-//! simulation; the [`crate::cluster::Cluster`] counts each invocation as
-//! a network message.
+//! A database site: multiversion storage + lock manager + core's
+//! [`VersionControl`] with Lamport numbering (paper §6). Methods on
+//! [`Site`] are the "RPC handlers" of the simulation; the
+//! [`crate::cluster::Cluster`] counts each invocation as a network
+//! message.
 
-use crate::gtn::Gtn;
-use crate::vc::DistVc;
+use crate::gtn::{Gtn, SITE_BITS};
 use mvcc_cc::{LockError, LockManager, LockMode};
 use mvcc_core::clock::{real_clock, SharedClock};
-use mvcc_core::{AbortReason, DbError, Metrics, WriteSet};
+use mvcc_core::{AbortReason, DbError, Metrics, VersionControl, WriteSet};
 use mvcc_model::ObjectId;
 use mvcc_storage::{MvStore, StoreStats, Value};
 use parking_lot::Mutex;
@@ -39,7 +39,7 @@ pub struct Site {
     id: SiteId,
     store: MvStore,
     locks: LockManager,
-    vc: DistVc,
+    vc: VersionControl,
     metrics: Metrics,
     lock_timeout: Duration,
     /// Time source for in-doubt age stamps (simulated under the DST
@@ -64,7 +64,7 @@ impl Site {
 
     /// Fresh site with an explicit lock-wait timeout and time source.
     pub fn with_clock(id: SiteId, lock_timeout: Duration, clock: SharedClock) -> Self {
-        let vc = DistVc::new(id.0);
+        let vc = VersionControl::for_site(SITE_BITS, id.0);
         // Visibility waits measure their deadline against the site clock,
         // so a simulated cluster replays them deterministically.
         vc.attach_clock(clock.clone());
@@ -85,8 +85,9 @@ impl Site {
         self.id
     }
 
-    /// The site's version-control module.
-    pub fn vc(&self) -> &DistVc {
+    /// The site's version-control module. Its numbers are encoded
+    /// [`Gtn`]s.
+    pub fn vc(&self) -> &VersionControl {
         &self.vc
     }
 
@@ -134,7 +135,7 @@ impl Site {
             .local()
             .vc_register_calls
             .fetch_add(1, Ordering::Relaxed);
-        let p = self.vc.propose();
+        let p = Gtn(self.vc.register());
         self.in_doubt.lock().insert(
             token,
             Prepared {
@@ -179,7 +180,7 @@ impl Site {
                 .map_err(|e| DbError::Internal(format!("site {} commit: {e}", self.id.0)))?;
         }
         self.locks.release_all(token, locked.iter());
-        self.vc.complete(proposal, fin);
+        self.vc.complete_as(proposal.encoded(), fin.encoded());
         self.metrics
             .local()
             .vc_complete_calls
@@ -203,7 +204,7 @@ impl Site {
     fn apply_abort(&self, token: u64, proposal: Option<Gtn>, locked: &[ObjectId]) {
         self.locks.release_all(token, locked.iter());
         if let Some(p) = proposal {
-            self.vc.discard(p);
+            self.vc.discard(p.encoded());
             self.metrics
                 .local()
                 .vc_discard_calls
@@ -279,7 +280,7 @@ impl Site {
             .max()
             .unwrap_or(0);
         let watermark = Gtn(watermark);
-        self.vc.resume(watermark);
+        self.vc.resume(watermark.encoded());
         watermark
     }
 
@@ -290,7 +291,7 @@ impl Site {
         let m = self.metrics.local();
         m.vc_start_calls.fetch_add(1, Ordering::Relaxed);
         m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
-        self.vc.start()
+        Gtn(self.vc.start())
     }
 
     /// Snapshot read at a global start number. Never blocks.
@@ -310,15 +311,17 @@ impl Site {
     /// Wait until this site's visibility covers `sn` (lazy contact in a
     /// distributed read-only transaction).
     pub fn ro_catch_up(&self, sn: Gtn, timeout: Duration) -> Result<Gtn, DbError> {
-        if self.vc.vtnc() >= sn {
-            return Ok(self.vc.vtnc());
+        let vtnc = Gtn(self.vc.vtnc());
+        if vtnc >= sn {
+            return Ok(vtnc);
         }
         self.metrics
             .local()
             .ro_blocks
             .fetch_add(1, Ordering::Relaxed);
         self.vc
-            .wait_visible(sn, timeout)
+            .wait_visible(sn.encoded(), timeout)
+            .map(Gtn)
             .ok_or(DbError::Aborted(AbortReason::WaitTimeout))
     }
 
@@ -371,7 +374,7 @@ mod tests {
         let ws = write(&s, 7, obj(0), 5);
         let p = s.prepare(7, &[obj(0)], ws);
         s.commit(7, p, p, &[obj(0)]).unwrap();
-        assert_eq!(s.vc().vtnc(), p);
+        assert_eq!(Gtn(s.vc().vtnc()), p);
         assert_eq!(s.in_doubt_len(), 0);
         let (n, v) = s.ro_read(obj(0), s.ro_start()).unwrap();
         assert_eq!(n, p.encoded());
@@ -421,7 +424,7 @@ mod tests {
         s.commit(7, p, p, &[obj(0)]).unwrap();
         // the duplicate must not re-promote or double-complete
         s.commit(7, p, p, &[obj(0)]).unwrap();
-        assert_eq!(s.vc().vtnc(), p);
+        assert_eq!(Gtn(s.vc().vtnc()), p);
         assert_eq!(s.metrics().snapshot().vc_complete_calls, 1);
     }
 
@@ -432,7 +435,7 @@ mod tests {
         let p = s.prepare(7, &[obj(0)], ws);
         // decision message lost; resolver learns Commit(fin) from the log
         assert!(s.resolve_commit(7, p).unwrap());
-        assert_eq!(s.vc().vtnc(), p);
+        assert_eq!(Gtn(s.vc().vtnc()), p);
         assert_eq!(s.ro_read(obj(0), s.ro_start()).unwrap().1.as_u64(), Some(5));
         // a straggling duplicate decision is ignored
         assert!(!s.resolve_commit(7, p).unwrap());
@@ -465,7 +468,7 @@ mod tests {
         assert_eq!(s.in_doubt_len(), 0);
         let watermark = s.recover();
         assert_eq!(watermark, p1, "watermark = largest committed version");
-        assert_eq!(s.vc().vtnc(), p1);
+        assert_eq!(Gtn(s.vc().vtnc()), p1);
         s.vc().validate().unwrap();
         // the crashed txn's buffered write is gone; its lock is free
         assert_eq!(s.ro_read(obj(1), s.ro_start()).unwrap().0, 0);
@@ -473,7 +476,7 @@ mod tests {
         let p3 = s.prepare(3, &[obj(1)], ws);
         s.commit(3, p3, p3, &[obj(1)]).unwrap();
         assert!(
-            s.vc().vtnc() > watermark,
+            Gtn(s.vc().vtnc()) > watermark,
             "visibility advances past recovery"
         );
     }

@@ -9,11 +9,12 @@
 //! in-doubt resolver — so a single seed replays the entire cluster's
 //! behavior including every fault firing.
 //!
-//! Terminal oracles: per-site [`DistVc::validate`], the MVSG check over
-//! the global trace, exact conservation of committed increments per
-//! `(site, object)`, and full in-doubt drainage under presumed abort.
+//! Terminal oracles: per-site [`VersionControl::validate`], the MVSG
+//! check over the global trace, exact conservation of committed
+//! increments per `(site, object)`, and full in-doubt drainage under
+//! presumed abort.
 //!
-//! [`DistVc::validate`]: mvcc_dist::DistVc::validate
+//! [`VersionControl::validate`]: mvcc_core::VersionControl::validate
 
 use crate::report::{fnv1a, RunReport, Violation};
 use crate::spec::{Sabotage, SimSpec};

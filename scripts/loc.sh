@@ -23,7 +23,7 @@ count() {
 core=crates/core/src
 storage=crates/storage/src
 printf '%-6s %6s\n' group lines
-printf '%-6s %6d\n' vc "$(count $core/vc.rs $core/vcqueue.rs)"
+printf '%-6s %6d\n' vc "$(count $core/vc.rs $core/vcqueue.rs crates/dist/src/vc.rs)"
 printf '%-6s %6d\n' obs "$(count $core/obs/*.rs $core/metrics.rs)"
 printf '%-6s %6d\n' cc "$(count crates/cc/src/*.rs)"
 printf '%-6s %6d\n' store "$(count $storage/chain.rs $storage/store.rs $storage/gc.rs)"

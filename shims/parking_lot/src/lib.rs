@@ -125,17 +125,14 @@ impl WaitTimeoutResult {
 ///   under the shard's `table` mutex;
 /// - `cc::pending` `PendingTable::release`: the reservations, under the
 ///   shard's `entries` mutex (every reservation change goes through it);
-/// - `core::vc` `VersionControl::notify_visible`: `vtnc` is stored
-///   before the notifier takes `visible_mu`, and the waiter loads it
-///   under `visible_mu`. The notify is also gated one level up: the
-///   advancing critical section reads a waiter count that
-///   `wait_visible` keeps under the `inner` mutex, counting itself
-///   before its first `vtnc` check, so an advance either sees the count
-///   or happens-before that check;
-/// - `dist::vc` `DistVc::advance` (from `drain` and `resume`): `vtnc`
-///   is stored before the notifier takes `visible_mu`, and the notify is
-///   gated on a waiter count kept under the site's `inner` mutex, as in
-///   `core::vc`.
+/// - `core::vc` `VersionControl::notify_visible` (from `complete`,
+///   `complete_as`, `discard`, `reap` and `resume`, on one engine and at
+///   every `dist` site alike): `vtnc` is stored before the notifier
+///   takes `visible_mu`, and the waiter loads it under `visible_mu`. The
+///   notify is also gated one level up: the advancing critical section
+///   reads a waiter count that `wait_visible` keeps under the `inner`
+///   mutex, counting itself before its first `vtnc` check, so an advance
+///   either sees the count or happens-before that check.
 pub struct Condvar {
     inner: std::sync::Condvar,
     /// Threads parked (or about to park) in a wait on this condvar. On

@@ -244,38 +244,39 @@ fn wait_visible_is_woken_by_a_commit_stream() {
     });
 }
 
-/// The same race at a distributed site: `DistVc::complete` notifies only
-/// a waiter counted under the site's mutex. Site 1 proposes `(round, 1)`
-/// each round when nothing else moves its clock.
+/// The same race at a distributed site, which runs core's
+/// `VersionControl` under Lamport numbering: a commit's `complete_as`
+/// notifies only a waiter counted under the site's mutex. Site 1 proposes
+/// `(round, 1)` each round when nothing else moves its clock.
 #[test]
 fn dist_wait_visible_is_woken_by_a_commit_stream() {
-    use mvdb::dist::{DistVc, Gtn};
+    use mvdb::dist::{Gtn, Site, SiteId};
     const ROUNDS: u64 = 10_000;
-    let vc = DistVc::new(1);
+    let site = Site::new(SiteId(1));
     // The round the waiter is about to wait for.
     let asked = AtomicU64::new(0);
     thread::scope(|s| {
         s.spawn(|| {
             for round in 1..=ROUNDS {
-                let p = vc.propose();
+                let p = site.prepare(round, &[], WriteSet::new());
                 assert_eq!(p, Gtn::new(round, 1));
                 spin_until("waiter's next round", || {
                     asked.load(Ordering::Acquire) >= round
                 });
                 maybe_let_park(round);
-                vc.complete(p, p);
+                site.commit(round, p, p, &[]).unwrap();
             }
         });
         for round in 1..=ROUNDS {
             asked.store(round, Ordering::Release);
             let t0 = Instant::now();
-            let visible = vc.wait_visible(Gtn::new(round, 1), BOUND);
+            let visible = site.ro_catch_up(Gtn::new(round, 1), BOUND);
             let waited = t0.elapsed();
             assert!(
                 waited < SLOW,
                 "round {round}: dist wait_visible waited {waited:?}"
             );
-            assert_eq!(visible, Some(Gtn::new(round, 1)), "round {round}");
+            assert_eq!(visible, Ok(Gtn::new(round, 1)), "round {round}");
         }
     });
 }
