@@ -20,7 +20,7 @@
 //! already been read by a younger transaction.
 
 use crate::clock::LogicalClock;
-use mvcc_cc::pending::{PendingTable, WaitOutcome};
+use mvcc_cc::pending::PendingTable;
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
     AbortReason, DbError, Engine, Metrics, MetricsSnapshot, OpSpec, RoOutcome, RoRead, RwOutcome,
@@ -99,7 +99,7 @@ impl ReedMvto {
     ) -> Result<(u64, Value), DbError> {
         let m = self.metrics.local();
         let mut blocked = false;
-        let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
+        let (res, _) = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
             let (cand, value) = self
                 .store
                 .read_at(obj, ts)
@@ -113,7 +113,7 @@ impl ReedMvto {
                         m.rw_blocks.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                return WaitOutcome::Wait;
+                return None;
             }
             // Raise the candidate's read timestamp — a *write* to shared
             // concurrency-control state, performed even by read-only
@@ -123,7 +123,7 @@ impl ReedMvto {
             if ts > mark.0 {
                 *mark = (ts, is_ro);
             }
-            WaitOutcome::Ready((cand, value))
+            Some((cand, value))
         });
         if is_ro {
             m.ro_sync_actions.fetch_add(1, Ordering::Relaxed);
@@ -146,7 +146,7 @@ impl ReedMvto {
         let m = self.metrics.local();
         m.rw_sync_actions.fetch_add(1, Ordering::Relaxed);
         let mut blocked = false;
-        let res = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
+        let (res, _) = self.pending.wait_until(obj, 0, self.wait_timeout, |e| {
             let (cand, _) = self
                 .store
                 .read_at(obj, ts)
@@ -156,7 +156,7 @@ impl ReedMvto {
                     blocked = true;
                     m.rw_blocks.fetch_add(1, Ordering::Relaxed);
                 }
-                return WaitOutcome::Wait;
+                return None;
             }
             let (read_ts, by_ro) = self
                 .read_marks
@@ -171,10 +171,10 @@ impl ReedMvto {
                 if by_ro {
                     m.aborts_due_to_ro.fetch_add(1, Ordering::Relaxed);
                 }
-                return WaitOutcome::Ready(Err(DbError::Aborted(AbortReason::TimestampConflict)));
+                return Some(Err(DbError::Aborted(AbortReason::TimestampConflict)));
             }
             e.reserve(ts);
-            WaitOutcome::Ready(Ok(()))
+            Some(Ok(()))
         });
         res.unwrap_or(Err(DbError::Aborted(AbortReason::WaitTimeout)))
     }

@@ -28,7 +28,7 @@
 //! read-only transactions, no CTL, possible reader/writer waiting.
 
 use crate::clock::LogicalClock;
-use mvcc_cc::pending::{PendingTable, WaitOutcome};
+use mvcc_cc::pending::PendingTable;
 use mvcc_cc::{LockError, LockManager, LockMode};
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
@@ -142,7 +142,7 @@ impl Engine for WeihlTi {
         };
         for &k in keys {
             let mut blocked = false;
-            let res = self.pending.wait_until(k, 0, self.timeout, |e| {
+            let (res, _) = self.pending.wait_until(k, 0, self.timeout, |e| {
                 // Synchronize with concurrent writers: an uncommitted
                 // write's eventual timestamp is unknown — wait it out.
                 if e.any() {
@@ -150,9 +150,9 @@ impl Engine for WeihlTi {
                         blocked = true;
                         m.ro_blocks.fetch_add(1, Ordering::Relaxed);
                     }
-                    return WaitOutcome::Wait;
+                    return None;
                 }
-                WaitOutcome::Ready(self.store.read_at(k, ts).expect("initial version present"))
+                Some(self.store.read_at(k, ts).expect("initial version present"))
             });
             match res {
                 Some((n, v)) => {

@@ -34,6 +34,7 @@ pub mod occ;
 pub mod pending;
 pub mod to;
 pub mod tpl;
+pub mod wait;
 
 pub use lock::{LockError, LockManager, LockMode};
 pub use occ::Optimistic;

@@ -1,6 +1,6 @@
 //! Lock manager: shared/exclusive object locks with upgrades, FIFO-less
-//! compatibility granting, condition-variable waits, and waits-for-graph
-//! deadlock detection.
+//! compatibility granting, spin-then-park waits ([`crate::wait`]), and
+//! waits-for-graph deadlock detection.
 //!
 //! Lock *requesters* are identified by opaque tokens (not transaction
 //! numbers — under 2PL the number does not exist until the lock point).
@@ -24,10 +24,12 @@
 //! The `waits_for` mutex is deliberately **off the uncontended path**: an
 //! immediately granted request and a release of an uncontended lock touch
 //! only their shard. The graph is consulted exactly when a request blocks
-//! (edges set, cycle check) and updated again when the wait resolves
-//! (grant, deadlock, or timeout — each clears its own edges before
-//! returning), so a commit's `release_all` never needs it.
+//! (edges set, cycle check), again only when a later poll finds other
+//! blockers, and when the wait resolves (grant, deadlock, or timeout —
+//! each clears its own edges before returning), so a commit's
+//! `release_all` never needs it.
 
+use crate::wait;
 use mvcc_model::ObjectId;
 use mvcc_storage::shard::ObjectMap;
 use parking_lot::{Condvar, Mutex};
@@ -64,7 +66,7 @@ impl std::fmt::Display for LockError {
 impl std::error::Error for LockError {}
 
 /// Outcome details of a successful acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Acquired {
     /// Whether the requester did not hold the object before: `false` for
     /// a re-entrant grant or an upgrade. A caller that tracks its lock
@@ -72,6 +74,8 @@ pub struct Acquired {
     pub fresh: bool,
     /// Whether the requester had to wait for a conflicting holder.
     pub waited: bool,
+    /// Whether that wait outlasted its spin and parked on the condvar.
+    pub parked: bool,
     /// Whether the shard's table mutex itself was held by another thread
     /// on entry (sharding-level contention, as opposed to a lock-mode
     /// conflict).
@@ -82,8 +86,8 @@ pub struct Acquired {
     /// granted, but it is the token the wait should be blamed on.
     pub blocker: u64,
     /// Nanoseconds spent blocked (`0` when granted immediately).
-    /// Measured inside the manager from a clock read taken just before
-    /// the first park, so a request that never parks reads no clock, and
+    /// Measured inside the manager from a clock read taken at the first
+    /// failed grant, so a request granted at once reads no clock, and
     /// callers that want wait attribution need none of their own.
     pub waited_ns: u64,
 }
@@ -263,88 +267,88 @@ impl LockManager {
             Some(g) => (g, false),
             None => (shard.table.lock(), true),
         };
-        // Zero-timeout fail-fast: one grant attempt, never park (the
-        // deterministic-simulation path — a conflict becomes an immediate
-        // retryable timeout abort).
-        if timeout.is_zero() {
-            return match table.entry(obj).or_default().try_grant(token, mode) {
-                Ok(fresh) => Ok(Acquired {
+        let blockers = match table.entry(obj).or_default().try_grant(token, mode) {
+            Ok(fresh) => {
+                return Ok(Acquired {
                     fresh,
-                    waited: false,
                     contended,
-                    blocker: 0,
-                    waited_ns: 0,
-                }),
-                Err(_) => Err(LockError::Timeout),
-            };
+                    ..Acquired::default()
+                })
+            }
+            Err(blockers) => blockers,
+        };
+        // Zero-timeout fail-fast: one grant attempt, never spin or park
+        // (the deterministic-simulation path — a conflict becomes an
+        // immediate retryable timeout abort).
+        if timeout.is_zero() {
+            return Err(LockError::Timeout);
         }
-        // `(start, deadline)`, built at the first park: a grant that never
-        // blocks reads no clock.
-        let mut parked: Option<(Instant, Instant)> = None;
-        let mut first_blocker = 0u64;
-        loop {
-            let blockers = match table.entry(obj).or_default().try_grant(token, mode) {
-                Ok(fresh) => {
-                    // Edges exist only if we blocked with detection on.
-                    if parked.is_some() && detect_deadlocks {
-                        self.waits_for.lock().clear(token);
-                    }
-                    return Ok(Acquired {
-                        fresh,
-                        waited: parked.is_some(),
-                        contended,
-                        blocker: first_blocker,
-                        waited_ns: parked.map_or(0, |(start, _)| start.elapsed().as_nanos() as u64),
-                    });
+        let blocker = blockers.first().copied().unwrap_or(0);
+        let mut edges = detect_deadlocks.then(Vec::new);
+        self.wait_on(token, blockers, &mut edges)?;
+        // A grant that never blocks reads no clock.
+        let started = Instant::now();
+        let (got, parked) =
+            wait::spin_then_park(&shard.table, &shard.cv, table, started, timeout, |table| {
+                match table.entry(obj).or_default().try_grant(token, mode) {
+                    // Drop the edges while the shard is held: a stale one
+                    // would let the holder's next request close a false cycle.
+                    Ok(fresh) => Some(self.wait_on(token, Vec::new(), &mut edges).map(|()| fresh)),
+                    Err(b) => self.wait_on(token, b, &mut edges).err().map(Err),
                 }
-                Err(blockers) => blockers,
-            };
-            if first_blocker == 0 {
-                first_blocker = blockers.first().copied().unwrap_or(0);
-            }
-            if detect_deadlocks {
-                let mut wf = self.waits_for.lock();
-                wf.set(token, blockers);
-                if wf.closes_cycle(token) {
-                    wf.clear(token);
-                    return Err(LockError::Deadlock);
-                }
-            }
-            let (start, deadline) = *parked.get_or_insert_with(|| {
-                let start = Instant::now();
-                (start, start + timeout)
             });
-            if shard.cv.wait_until(&mut table, deadline).timed_out() {
-                // Last-chance re-check, then a single edge cleanup for
-                // either outcome.
-                let granted = table.entry(obj).or_default().try_grant(token, mode);
-                if detect_deadlocks {
-                    self.waits_for.lock().clear(token);
-                }
-                return match granted {
-                    Ok(fresh) => Ok(Acquired {
-                        fresh,
-                        waited: true,
-                        contended,
-                        blocker: first_blocker,
-                        waited_ns: start.elapsed().as_nanos() as u64,
-                    }),
-                    Err(_) => Err(LockError::Timeout),
-                };
-            }
+        if got.is_none() {
+            self.wait_on(token, Vec::new(), &mut edges)?;
         }
+        Ok(Acquired {
+            fresh: got.unwrap_or(Err(LockError::Timeout))?,
+            waited: true,
+            parked,
+            contended,
+            blocker,
+            waited_ns: started.elapsed().as_nanos() as u64,
+        })
     }
 
-    /// Release `token`'s lock on `obj` (idempotent) and wake waiters.
+    /// Point `token`'s waits-for edges at `blockers` (none: drop them)
+    /// unless `edges`, the ones last written, already match; `None` when
+    /// detection is off. [`LockError::Deadlock`], with the edges dropped,
+    /// when the new ones close a cycle.
+    fn wait_on(
+        &self,
+        token: u64,
+        blockers: Vec<u64>,
+        edges: &mut Option<Vec<u64>>,
+    ) -> Result<(), LockError> {
+        let Some(edges) = edges.as_mut().filter(|e| **e != blockers) else {
+            return Ok(());
+        };
+        let mut wf = self.waits_for.lock();
+        if blockers.is_empty() {
+            wf.clear(token);
+        } else {
+            wf.set(token, blockers.clone());
+        }
+        *edges = blockers;
+        if wf.closes_cycle(token) {
+            wf.clear(token);
+            edges.clear();
+            return Err(LockError::Deadlock);
+        }
+        Ok(())
+    }
+
+    /// Release `token`'s lock on `obj` (idempotent) and wake waiters;
+    /// returns how many were parked.
     ///
     /// The broadcast happens after the shard lock is dropped, so woken
     /// waiters can re-check immediately instead of piling up on a mutex
     /// the notifier still holds. Safe against lost wakeups: a waiter
     /// checks its grant and counts itself as parked under the shard lock,
     /// so it either sees this release's effect or is already counted when
-    /// the notification reads the count. With nobody parked the notify is
-    /// one load, no system call.
-    pub fn release(&self, token: u64, obj: ObjectId) {
+    /// the notification reads the count. With nobody parked (spinners do
+    /// not count) the notify is one load, no system call.
+    pub fn release(&self, token: u64, obj: ObjectId) -> usize {
         let shard = self.shard(obj);
         {
             let mut table = shard.table.lock();
@@ -354,7 +358,7 @@ impl LockManager {
                 }
             }
         }
-        shard.cv.notify_all();
+        shard.cv.notify_all()
     }
 
     /// Release every lock `token` holds on `objs`. (The caller tracks its
@@ -474,6 +478,33 @@ mod tests {
         lm.release(1, obj(1));
         let got = h.join().unwrap().unwrap();
         assert!(got.waited);
+    }
+
+    /// A conflict released inside the spin budget is granted without a
+    /// park, and its release finds nobody parked to wake.
+    #[test]
+    fn a_release_inside_the_spin_budget_wakes_nobody() {
+        let lm = Arc::new(LockManager::new());
+        let o = obj(1);
+        // A waiter descheduled past its budget parks instead; retry.
+        for _ in 0..100 {
+            lm.acquire(1, o, LockMode::Exclusive, T, true).unwrap();
+            let lm2 = Arc::clone(&lm);
+            let h = thread::spawn(move || lm2.acquire(2, o, LockMode::Exclusive, T, true));
+            while lm.waits_for_edges() == 0 {
+                std::hint::spin_loop();
+            }
+            let woken = lm.release(1, o);
+            let a = h.join().unwrap().unwrap();
+            lm.release(2, o);
+            assert!(a.waited);
+            if woken == 0 {
+                assert!(!a.parked, "a grant no notify woke parked");
+                return;
+            }
+            assert!(a.parked);
+        }
+        panic!("no release landed inside the waiter's spin in 100 tries");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the protocols that need them, since the store holds committed
 //! versions only. Per object: the transaction numbers with a write
 //! pending on it and the `r-ts` of its newest version; per shard, a
-//! condition variable that blocked requests park on.
+//! condition variable that blocked requests park on after their spin
+//! ([`crate::wait`]).
 //! [`TimestampOrdering`](crate::TimestampOrdering) owns one, and so do
 //! the Reed MVTO and Weihl TI baselines, whose read-only readers wait on
 //! pending writes.
@@ -39,21 +40,14 @@
 //!
 //! No wake-up is lost: every change a waiter polls for happens under the
 //! table shard mutex it polls under, and a waiter counts itself parked
-//! under that mutex (see the `parking_lot` shim's `Condvar`).
+//! under that mutex (see [`crate::wait`] and the shim's `Condvar`).
 
+use crate::wait;
 use mvcc_model::ObjectId;
 use mvcc_storage::shard::{shard_index, ObjectMap};
 use mvcc_storage::VersionNo;
 use parking_lot::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Result of one poll inside [`PendingTable::wait_until`].
-pub enum WaitOutcome<R> {
-    /// Done; return this value.
-    Ready(R),
-    /// Condition not met; sleep until the object's shard changes.
-    Wait,
-}
 
 /// One object's entry: the ids with a write pending on it and the `r-ts`
 /// of its newest version. Ids are transaction numbers under timestamp
@@ -206,9 +200,10 @@ impl PendingTable {
         &self.shards[shard_index(obj.get(), SHARDS)]
     }
 
-    /// Repeatedly run `f` on `obj`'s entry until it returns
-    /// [`WaitOutcome::Ready`], sleeping on the shard's condition variable
-    /// between polls; `None` when `timeout` passes first. Wakes on any
+    /// Repeatedly run `f` on `obj`'s entry until it returns `Some`,
+    /// spinning and then sleeping on the shard's condition variable
+    /// between polls ([`crate::wait`]); `None` when `timeout` passes
+    /// first. The flag tells whether the wait parked. Wakes on any
     /// [`release`](Self::release) in the same shard. `floor` is the
     /// pruning floor (see the module docs).
     pub fn wait_until<R>(
@@ -216,8 +211,8 @@ impl PendingTable {
         obj: ObjectId,
         floor: u64,
         timeout: Duration,
-        mut f: impl FnMut(&mut Reservations) -> WaitOutcome<R>,
-    ) -> Option<R> {
+        mut f: impl FnMut(&mut Reservations) -> Option<R>,
+    ) -> (Option<R>, bool) {
         let shard = self.shard(obj);
         let mut poll = |entries: &mut Entries| {
             let e = entries.entry(obj, floor);
@@ -228,29 +223,24 @@ impl PendingTable {
             outcome
         };
         let mut entries = shard.entries.lock();
-        if let WaitOutcome::Ready(r) = poll(&mut entries) {
-            return Some(r);
+        if let Some(r) = poll(&mut entries) {
+            return (Some(r), false);
         }
-        // Zero-timeout fail-fast: never park. Deterministic simulation
-        // configures every wait bound as zero so virtual deadlines are
-        // never handed to a real condvar.
+        // Zero-timeout fail-fast: never spin or park. Deterministic
+        // simulation configures every wait bound as zero so virtual
+        // deadlines are never handed to a real condvar.
         if timeout.is_zero() {
-            return None;
+            return (None, false);
         }
-        // Only a wait that parks reads the clock.
-        let deadline = Instant::now() + timeout;
-        loop {
-            let timed_out = shard.cv.wait_until(&mut entries, deadline).timed_out();
-            // After a timeout this is the final re-check: the condition
-            // may have become true in the race between the last poll and
-            // the timeout.
-            if let WaitOutcome::Ready(r) = poll(&mut entries) {
-                return Some(r);
-            }
-            if timed_out {
-                return None;
-            }
-        }
+        // Only a wait that blocks reads the clock.
+        wait::spin_then_park(
+            &shard.entries,
+            &shard.cv,
+            entries,
+            Instant::now(),
+            timeout,
+            poll,
+        )
     }
 
     /// Reserve `obj` for `id` without a check or a wait (a baseline whose
@@ -305,21 +295,20 @@ mod tests {
     #[test]
     fn wait_until_ready_immediately() {
         let t = PendingTable::default();
-        let r = t.wait_until(obj(1), 0, Duration::from_millis(10), |e| {
-            WaitOutcome::Ready(e.any())
-        });
-        assert_eq!(r, Some(false));
+        let r = t.wait_until(obj(1), 0, Duration::from_millis(10), |e| Some(e.any()));
+        assert_eq!(r, (Some(false), false));
         assert_eq!(t.entries(), 0, "an idle poll leaves no entry");
     }
 
     #[test]
     fn wait_until_times_out() {
         let t = PendingTable::default();
-        let r = t.wait_until::<()>(obj(1), 0, Duration::from_millis(20), |_| WaitOutcome::Wait);
-        assert_eq!(r, None);
+        let r = t.wait_until::<()>(obj(1), 0, Duration::from_millis(20), |_| None);
+        assert_eq!(r, (None, true));
         assert_eq!(
-            t.wait_until::<()>(obj(1), 0, Duration::ZERO, |_| WaitOutcome::Wait),
-            None
+            t.wait_until::<()>(obj(1), 0, Duration::ZERO, |_| None),
+            (None, false),
+            "a zero timeout neither spins nor parks"
         );
     }
 
@@ -331,14 +320,14 @@ mod tests {
         let waiter = thread::spawn(move || {
             t2.wait_until(obj(7), 0, Duration::from_secs(5), |e| {
                 match e.oldest_in(0, 5) {
-                    Some(_) => WaitOutcome::Wait,
-                    None => WaitOutcome::Ready(e.any()),
+                    Some(_) => None,
+                    None => Some(e.any()),
                 }
             })
         });
         thread::sleep(Duration::from_millis(20));
         t.release(obj(7), 3, 0);
-        assert_eq!(waiter.join().unwrap(), Some(false));
+        assert_eq!(waiter.join().unwrap(), (Some(false), true));
         assert_eq!(t.reservations(), 0);
     }
 

@@ -21,7 +21,7 @@
 //! *older* transactions, so the waits-for relation follows the total
 //! order of transaction numbers.
 
-use crate::pending::{PendingTable, Reservations, WaitOutcome};
+use crate::pending::{PendingTable, Reservations};
 use mvcc_core::{
     AbortReason, CcContext, ConcurrencyControl, DbError, Deadline, EventKind, TxnOptions, TxnPhase,
     WaitPoint, WriteSet,
@@ -76,8 +76,8 @@ impl TimestampOrdering {
     /// Poll `obj`'s table entry with `f` until it returns `Ok`. `f`
     /// returns `Err(older)` while transaction `older` has a write pending
     /// on `obj` that the request must wait out (Fig 3: "may be delayed due
-    /// to the pending writes as per TO protocol"); the request then parks
-    /// for up to `timeout`, and the wait is blamed on `older`.
+    /// to the pending writes as per TO protocol"); the request then spins
+    /// and parks for up to `timeout`, and the wait is blamed on `older`.
     fn when_unblocked<R>(
         &self,
         ctx: &CcContext,
@@ -93,9 +93,9 @@ impl TimestampOrdering {
         let mut attr_started = None;
         // Speculative trace leaf, finished only when the request blocked.
         let span = mvcc_core::obs::trace::leaf("blocked");
-        let result = self.table.wait_until(obj, ctx.vtnc(), timeout, |e| {
+        let (result, parked) = self.table.wait_until(obj, ctx.vtnc(), timeout, |e| {
             let older = match f(e) {
-                Ok(r) => return WaitOutcome::Ready(r),
+                Ok(r) => return Some(r),
                 Err(older) => older,
             };
             if blocker.is_none() {
@@ -107,9 +107,12 @@ impl TimestampOrdering {
                     .fetch_add(1, Ordering::Relaxed);
                 ctx.obs.emit(EventKind::Blocked, tn, obj.get());
             }
-            WaitOutcome::Wait
+            None
         });
         if let Some(blocker) = blocker {
+            if parked {
+                ctx.metrics.local().rw_parks.fetch_add(1, Ordering::Relaxed);
+            }
             if let (Some(attr), Some(started)) = (ctx.obs.attr(), attr_started) {
                 let ns = ctx.obs.since(started).as_nanos() as u64;
                 attr.topk().record_key(obj.get(), ns, result.is_none());

@@ -157,6 +157,9 @@ impl TwoPhaseLocking {
             Ok(a) => {
                 if a.waited {
                     m.rw_blocks.fetch_add(1, Ordering::Relaxed);
+                    if a.parked {
+                        m.rw_parks.fetch_add(1, Ordering::Relaxed);
+                    }
                     if let Some(started) = timer {
                         ctx.obs.phases().lock_wait.record(ctx.obs.since(started));
                         ctx.obs.emit(EventKind::LockWait, txn.token, obj.get());

@@ -4,7 +4,7 @@
 //! over a large key space whose table must stay bounded by the active
 //! window.
 
-use mvcc_cc::pending::{PendingTable, WaitOutcome};
+use mvcc_cc::pending::PendingTable;
 use mvcc_cc::presets;
 use mvcc_core::DbConfig;
 use mvcc_model::ObjectId;
@@ -100,9 +100,9 @@ proptest! {
                     let version = arg.min(newest[o as usize]);
                     let got = table.wait_until(obj, floor, Duration::ZERO, |e| {
                         e.mark_read(version, id);
-                        WaitOutcome::Ready(())
+                        Some(())
                     });
-                    prop_assert_eq!(got, Some(()));
+                    prop_assert_eq!(got, (Some(()), false));
                     model.entry(o).or_default().reads.push((version, id));
                     prune(&mut model, o, floor);
                 }
@@ -113,13 +113,13 @@ proptest! {
                     let installed = newest[o as usize];
                     let got = table.wait_until(obj, floor, Duration::ZERO, |e| {
                         match e.oldest_in(installed, id) {
-                            Some(_) => WaitOutcome::Wait,
-                            None => WaitOutcome::Ready(()),
+                            Some(_) => None,
+                            None => Some(()),
                         }
                     });
                     let entry = model.entry(o).or_default();
                     let blocked = entry.reserved.iter().any(|&r| installed < r && r < id);
-                    prop_assert_eq!(got.is_none(), blocked);
+                    prop_assert_eq!(got, (if blocked { None } else { Some(()) }, false));
                     prune(&mut model, o, floor);
                 }
                 4 => {
@@ -146,8 +146,9 @@ proptest! {
                 };
                 let got = table
                     .wait_until(ObjectId(p), floor, Duration::ZERO, |e| {
-                        WaitOutcome::Ready(observe(e, id, arg, n))
+                        Some(observe(e, id, arg, n))
                     })
+                    .0
                     .unwrap();
                 prop_assert_eq!(got, want, "object {}", p);
                 // The observing poll touched the entry: it prunes too.

@@ -137,7 +137,9 @@ fn concurrent_schedule_replays_identically_on_single_shard_oracle() {
                      sharded granted={granted}, oracle {got:?}"
                 );
             }
-            Event::Release { token, obj } => oracle.release(token, ObjectId(obj)),
+            Event::Release { token, obj } => {
+                oracle.release(token, ObjectId(obj));
+            }
         }
     }
     for obj in 0..OBJECTS {

@@ -127,8 +127,12 @@ metrics! {
     /// Synchronization actions by read-write transactions (lock
     /// acquisitions, timestamp checks, validations).
     rw_sync_actions,
-    /// Times a read-write operation blocked waiting.
+    /// Times a read-write operation blocked waiting (a wait that the
+    /// holder's release ended while it spun counts too).
     rw_blocks,
+    /// Those blocks of 2PL and TO whose wait outlasted its spin and
+    /// parked on a condition variable.
+    rw_parks,
     /// `VCstart` invocations.
     vc_start_calls,
     /// `VCregister` invocations.

@@ -10,9 +10,10 @@
 /// flight-recorder dumps).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VcView {
-    /// Last assigned transaction number.
+    /// Last assigned transaction number (its Lamport time at a `dist`
+    /// site).
     pub tnc: u64,
-    /// Visibility watermark.
+    /// Visibility watermark (its Lamport time at a site).
     pub vtnc: u64,
     /// Registered-but-not-finished transactions in the VCQueue.
     pub queue_depth: u64,

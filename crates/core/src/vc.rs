@@ -535,10 +535,11 @@ impl VersionControl {
 
     /// The visibility lag: how many assigned transaction numbers are not
     /// yet visible (`(tnc − 1) − vtnc`). Zero means a read-only
-    /// transaction starting now sees every assigned transaction.
+    /// transaction starting now sees every assigned transaction. At a
+    /// site both are Lamport times: the lag counts clock ticks.
     pub fn lag(&self) -> u64 {
         let inner = self.inner();
-        (inner.tnc - 1).saturating_sub(self.vtnc.load(Ordering::Acquire))
+        (inner.tnc - 1).saturating_sub(self.vtnc.load(Ordering::Acquire) >> inner.shift)
     }
 
     /// Number of registered transactions not yet visible (boosted finals
@@ -549,12 +550,13 @@ impl VersionControl {
     }
 
     /// One-shot snapshot of the whole version-control state, for gauges
-    /// and flight-recorder dumps.
+    /// and flight-recorder dumps. At a site `tnc` and `vtnc` are both
+    /// Lamport times, as in [`lag`](Self::lag); `head_tn` is a number.
     pub fn view(&self) -> VcView {
         let inner = self.inner();
         VcView {
             tnc: inner.tnc - 1, // last assigned number
-            vtnc: self.vtnc.load(Ordering::Acquire),
+            vtnc: self.vtnc.load(Ordering::Acquire) >> inner.shift,
             queue_depth: inner.queue.len() as u64,
             head_tn: inner.queue.head_tn(),
             head_age_us: inner

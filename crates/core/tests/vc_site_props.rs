@@ -8,6 +8,8 @@
 //!   straight transcription of the distributed rule: a proposal queue
 //!   keyed by number, a holdover of finals, and a barrier at the head
 //!   proposal or the next time the clock could issue.
+//! * **lag** — `lag()` and `view()` report `tnc` and `vtnc` in one unit,
+//!   the Lamport time, so the lag counts clock ticks not yet visible.
 //! * **central path** — with `f == p` only, a site's `vtnc` trajectory is
 //!   plain `complete`'s on a densely numbered module, number for number:
 //!   the holdover is never used.
@@ -141,6 +143,11 @@ proptest! {
             }
             prop_assert_eq!(vc.vtnc(), model.vtnc);
             prop_assert_eq!(vc.queue_len(), model.queue.len() + model.holdover.len());
+            // Lag and view count in one unit at a site: Lamport time.
+            let lag = model.time - (model.vtnc >> BITS);
+            prop_assert_eq!(vc.lag(), lag);
+            let view = vc.view();
+            prop_assert_eq!((view.tnc, view.vtnc, view.vtnc_lag()), (model.time, model.vtnc >> BITS, lag));
             if let Err(e) = vc.validate() {
                 prop_assert!(false, "{}", e);
             }
@@ -182,6 +189,9 @@ proptest! {
             prop_assert_eq!(site.vtnc(), if v == 0 { 0 } else { lamport(v, SITE) });
             prop_assert_eq!(site.tnc(), central.tnc());
             prop_assert_eq!(site.queue_len(), central.queue_len());
+            prop_assert_eq!(site.lag(), central.lag());
+            let (s, c) = (site.view(), central.view());
+            prop_assert_eq!((s.tnc, s.vtnc), (c.tnc, c.vtnc));
             site.validate().unwrap();
             central.validate().unwrap();
         }

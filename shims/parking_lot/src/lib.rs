@@ -124,7 +124,11 @@ impl WaitTimeoutResult {
 /// - `cc::lock` `LockManager::release` and `clear_all`: the lock table,
 ///   under the shard's `table` mutex;
 /// - `cc::pending` `PendingTable::release`: the reservations, under the
-///   shard's `entries` mutex (every reservation change goes through it);
+///   shard's `entries` mutex (every reservation change goes through it).
+///   Both `cc` waits spin first, re-polling under their mutex, and count
+///   themselves only when they park, in the critical section of their
+///   last failed poll (`cc::wait`): a release that finds only spinners
+///   makes no system call, and the rule covers spinners unchanged;
 /// - `core::vc` `VersionControl::notify_visible` (from `complete`,
 ///   `complete_as`, `discard`, `reap` and `resume`, on one engine and at
 ///   every `dist` site alike): `vtnc` is stored before the notifier

@@ -7,7 +7,11 @@
 //! argument is in the shim's `Condvar` docs). Each case below races
 //! notifies against parks at one wait site, alternating rounds where
 //! the waiter is made to park first with rounds where the notify races
-//! its condition check. Every wait is bounded by [`BOUND`] and re-checks
+//! its condition check. The lock table and TO's pending table spin for
+//! [`SPIN_BUDGET`] before they park, so their park rounds hold past it
+//! and each case asserts that it parked at least once; two more cases
+//! release near the end of that spin, where the switch from spinning to
+//! parking races the notify. Every wait is bounded by [`BOUND`] and re-checks
 //! its condition when the bound expires, so a lost wake-up turns into a
 //! wait of the whole bound; each case fails on any wait longer than
 //! [`SLOW`], so a lost wake-up fails the test within one bound instead
@@ -16,7 +20,8 @@
 //! Run it in release too (`cargo test --release --test wakeups`): the
 //! benchmark measures the optimised build, where the races are tighter.
 
-use mvdb::cc::{presets, LockManager, LockMode};
+use mvdb::cc::wait::SPIN_BUDGET;
+use mvdb::cc::{presets, LockManager, LockMode, PendingTable};
 use mvdb::core::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
@@ -47,6 +52,20 @@ fn maybe_let_park(round: u64) {
     }
 }
 
+/// Busy-wait for `d`: a sleep is too coarse to end near the spin bound.
+fn hold(d: Duration) {
+    let end = Instant::now() + d;
+    while Instant::now() < end {
+        std::hint::spin_loop();
+    }
+}
+
+/// A hold ending between half and one and a half spin budgets after the
+/// waiter blocked, varying by round.
+fn near_bound(round: u64) -> Duration {
+    SPIN_BUDGET / 2 + SPIN_BUDGET * (round % 11) as u32 / 10
+}
+
 /// `LockManager::acquire` parks on its shard's condvar; `release_all`
 /// wakes it.
 #[test]
@@ -56,11 +75,12 @@ fn exclusive_lock_ping_pong_loses_no_wakeup() {
     let x = ObjectId(1);
     let holder = AtomicU64::new(0);
     let waits = AtomicU64::new(0);
+    let parks = AtomicU64::new(0);
     thread::scope(|s| {
         for token in 1..=2u64 {
-            let (lm, holder, waits) = (&lm, &holder, &waits);
+            let (lm, holder, waits, parks) = (&lm, &holder, &waits, &parks);
             s.spawn(move || {
-                for _ in 0..GRANTS_PER_THREAD {
+                for grant in 0..GRANTS_PER_THREAD {
                     let a = lm
                         .acquire(token, x, LockMode::Exclusive, BOUND, true)
                         .unwrap_or_else(|e| panic!("token {token}: {e}"));
@@ -72,16 +92,25 @@ fn exclusive_lock_ping_pong_loses_no_wakeup() {
                     if a.waited {
                         waits.fetch_add(1, Ordering::Relaxed);
                     }
+                    if a.parked {
+                        parks.fetch_add(1, Ordering::Relaxed);
+                    }
                     assert_eq!(holder.swap(token, Ordering::Relaxed), 0, "two holders");
-                    // Hold across a yield so the other thread parks.
-                    thread::yield_now();
+                    // Every 8th grant holds past the spin bound so the
+                    // other thread parks; the rest hold across a yield.
+                    if grant % 8 == 0 {
+                        thread::sleep(2 * SPIN_BUDGET);
+                    } else {
+                        thread::yield_now();
+                    }
                     holder.store(0, Ordering::Relaxed);
                     lm.release_all(token, &[x]);
                 }
             });
         }
     });
-    assert!(waits.load(Ordering::Relaxed) > 0, "no acquire ever parked");
+    assert!(waits.load(Ordering::Relaxed) > 0, "no acquire ever waited");
+    assert!(parks.load(Ordering::Relaxed) > 0, "no acquire ever parked");
     assert_eq!(lm.waits_for_edges(), 0);
     assert_eq!(lm.locked_objects(), 0);
 }
@@ -153,10 +182,11 @@ fn to_wakes_behind_older_writer(resolve: Resolve, op: Op) {
             spin_until("younger start", || started.load(Ordering::Acquire));
             if round.is_multiple_of(2) {
                 // The younger transaction counts its block under the
-                // table shard's lock just before parking, and the release
-                // needs that lock: waiting for the count makes this round
-                // a park-then-notify.
+                // table shard's lock at its first failed poll, then spins
+                // for at most the budget before it parks: holding past
+                // that makes this round a park-then-notify.
                 spin_until("younger block", || db.metrics().rw_blocks > blocks);
+                thread::sleep(2 * SPIN_BUDGET);
             }
             match resolve {
                 Resolve::Commit => {
@@ -175,8 +205,73 @@ fn to_wakes_behind_older_writer(resolve: Resolve, op: Op) {
         });
     }
     assert!(db.metrics().rw_blocks >= ROUNDS / 2);
+    assert!(db.metrics().rw_parks > 0, "no wait ever parked");
     assert_eq!(db.metrics().aborts_timeout, 0);
     assert_eq!(db.sample_gauges().pending_versions, 0);
+}
+
+/// A lock released between half and one and a half spin budgets after
+/// the waiter blocked: the waiter's last failed poll and its park race the
+/// release and its notify.
+#[test]
+fn lock_release_near_the_spin_bound_loses_no_wakeup() {
+    const ROUNDS: u64 = 2_000;
+    let lm = LockManager::new();
+    let x = ObjectId(1);
+    let mut parks = 0;
+    for round in 0..ROUNDS {
+        lm.acquire(1, x, LockMode::Exclusive, BOUND, true).unwrap();
+        thread::scope(|s| {
+            let waiter = s.spawn(|| lm.acquire(2, x, LockMode::Exclusive, BOUND, true));
+            // The waiter writes its waits-for edge at its first failed grant.
+            spin_until("waiter's block", || lm.waits_for_edges() == 1);
+            hold(near_bound(round));
+            lm.release(1, x);
+            let a = waiter.join().unwrap().unwrap();
+            let waited = Duration::from_nanos(a.waited_ns);
+            assert!(waited < SLOW, "round {round}: waited {waited:?}");
+            parks += a.parked as u64;
+        });
+        lm.release(2, x);
+    }
+    assert!(parks > 0, "no acquire ever parked");
+    assert_eq!(lm.waits_for_edges(), 0);
+}
+
+/// The same race at TO's pending table: a reservation dropped near the
+/// end of the spin of a request waiting behind it.
+#[test]
+fn pending_release_near_the_spin_bound_loses_no_wakeup() {
+    const ROUNDS: u64 = 2_000;
+    let table = PendingTable::default();
+    let x = ObjectId(7);
+    let mut parks = 0;
+    for round in 0..ROUNDS {
+        table.reserve(x, 1);
+        let blocked = AtomicBool::new(false);
+        thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = Instant::now();
+                let got = table.wait_until(x, 0, BOUND, |e| {
+                    if !e.holds(1) {
+                        return Some(());
+                    }
+                    blocked.store(true, Ordering::Release);
+                    None
+                });
+                (got, t0.elapsed())
+            });
+            spin_until("waiter's block", || blocked.load(Ordering::Acquire));
+            hold(near_bound(round));
+            table.release(x, 1, 0);
+            let ((got, parked), waited) = waiter.join().unwrap();
+            assert_eq!(got, Some(()), "round {round}");
+            assert!(waited < SLOW, "round {round}: waited {waited:?}");
+            parks += parked as u64;
+        });
+    }
+    assert!(parks > 0, "no wait ever parked");
+    assert_eq!(table.entries(), 0);
 }
 
 /// `VersionControl::wait_visible` parks on the visibility condvar;
