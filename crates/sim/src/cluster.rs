@@ -12,7 +12,9 @@
 //! Terminal oracles: per-site [`VersionControl::validate`], the MVSG
 //! check over the global trace, exact conservation of committed
 //! increments per `(site, object)`, and full in-doubt drainage under
-//! presumed abort.
+//! presumed abort. One oracle is checked on every read-only read as the
+//! run goes: **`ro_pruned`** — a distributed snapshot read never finds
+//! its version pruned by a site's garbage collection.
 //!
 //! [`VersionControl::validate`]: mvcc_core::VersionControl::validate
 
@@ -207,10 +209,17 @@ pub fn run_cluster(spec: &SimSpec) -> RunReport {
                                 f.pos += 1;
                                 *slot = Some(f);
                             }
-                            Err(e)
-                                if e.is_retryable()
-                                    || matches!(e, DbError::VersionPruned { .. }) =>
-                            {
+                            Err(DbError::VersionPruned { sn, .. }) => {
+                                violations.push(Violation {
+                                    oracle: "ro_pruned",
+                                    detail: format!(
+                                        "dist ro read {s:?}/{o:?} at sn {sn}: version pruned"
+                                    ),
+                                });
+                                f.txn.finish();
+                                steps_done += 1;
+                            }
+                            Err(e) if e.is_retryable() => {
                                 f.txn.finish();
                                 ro_aborts += 1;
                                 steps_done += 1;
