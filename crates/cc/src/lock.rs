@@ -115,34 +115,42 @@ impl LockState {
         }
     }
 
-    /// Try to grant: `Ok(true)` for a fresh grant, `Ok(false)` when
+    /// Try to grant: `Some(true)` for a fresh grant, `Some(false)` when
     /// `token` already held the object (a re-entrant grant or an
-    /// upgrade), `Err(blockers)` with the tokens standing in the way.
-    fn try_grant(&mut self, token: u64, mode: LockMode) -> Result<bool, Vec<u64>> {
-        let Some((first, first_mode)) = self.first else {
+    /// upgrade), `None` when [`blockers`](Self::blockers) stand in the way.
+    fn grant(&mut self, token: u64, mode: LockMode) -> Option<bool> {
+        let Some((_, first_mode)) = self.first else {
             self.first = Some((token, mode));
-            return Ok(true);
+            return Some(true);
         };
         match (mode, self.mode_of(token)) {
             // S or X already held covers S; X covers X.
             (LockMode::Shared, Some(_)) | (LockMode::Exclusive, Some(LockMode::Exclusive)) => {
-                Ok(false)
+                Some(false)
             }
             (LockMode::Shared, None) if first_mode == LockMode::Shared => {
                 self.more.push(token);
-                Ok(true)
+                Some(true)
             }
-            (LockMode::Shared, None) => Err(vec![first]),
             // Upgrade: the sole holder may.
             (LockMode::Exclusive, Some(LockMode::Shared)) if self.more.is_empty() => {
                 self.first = Some((token, LockMode::Exclusive));
-                Ok(false)
+                Some(false)
             }
-            (LockMode::Exclusive, _) => Err(std::iter::once(first)
-                .chain(self.more.iter().copied())
-                .filter(|&t| t != token)
-                .collect()),
+            _ => None,
         }
+    }
+
+    /// The holders a refused [`grant`](Self::grant) waits for: every
+    /// holder but `token`. A refused `Shared` request meets one
+    /// `Exclusive` holder, a refused `Exclusive` one every other holder.
+    /// Lazy, so a poll that finds the same blockers allocates nothing.
+    fn blockers(&self, token: u64) -> impl Iterator<Item = u64> + Clone + '_ {
+        let first = self.first.map(|(t, _)| t);
+        first
+            .into_iter()
+            .chain(self.more.iter().copied())
+            .filter(move |&t| t != token)
     }
 
     /// Drop `token`'s hold; whether it held the object.
@@ -267,38 +275,40 @@ impl LockManager {
             Some(g) => (g, false),
             None => (shard.table.lock(), true),
         };
-        let blockers = match table.entry(obj).or_default().try_grant(token, mode) {
-            Ok(fresh) => {
-                return Ok(Acquired {
-                    fresh,
-                    contended,
-                    ..Acquired::default()
-                })
-            }
-            Err(blockers) => blockers,
-        };
+        let state = table.entry(obj).or_default();
+        if let Some(fresh) = state.grant(token, mode) {
+            return Ok(Acquired {
+                fresh,
+                contended,
+                ..Acquired::default()
+            });
+        }
         // Zero-timeout fail-fast: one grant attempt, never spin or park
         // (the deterministic-simulation path — a conflict becomes an
         // immediate retryable timeout abort).
         if timeout.is_zero() {
             return Err(LockError::Timeout);
         }
-        let blocker = blockers.first().copied().unwrap_or(0);
+        let blocker = state.blockers(token).next().unwrap_or(0);
         let mut edges = detect_deadlocks.then(Vec::new);
-        self.wait_on(token, blockers, &mut edges)?;
+        self.wait_on(token, state.blockers(token), &mut edges)?;
         // A grant that never blocks reads no clock.
         let started = Instant::now();
         let (got, parked) =
             wait::spin_then_park(&shard.table, &shard.cv, table, started, timeout, |table| {
-                match table.entry(obj).or_default().try_grant(token, mode) {
+                let state = table.entry(obj).or_default();
+                match state.grant(token, mode) {
                     // Drop the edges while the shard is held: a stale one
                     // would let the holder's next request close a false cycle.
-                    Ok(fresh) => Some(self.wait_on(token, Vec::new(), &mut edges).map(|()| fresh)),
-                    Err(b) => self.wait_on(token, b, &mut edges).err().map(Err),
+                    Some(fresh) => Some(self.wait_on(token, None, &mut edges).map(|()| fresh)),
+                    None => self
+                        .wait_on(token, state.blockers(token), &mut edges)
+                        .err()
+                        .map(Err),
                 }
             });
         if got.is_none() {
-            self.wait_on(token, Vec::new(), &mut edges)?;
+            self.wait_on(token, None, &mut edges)?;
         }
         Ok(Acquired {
             fresh: got.unwrap_or(Err(LockError::Timeout))?,
@@ -313,23 +323,29 @@ impl LockManager {
     /// Point `token`'s waits-for edges at `blockers` (none: drop them)
     /// unless `edges`, the ones last written, already match; `None` when
     /// detection is off. [`LockError::Deadlock`], with the edges dropped,
-    /// when the new ones close a cycle.
+    /// when the new ones close a cycle. A poll that finds the blockers it
+    /// recorded compares them in place: no allocation, no graph mutex.
     fn wait_on(
         &self,
         token: u64,
-        blockers: Vec<u64>,
+        blockers: impl IntoIterator<Item = u64, IntoIter: Clone>,
         edges: &mut Option<Vec<u64>>,
     ) -> Result<(), LockError> {
-        let Some(edges) = edges.as_mut().filter(|e| **e != blockers) else {
+        let blockers = blockers.into_iter();
+        let Some(edges) = edges
+            .as_mut()
+            .filter(|e| !e.iter().copied().eq(blockers.clone()))
+        else {
             return Ok(());
         };
+        edges.clear();
+        edges.extend(blockers);
         let mut wf = self.waits_for.lock();
-        if blockers.is_empty() {
+        if edges.is_empty() {
             wf.clear(token);
         } else {
-            wf.set(token, blockers.clone());
+            wf.set(token, edges.clone());
         }
-        *edges = blockers;
         if wf.closes_cycle(token) {
             wf.clear(token);
             edges.clear();
@@ -449,6 +465,15 @@ mod tests {
 
     fn obj(n: u64) -> ObjectId {
         ObjectId(n)
+    }
+
+    impl LockState {
+        /// [`grant`](Self::grant) with the refusal's blockers collected,
+        /// the shape the model check compares against.
+        fn try_grant(&mut self, token: u64, mode: LockMode) -> Result<bool, Vec<u64>> {
+            self.grant(token, mode)
+                .ok_or_else(|| self.blockers(token).collect())
+        }
     }
 
     #[test]
