@@ -40,7 +40,7 @@ pub use lock::{LockError, LockManager, LockMode};
 pub use occ::Optimistic;
 pub use pending::PendingTable;
 pub use to::TimestampOrdering;
-pub use tpl::TwoPhaseLocking;
+pub use tpl::{TplTxn, TwoPhaseLocking};
 
 use mvcc_core::{DbConfig, MvDatabase};
 

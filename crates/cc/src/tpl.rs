@@ -283,6 +283,32 @@ impl TwoPhaseLocking {
         }
     }
 
+    /// The first half of `commit`: `end(T)` at the lock point — every
+    /// lock is held, so `VCregister(T)` fixes the serial order — up to
+    /// [`CcContext::prepare`]. Returns the registered number. On `Err`
+    /// every lock is released and `txn` needs no abort.
+    pub fn prepare(&self, ctx: &CcContext, txn: &TplTxn) -> Result<u64, DbError> {
+        if let Some(attr) = ctx.obs.attr() {
+            attr.blame().set_phase(txn.token, TxnPhase::Commit);
+        }
+        let tn = ctx.register();
+        ctx.prepare(tn, &txn.writes).inspect_err(|_| {
+            self.release(ctx, txn);
+            self.flush_attr(ctx, txn);
+        })?;
+        Ok(tn)
+    }
+
+    /// The second half: insert the φ versions as `fin` under their X
+    /// locks, clear locks, `VCcomplete(tn)` ([`CcContext::finish`]).
+    pub fn finish(&self, ctx: &CcContext, tn: u64, fin: u64, txn: TplTxn) -> Result<u64, DbError> {
+        let res = ctx.finish(tn, fin, &txn.writes, || self.release(ctx, &txn));
+        // Locks are gone and the outcome is published: the deferred
+        // attribution samples can no longer perturb anyone's waits.
+        self.flush_attr(ctx, &txn);
+        res
+    }
+
     /// Clear locks: release every lock `txn` holds.
     fn release(&self, ctx: &CcContext, txn: &TplTxn) {
         self.locks.release_all(txn.token, txn.locked.iter());
@@ -359,18 +385,8 @@ impl ConcurrencyControl for TwoPhaseLocking {
     }
 
     fn commit(&self, ctx: &CcContext, txn: TplTxn) -> Result<u64, DbError> {
-        if let Some(attr) = ctx.obs.attr() {
-            attr.blame().set_phase(txn.token, TxnPhase::Commit);
-        }
-        // end(T): the lock point — every lock is held. Serial order fixed.
-        let tn = ctx.register();
-        // Insert the φ versions as tn(T) under their X locks, clear
-        // locks, VCcomplete(T).
-        let res = ctx.end(tn, &txn.writes, || self.release(ctx, &txn));
-        // Locks are gone and the outcome is published: the deferred
-        // attribution samples can no longer perturb anyone's waits.
-        self.flush_attr(ctx, &txn);
-        res
+        let tn = self.prepare(ctx, &txn)?;
+        self.finish(ctx, tn, tn, txn)
     }
 
     fn abort(&self, ctx: &CcContext, txn: TplTxn) {

@@ -11,13 +11,15 @@
 //! |---|---|---|
 //! | [`register`](CcContext::register) | `VCregister(T)` | exactly once, when the serial position is fixed: at `begin` for timestamp ordering, at the lock point (`commit` entry) for two-phase locking, inside validation for optimistic schemes |
 //! | [`end`](CcContext::end) | `end(T)` | at commit, with the registered number |
+//! | [`prepare`](CcContext::prepare) + [`finish`](CcContext::finish) | `end(T)` in two halves | two-phase commit at a site: `prepare` when voting, `finish` with the decided number |
 //! | [`discard`](CcContext::discard) | abort + `VCdiscard(T)` | on abort |
 //!
-//! `end(T)` is written once, in [`CcContext::end`], for every protocol:
+//! `end(T)` is written once for every protocol, in [`CcContext::end`]:
 //! claim the version-control entry, append the commit record to the log,
 //! install every write as a committed version numbered `tn(T)` (so
 //! version order equals transaction-number order), let the protocol
-//! release what it holds, then `VCcomplete(T)`. A transaction's writes
+//! release what it holds, then `VCcomplete(T)`. A `dist` site runs its
+//! two halves with 2PC's vote and decision between them. A transaction's writes
 //! travel in a [`WriteSet`], buffered there until `end` installs them:
 //! no protocol stages an uncommitted version in the store, so the store
 //! holds committed versions only and read-only reads and garbage
@@ -100,7 +102,10 @@ pub struct CcContext {
     pub obs: Arc<Obs>,
     /// The snapshots garbage collection must not break (read-only
     /// transactions and checkpoints) and the published GC floor.
-    pub(crate) readers: Arc<RoScanRegistry>,
+    readers: Arc<RoScanRegistry>,
+    /// The floor source: the minimum `VCstart` over these modules, `[vc]`
+    /// on one engine and every site's in a cluster.
+    floor_vcs: Arc<[Arc<VersionControl>]>,
 }
 
 /// An install that would leave a chain holding more than
@@ -141,6 +146,7 @@ impl CcContext {
         )));
         CcContext {
             store,
+            floor_vcs: Arc::new([Arc::clone(&vc)]),
             vc,
             config: Arc::new(config),
             metrics: Arc::new(Metrics::new()),
@@ -149,6 +155,12 @@ impl CcContext {
             obs,
             readers: Arc::new(RoScanRegistry::new()),
         }
+    }
+
+    /// Share one GC registry among a cluster's sites, whose version
+    /// controls (this one's included) are `vcs` (DESIGN.md §21).
+    pub fn share_floor(&mut self, readers: Arc<RoScanRegistry>, vcs: Arc<[Arc<VersionControl>]>) {
+        (self.readers, self.floor_vcs) = (readers, vcs);
     }
 
     /// `VCregister(T)`: assign the transaction its number and enqueue it.
@@ -168,49 +180,60 @@ impl CcContext {
     /// `end(T)` for the transaction registered as `tn`, the same for every
     /// protocol (paper Figures 3 and 4: "perform database updates with
     /// version number tn(T); clear locks; VCcomplete(T)"):
-    ///
-    /// 1. claim the entry, which fences it against the stall reaper (§8
-    ///    of DESIGN.md); an entry the reaper already discarded aborts with
-    ///    [`AbortReason::Reaped`];
-    /// 2. append the commit record to the log, if one is attached, before
-    ///    anything is applied (write-before-visible, see
-    ///    [`crate::durability`]); a failed append aborts with
-    ///    [`AbortReason::LogFailed`];
-    /// 3. install each write as a committed version numbered `tn`, first
-    ///    pruning its chain against the published GC floor (rescanned at
-    ///    most once per commit, when a chain would outgrow its inline
-    ///    pair); the floor is at most `vtnc`, below `tn`, and no live
-    ///    reader's start number, so no version a reader or an active
-    ///    transaction can select is pruned;
-    /// 4. `release()`: the protocol frees what it holds (locks, its
-    ///    validation section, its reservations), so whoever it wakes
-    ///    finds the versions already installed;
-    /// 5. `VCcomplete(tn)`.
-    ///
-    /// On `Err` nothing became visible: `release` has run, and the entry
-    /// is discarded (unless the reaper already did). `release` runs
-    /// exactly once on every path, so the caller's only remaining duty is
-    /// to return the error.
+    /// [`prepare`](Self::prepare), then [`finish`](Self::finish) at `tn`.
+    /// `release` runs exactly once on every path. On `Err` nothing became
+    /// visible and the entry is discarded, so the caller only returns it.
     pub fn end(&self, tn: u64, writes: &WriteSet, release: impl FnOnce()) -> Result<u64, DbError> {
-        if !self.vc.start_complete(tn) {
+        if let Err(e) = self.prepare(tn, writes) {
             release();
+            return Err(e);
+        }
+        self.finish(tn, tn, writes, release)
+    }
+
+    /// The first half of `end(T)`, where two-phase commit votes:
+    ///
+    /// 1. claim the entry, fencing it against the stall reaper (DESIGN.md
+    ///    §8); an entry already reaped aborts with [`AbortReason::Reaped`];
+    /// 2. append the commit record to the log, if one is attached, before
+    ///    anything is applied ([`crate::durability`]); a failed append
+    ///    discards the entry and aborts with [`AbortReason::LogFailed`].
+    pub fn prepare(&self, tn: u64, writes: &WriteSet) -> Result<(), DbError> {
+        if !self.vc.start_complete(tn) {
             return Err(DbError::Aborted(AbortReason::Reaped));
         }
-        if let Err(e) = self
-            .log(tn, writes.as_slice())
-            .and_then(|()| self.install(tn, writes))
-        {
+        self.log(tn, writes.as_slice())
+            .inspect_err(|_| self.discard(tn))
+    }
+
+    /// The second half, for a prepared `tn` committing as `fin ≥ tn` (a
+    /// site's decided number):
+    ///
+    /// 3. install each write as a committed version numbered `fin`, first
+    ///    pruning its chain against the published GC floor (rescanned at
+    ///    most once per commit); the floor is at most `vtnc` and no live
+    ///    reader's start number, so nothing selectable is pruned;
+    /// 4. `release()`, so whoever it wakes finds the versions installed;
+    /// 5. `VCcomplete(tn)` as `fin`. On `Err` the entry is discarded.
+    pub fn finish(
+        &self,
+        tn: u64,
+        fin: u64,
+        writes: &WriteSet,
+        release: impl FnOnce(),
+    ) -> Result<u64, DbError> {
+        if let Err(e) = self.install(fin, writes) {
             release();
             self.discard(tn);
             return Err(e);
         }
         release();
-        self.vc.complete(tn);
+        self.vc.complete_as(tn, fin);
         self.metrics
             .local()
             .vc_complete_calls
             .fetch_add(1, Ordering::Relaxed);
-        Ok(tn)
+        Ok(fin)
     }
 
     /// Abort of a transaction registered as `tn`: `VCdiscard(tn)`. Its
@@ -239,16 +262,30 @@ impl CcContext {
     }
 
     /// Announce a reader (a read-only transaction or a checkpoint) to
-    /// garbage collection, then `VCstart`: returns its announcement slot
-    /// and its start number.
-    pub(crate) fn announce(&self) -> (usize, u64) {
-        self.readers.announce(|| self.vc.start())
+    /// garbage collection, then `VCstart` (over the floor source): returns
+    /// its announcement slot and its start number.
+    pub fn announce(&self) -> (usize, u64) {
+        self.readers.announce(|| self.floor_source())
+    }
+
+    /// Retire the reader announced in `slot`.
+    pub fn retire(&self, slot: usize) {
+        self.readers.retire(slot);
     }
 
     /// Raise the published GC floor to `min(vtnc, oldest announced start
     /// number)` and return it.
     pub(crate) fn publish_floor(&self) -> u64 {
-        self.readers.publish(|| self.vc.start())
+        self.readers.publish(|| self.floor_source())
+    }
+
+    /// The minimum `VCstart` over the floor source (sequentially
+    /// consistent loads, as the announcement handshake requires).
+    fn floor_source(&self) -> u64 {
+        self.floor_vcs
+            .iter()
+            .map(|vc| vc.start())
+            .fold(u64::MAX, u64::min)
     }
 
     /// Make every write a committed version numbered `tn`, pruning each

@@ -225,7 +225,7 @@ impl<C: ConcurrencyControl> MvDatabase<C> {
     ) -> std::io::Result<mvcc_storage::CheckpointStats> {
         let (slot, watermark) = self.core.ctx.announce();
         let result = self.core.ctx.store.checkpoint(w, watermark);
-        self.core.ctx.readers.retire(slot);
+        self.core.ctx.retire(slot);
         result
     }
 

@@ -191,7 +191,7 @@ impl<'db> RoTxn<'db> {
             return;
         }
         self.finished = true;
-        self.core.ctx.readers.retire(self.gc_slot);
+        self.core.ctx.retire(self.gc_slot);
         let m = self.core.ctx.metrics.local();
         m.ro_reads.fetch_add(self.reads, Ordering::Relaxed);
         m.ro_finished.fetch_add(1, Ordering::Relaxed);

@@ -20,17 +20,19 @@
 //! a transaction absent from the log cannot have committed anywhere.
 
 use crate::gtn::Gtn;
-use crate::site::{Site, SiteId};
+use crate::site::{cluster_sites, Site, SiteId};
+use mvcc_cc::TplTxn;
 use mvcc_core::clock::{real_clock, SharedClock, SharedRng};
 use mvcc_core::obs::{SpanRegistry, TraceCtx, TraceSnapshot};
 use mvcc_core::trace::TxnTrace;
 use mvcc_core::{
-    AbortReason, DbError, Deadline, FaultConfig, FaultInjector, FaultPoint, Tracer, TxnOptions,
-    WriteSet,
+    AbortReason, DbConfig, DbError, Deadline, FaultConfig, FaultInjector, FaultPoint, Tracer,
+    TxnOptions,
 };
 use mvcc_model::{ObjectId, TxnId};
 use mvcc_storage::Value;
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -239,16 +241,11 @@ impl Cluster {
     /// Cluster from an explicit configuration.
     pub fn with_config(n: u16, cfg: ClusterConfig) -> Self {
         assert!(n >= 1);
+        let site_config = DbConfig::default()
+            .with_lock_wait_timeout(cfg.lock_timeout)
+            .with_clock(Arc::clone(&cfg.clock));
         Cluster {
-            sites: (1..=n)
-                .map(|i| {
-                    Arc::new(Site::with_clock(
-                        SiteId(i),
-                        cfg.lock_timeout,
-                        Arc::clone(&cfg.clock),
-                    ))
-                })
-                .collect(),
+            sites: cluster_sites(n, &site_config),
             next_token: AtomicU64::new(1),
             next_anon: AtomicU64::new(1),
             messages: AtomicU64::new(0),
@@ -394,7 +391,7 @@ impl Cluster {
 
     /// Seed an object at a site.
     pub fn seed(&self, site: SiteId, obj: ObjectId, value: Value) {
-        self.site(site).seed(obj, value);
+        self.site(site).ctx().store.seed(obj, value);
     }
 
     /// Begin a distributed read-write transaction.
@@ -424,14 +421,19 @@ impl Cluster {
         t
     }
 
-    /// Begin a distributed read-only transaction.
+    /// Begin a distributed read-only transaction. It first announces
+    /// itself to the sites' shared GC registry, which stands in for GC
+    /// gossip and costs no counted message: no site prunes a version
+    /// its snapshots, taken afterwards, can select (DESIGN.md §21).
     pub fn begin_ro(&self, mode: RoMode) -> DistRoTxn<'_> {
+        let (gc_slot, _) = self.sites[0].ctx().announce();
         let sn = match mode {
             RoMode::GlobalMin => Some(self.global_min()),
             RoMode::HomeSite | RoMode::PerSiteSnapshots => None,
         };
         DistRoTxn {
             cluster: self,
+            gc_slot,
             mode,
             sn,
             per_site_sn: BTreeMap::new(),
@@ -512,19 +514,13 @@ impl Cluster {
     }
 }
 
-/// State kept per participant site of a read-write transaction.
-#[derive(Default)]
-struct Participant {
-    locked: Vec<ObjectId>,
-    /// Writes buffered for this site, handed over at `prepare`.
-    writes: WriteSet,
-}
-
 /// A distributed read-write transaction (per-site strict 2PL + 2PC).
 pub struct DistRwTxn<'c> {
     cluster: &'c Cluster,
     token: u64,
-    parts: BTreeMap<SiteId, Participant>,
+    /// Each participant's 2PL state (its locks and buffered writes), until
+    /// it prepares.
+    parts: BTreeMap<SiteId, TplTxn>,
     trace: TxnTrace,
     done: bool,
     /// Deadline budget, when begun with one (see
@@ -550,51 +546,45 @@ impl DistRwTxn<'_> {
         Ok(())
     }
 
-    /// Read `obj` at `site`.
-    pub fn read(&mut self, site: SiteId, obj: ObjectId) -> Result<Value, DbError> {
+    /// One operation at `site` on its participant's 2PL state, begun at
+    /// first contact. A failure rolls the transaction back everywhere.
+    fn op<R>(
+        &mut self,
+        site: SiteId,
+        f: impl FnOnce(&Site, &mut TplTxn) -> Result<R, DbError>,
+    ) -> Result<R, DbError> {
         self.check_deadline()?;
         self.cluster.msg_reliable();
         let s = self.cluster.site(site);
-        match s.rw_read(self.token, obj) {
-            Ok((version, value)) => {
-                let part = self.parts.entry(site).or_default();
-                if !part.locked.contains(&obj) {
-                    part.locked.push(obj);
+        let res = match self.parts.entry(site) {
+            Entry::Occupied(mut part) => f(s, part.get_mut()),
+            Entry::Vacant(part) => s.begin().and_then(|mut txn| {
+                let res = f(s, &mut txn);
+                match res {
+                    Ok(_) => drop(part.insert(txn)),
+                    Err(_) => s.rollback(txn),
                 }
-                // Own writes shadow the committed version.
-                if let Some(own) = part.writes.get(obj) {
-                    return Ok(own.clone());
-                }
-                self.trace.read(Cluster::global_obj(site, obj), version);
-                Ok(value)
-            }
-            Err(e) => {
-                self.rollback();
-                Err(e)
-            }
+                res
+            }),
+        };
+        res.inspect_err(|_| self.rollback())
+    }
+
+    /// Read `obj` at `site`.
+    pub fn read(&mut self, site: SiteId, obj: ObjectId) -> Result<Value, DbError> {
+        let (version, value) = self.op(site, |s, txn| s.rw_read(txn, obj))?;
+        // An own write has no number yet and stays out of the trace.
+        if version != u64::MAX {
+            self.trace.read(Cluster::global_obj(site, obj), version);
         }
+        Ok(value)
     }
 
     /// Write `obj` at `site`.
     pub fn write(&mut self, site: SiteId, obj: ObjectId, value: Value) -> Result<(), DbError> {
-        self.check_deadline()?;
-        self.cluster.msg_reliable();
-        let s = self.cluster.site(site);
-        match s.rw_write(self.token, obj) {
-            Ok(()) => {
-                let part = self.parts.entry(site).or_default();
-                if !part.locked.contains(&obj) {
-                    part.locked.push(obj);
-                }
-                part.writes.put(obj, value);
-                self.trace.write(Cluster::global_obj(site, obj));
-                Ok(())
-            }
-            Err(e) => {
-                self.rollback();
-                Err(e)
-            }
-        }
+        self.op(site, |s, txn| s.rw_write(txn, obj, value))?;
+        self.trace.write(Cluster::global_obj(site, obj));
+        Ok(())
     }
 
     /// Two-phase commit. Returns the single global transaction number.
@@ -605,10 +595,10 @@ impl DistRwTxn<'_> {
     /// the transaction from the decision log.
     pub fn commit(mut self) -> Result<Gtn, DbError> {
         // Phase 1 (reliable): every participant is past its lock point;
-        // gather proposals. (Participants cannot vote no here — all
-        // their conflicts were resolved by locks — so this prepare
-        // always succeeds; the in-doubt window is still real for
-        // visibility.)
+        // gather proposals. (All conflicts were resolved by locks, so a
+        // site votes no only if its seam's claim or log fails, which a
+        // site with no TTL and no log never does; the in-doubt window is
+        // still real for visibility.)
         // A spent deadline budget aborts here, while rollback is still
         // sound; once the decision is logged below, the transaction is
         // always driven to completion regardless of the deadline.
@@ -621,35 +611,35 @@ impl DistRwTxn<'_> {
         }
         let spans = &self.cluster.spans;
         let prepare_start = self.trace_id.map(|_| spans.now_ns());
+        if self.parts.is_empty() {
+            // Empty transaction: synthesize a number at site 1.
+            let txn = self.cluster.site(SiteId(1)).begin()?;
+            self.parts.insert(SiteId(1), txn);
+        }
         let mut proposals: BTreeMap<SiteId, Gtn> = BTreeMap::new();
-        for (&site, part) in &mut self.parts {
+        let mut parts = std::mem::take(&mut self.parts).into_iter();
+        while let Some((site, txn)) = parts.next() {
             self.cluster.msg_reliable();
-            let writes = std::mem::take(&mut part.writes);
-            proposals.insert(
-                site,
-                self.cluster
-                    .site(site)
-                    .prepare(self.token, &part.locked, writes),
-            );
+            match self.cluster.site(site).prepare(self.token, txn) {
+                Ok(p) => drop(proposals.insert(site, p)),
+                Err(e) => {
+                    // A no vote: abort. Sites that already voted yes
+                    // learn the abort from the decision log.
+                    self.parts.extend(parts);
+                    self.rollback();
+                    return Err(e);
+                }
+            }
         }
         // The single global number dominates every proposal (it *is* the
         // largest proposal, hence unique).
-        let fin = proposals.values().copied().max().unwrap_or_else(|| {
-            // Empty transaction: synthesize a number from site 1.
-            self.cluster.msg_reliable();
-            self.cluster
-                .site(SiteId(1))
-                .prepare(self.token, &[], WriteSet::new())
-        });
+        let fin = proposals.values().copied().max().expect("one participant");
         if let (Some(id), Some(start)) = (self.trace_id, prepare_start) {
             spans.record_root_span(
                 id,
                 "2pc_prepare",
                 start,
-                vec![
-                    ("sites", self.parts.len().max(1) as u64),
-                    ("fin_time", fin.time()),
-                ],
+                vec![("sites", proposals.len() as u64), ("fin_time", fin.time())],
             );
         }
         // Decision point: the commit record must be durable BEFORE any
@@ -662,38 +652,14 @@ impl DistRwTxn<'_> {
         if let (Some(id), Some(start)) = (self.trace_id, decide_start) {
             spans.record_root_span(id, "2pc_decide", start, vec![("committed", 1)]);
         }
-        if self.parts.is_empty() {
-            let leg_start = self.trace_id.map(|_| spans.now_ns());
-            let mut deliveries = 0u64;
-            for _ in 0..self.cluster.msg_one_way() {
-                self.cluster
-                    .site(SiteId(1))
-                    .commit(self.token, fin, fin, &[])?;
-                deliveries += 1;
-            }
-            if let (Some(id), Some(start)) = (self.trace_id, leg_start) {
-                spans.record_root_span(
-                    id,
-                    "2pc_commit_leg",
-                    start,
-                    vec![("site", 1), ("deliveries", deliveries)],
-                );
-            }
-            self.done = true;
-            self.flush(fin, true);
-            return Ok(fin);
-        }
         // Phase 2 (one-way, lossy): commit everywhere with the final
         // number. A lost delivery leaves the participant in doubt; a
         // duplicate is absorbed by its idempotence filter.
-        for (&site, part) in &self.parts {
-            let p = proposals[&site];
+        for &site in proposals.keys() {
             let leg_start = self.trace_id.map(|_| spans.now_ns());
             let mut deliveries = 0u64;
             for _ in 0..self.cluster.msg_one_way() {
-                self.cluster
-                    .site(site)
-                    .commit(self.token, p, fin, &part.locked)?;
+                self.cluster.site(site).commit(self.token, fin)?;
                 deliveries += 1;
             }
             // `deliveries = 0` in the exported trace is exactly the
@@ -729,19 +695,15 @@ impl DistRwTxn<'_> {
             .decisions
             .lock()
             .insert(self.token, Decision::Abort);
-        for (&site, part) in &self.parts {
+        let sites = self.parts.len() as u64;
+        for (site, txn) in std::mem::take(&mut self.parts) {
             self.cluster.msg_reliable();
-            self.cluster
-                .site(site)
-                .rollback(self.token, None, &part.locked);
+            self.cluster.site(site).rollback(txn);
         }
         if let (Some(id), Some(start)) = (self.trace_id, abort_start) {
-            self.cluster.spans.record_root_span(
-                id,
-                "2pc_abort",
-                start,
-                vec![("sites", self.parts.len() as u64)],
-            );
+            self.cluster
+                .spans
+                .record_root_span(id, "2pc_abort", start, vec![("sites", sites)]);
         }
         self.done = true;
         let anon = (1 << 63) | self.cluster.next_anon.fetch_add(1, Ordering::Relaxed);
@@ -766,6 +728,8 @@ impl Drop for DistRwTxn<'_> {
 /// A distributed read-only transaction.
 pub struct DistRoTxn<'c> {
     cluster: &'c Cluster,
+    /// Its announcement in the sites' GC registry, retired on drop.
+    gc_slot: usize,
     mode: RoMode,
     /// The single global start number (GlobalMin: fixed at begin;
     /// HomeSite: fixed at first contact, possibly lowered by fallback).
@@ -843,13 +807,19 @@ impl DistRoTxn<'_> {
         Ok(self.read(site, obj)?.as_u64())
     }
 
-    /// Finish (flush the trace).
+    /// Finish (flush the trace, retire from GC).
     pub fn finish(self) {
         if let Some(t) = &self.cluster.tracer {
             let anon =
                 (1 << 63) | (1 << 62) | self.cluster.next_anon.fetch_add(1, Ordering::Relaxed);
             t.flush(TxnId(anon), &self.trace, true);
         }
+    }
+}
+
+impl Drop for DistRoTxn<'_> {
+    fn drop(&mut self) {
+        self.cluster.sites[0].ctx().retire(self.gc_slot);
     }
 }
 
@@ -872,7 +842,7 @@ mod tests {
         let fin = t.commit().unwrap();
         // one global number, same version everywhere
         for (i, site) in c.site_ids().into_iter().enumerate() {
-            let (n, v) = c.site(site).store().read_latest(obj(0));
+            let (n, v) = c.site(site).ctx().store.read_latest(obj(0));
             assert_eq!(n, fin.encoded());
             assert_eq!(v.as_u64(), Some(i as u64 + 1));
         }
@@ -917,7 +887,7 @@ mod tests {
         // obj(0) at site 2 was never written: the snapshot reads the
         // (empty) initial version after catching up.
         assert_eq!(r.read(SiteId(2), obj(0)).unwrap(), Value::empty());
-        assert!(c.site(SiteId(2)).metrics().snapshot().ro_blocks <= 1);
+        assert_eq!(c.ro_fallbacks(), 0, "caught up without a fallback");
         r.finish();
         let h = c.trace_history().unwrap();
         assert!(mvsg::check_tn_order(&h).acyclic);
@@ -1085,7 +1055,7 @@ mod tests {
             let s = c.site(site);
             assert_eq!(Gtn(s.vc().vtnc()), fin);
             // one completion per site despite two deliveries
-            assert_eq!(s.metrics().snapshot().vc_complete_calls, 1);
+            assert_eq!(s.ctx().metrics.snapshot().vc_complete_calls, 1);
             s.vc().validate().unwrap();
         }
         assert!(c.faults().injected(FaultPoint::MsgDuplicate) >= 2);
@@ -1098,10 +1068,9 @@ mod tests {
         // are left alone; past the threshold the resolver presumes abort.
         let c = Cluster::new(1);
         let s = c.site(SiteId(1));
-        s.rw_write(999, obj(0)).unwrap();
-        let mut ws = WriteSet::new();
-        ws.put(obj(0), Value::from_u64(9));
-        let _p = s.prepare(999, &[obj(0)], ws);
+        let mut txn = s.begin().unwrap();
+        s.rw_write(&mut txn, obj(0), Value::from_u64(9)).unwrap();
+        let _p = s.prepare(999, txn).unwrap();
         let stats = c.resolve_in_doubt(Duration::from_secs(60));
         assert_eq!(stats.still_in_doubt, 1);
         let stats = c.resolve_in_doubt(Duration::ZERO);
@@ -1177,7 +1146,7 @@ mod tests {
         // are free again.
         assert_eq!(Gtn(c.site(SiteId(1)).vc().vtnc()), Gtn::ZERO);
         assert_eq!(
-            c.site(SiteId(1)).store().read_latest(obj(0)).1,
+            c.site(SiteId(1)).ctx().store.read_latest(obj(0)).1,
             Value::empty()
         );
         let mut t2 = c.begin_rw();

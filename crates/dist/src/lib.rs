@@ -16,12 +16,14 @@
 //!   pairs encoded into a `u64`, so version numbers remain ordinary
 //!   storage version numbers and the oracle's tn-order MVSG applies
 //!   globally. One number per distributed read-write transaction.
-//! * [`site`] — a database site: storage + locks + core's
-//!   `VersionControl`, numbering in Lamport pairs. A transaction registers
-//!   its **proposal** at prepare and completes with its **final** number
-//!   at commit; the site's `vtnc` never passes an in-doubt transaction
-//!   (the "care" the paper mentions). No separate distributed module is
-//!   needed.
+//! * [`site`] — a database site: core's engine seam (`CcContext`)
+//!   running strict two-phase locking, with `VersionControl` numbering
+//!   in Lamport pairs. A transaction registers its **proposal** at
+//!   prepare and completes with its **final** number at commit; the
+//!   site's `vtnc` never passes an in-doubt transaction (the "care" the
+//!   paper mentions). Sites prune at install against one GC floor shared
+//!   by the cluster, which no distributed snapshot passes. No separate
+//!   distributed module is needed.
 //! * [`cluster`] — the client surface: distributed read-write
 //!   transactions under two-phase commit with per-site strict 2PL, and
 //!   distributed read-only transactions with a **single global start

@@ -2,7 +2,6 @@
 //! windows of two-phase commit get stretched by the simulated network,
 //! and the protocol's visibility discipline must hold throughout.
 
-use mvcc_core::WriteSet;
 use mvcc_dist::{Cluster, RoMode, SiteId};
 use mvcc_model::{mvsg, ObjectId};
 use mvcc_storage::Value;
@@ -71,10 +70,10 @@ fn in_doubt_window_blocks_visibility_not_correctness() {
     let s = c.site(site);
 
     // Old transaction prepares (in doubt) ...
-    s.rw_write(100, ObjectId(0)).unwrap();
-    let mut ws = WriteSet::new();
-    ws.put(ObjectId(0), Value::from_u64(1));
-    let p_old = s.prepare(100, &[ObjectId(0)], ws);
+    let mut old = s.begin().unwrap();
+    s.rw_write(&mut old, ObjectId(0), Value::from_u64(1))
+        .unwrap();
+    let p_old = s.prepare(100, old).unwrap();
 
     // ... younger transaction fully commits through the normal path.
     let mut t = c.begin_rw();
@@ -88,7 +87,7 @@ fn in_doubt_window_blocks_visibility_not_correctness() {
     r.finish();
 
     // Resolve the in-doubt transaction; both become visible, in order.
-    s.commit(100, p_old, p_old, &[ObjectId(0)]).unwrap();
+    s.commit(100, p_old).unwrap();
     let mut r = c.begin_ro(RoMode::GlobalMin);
     assert_eq!(r.read_u64(site, ObjectId(0)).unwrap(), Some(1));
     assert_eq!(r.read_u64(site, ObjectId(1)).unwrap(), Some(2));

@@ -320,7 +320,8 @@ pub fn run_cluster(spec: &SimSpec) -> RunReport {
         for o in 0..objects {
             let got = cluster
                 .site(s)
-                .store()
+                .ctx()
+                .store
                 .read_latest(ObjectId(o))
                 .1
                 .as_u64()

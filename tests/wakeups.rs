@@ -353,13 +353,13 @@ fn dist_wait_visible_is_woken_by_a_commit_stream() {
     thread::scope(|s| {
         s.spawn(|| {
             for round in 1..=ROUNDS {
-                let p = site.prepare(round, &[], WriteSet::new());
+                let p = site.prepare(round, site.begin().unwrap()).unwrap();
                 assert_eq!(p, Gtn::new(round, 1));
                 spin_until("waiter's next round", || {
                     asked.load(Ordering::Acquire) >= round
                 });
                 maybe_let_park(round);
-                site.commit(round, p, p, &[]).unwrap();
+                site.commit(round, p).unwrap();
             }
         });
         for round in 1..=ROUNDS {
